@@ -4,13 +4,16 @@ Subcommands: `analyze` (germ -> monodromy report), `quotient` (marked
 disk homology and rotation action), `family` (conservation and
 coalescing verdicts).  JSON goes to stdout with deterministic key order;
 human-readable progress goes to stderr.  Exit codes: 0 success, 1 error,
-2 when a theorem-consistency verdict comes back INCONSISTENT.
+2 when a theorem-consistency verdict comes back INCONSISTENT.  A batch
+(`--germ-file`) reports a failing germ as an error record, goes on, and
+exits with the worst code seen.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -73,9 +76,12 @@ def cmd_analyze(args) -> int:
     if not germs:
         print("error [cli]: provide --germ or --germ-file", file=sys.stderr)
         return 1
+    # with --germ-file a failing germ becomes an error record and the
+    # batch goes on; the exit code is the worst one seen
+    batch = args.germ_file is not None
     reports = []
     worst = 0
-    for text in germs:
+    for index, text in enumerate(germs):
         print(f"analyze: {text}", file=sys.stderr)
         try:
             result = analyze_germ(
@@ -91,16 +97,29 @@ def cmd_analyze(args) -> int:
             )
         except StageError as exc:
             print(f"error {exc}", file=sys.stderr)
-            return 1
+            if not batch:
+                return 1
+            reports.append(
+                {"germ": text, "error": {"stage": exc.stage, "message": str(exc.error)}}
+            )
+            worst = max(worst, 1)
+            continue
         reports.append(report_dict(result))
         if result.inconsistent:
             worst = 2
         if args.svg:
-            emit_svg(result, args.svg)
-            print(f"  .. wrote {args.svg}", file=sys.stderr)
+            path = args.svg if len(germs) == 1 else _indexed_path(args.svg, index)
+            emit_svg(result, path)
+            print(f"  .. wrote {path}", file=sys.stderr)
     payload = reports[0] if len(reports) == 1 else reports
     sys.stdout.write(_dump(payload, args.json_compact))
     return worst
+
+
+def _indexed_path(path: str, index: int) -> str:
+    """'fig.svg' -> 'fig-<index>.svg': one figure file per germ of a batch."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}-{index}{ext}"
 
 
 def cmd_quotient(args) -> int:
@@ -207,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--truncation", type=int, default=None)
     pa.add_argument("--radius-scale", default="1", help="rational scale for the discs")
     pa.add_argument("--line", default=None, help="force l = a*x + b*y as 'a,b'")
-    pa.add_argument("--svg", default=None, help="write the figure to this path")
+    pa.add_argument(
+        "--svg",
+        default=None,
+        help="write the figure to this path (PATH-<i>.ext per germ for several germs)",
+    )
     pa.add_argument("--json-compact", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 

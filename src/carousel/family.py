@@ -19,7 +19,8 @@ from mpmath import mp, mpc, mpf
 from .gaussian import GaussianRational
 from .poly import Polynomial, poly_gcd, squarefree_decomposition
 from .puiseux import milnor_number
-from .roots import ComplexBall, PrecisionError, gaussian_to_mpc, solve_numeric, univariate_roots
+from .roots import (ComplexBall, PrecisionError, gaussian_to_mpc, ordering_key,
+                    solve_numeric, univariate_roots)
 
 
 class FamilyError(ValueError):
@@ -123,11 +124,17 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
                 total += mu
             else:
                 outside += 1
-        points.sort(key=lambda p: (p.x.center.real, p.x.center.imag,
-                                   p.y.center.real, p.y.center.imag))
+        points.sort(key=_point_key)
         return CriticalRecord(
             t=t_value, points=tuple(points), total_mu=total, points_outside=outside
         )
+
+
+def _point_key(point):
+    # quantized coordinates first, so that rounding noise in the centers
+    # never decides the order of points that agree to 2^-40
+    kx, ky = ordering_key(point.x.center), ordering_key(point.y.center)
+    return kx[:2] + ky[:2] + kx[2:] + ky[2:]
 
 
 def _value_ball(f, bx, by, precision):

@@ -2,14 +2,17 @@
 
 Univariate polynomials with exact Gaussian-rational coefficients are
 split into squarefree factors exactly, then each factor is solved by
-Aberth-Ehrlich simultaneous iteration at a chosen bit precision.  The
-a-posteriori certificate is the Weierstrass-style bound: the disks
-around the approximations with radius n*|p(z)/prod(z - z_j)| cover the
-roots, and pairwise disjoint disks isolate exactly one root each.
+Aberth-Ehrlich simultaneous iteration at a chosen bit precision, started
+from a pass of the same iteration in machine doubles.  The a-posteriori
+certificate is the Weierstrass-style bound: the disks around the
+approximations with radius n*(|p(z)| + e)/|prod(z - z_j)| cover the
+roots, where e bounds the rounding error of evaluating p(z), and
+pairwise disjoint disks isolate exactly one root each.
 """
 
 from __future__ import annotations
 
+import cmath
 import os
 
 import mpmath
@@ -86,7 +89,7 @@ def ordering_key(z) -> tuple:
 
 
 def _horner(coeffs, z):
-    acc = mpc(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -94,6 +97,111 @@ def _horner(coeffs, z):
 
 def _derivative_coeffs(coeffs):
     return [coeffs[k] * k for k in range(1, len(coeffs))]
+
+
+def error_factor(ops: int, unit):
+    """Twice gamma_ops = ops*u/(1 - ops*u) for unit roundoff `unit`.
+
+    Each complex multiply-add of a Horner step costs at most four units
+    (Higham, Accuracy and Stability, Lemma 3.5); the factor 2 absorbs the
+    second-order terms and the rounding of the bound itself.
+    """
+    k = ops * unit
+    return 2 * k / (1 - k)
+
+
+def horner_bound(coeffs, majorants, z, gamma):
+    """p(z), p'(z) and running bounds e, e' on their rounding errors.
+
+    `coeffs` are low first and `majorants[k]` >= |coeffs[k]|.  With
+    `gamma` = error_factor(ops, u) for the number of rounding steps ops
+    behind each value (coefficient conversion and evaluation included),
+    |computed p - p| <= e = gamma*M(|z|) and |computed p' - p'| <= e' =
+    gamma*M'(|z|), where M is the majorant polynomial (Higham, ch. 5).
+    Works unchanged on Python complex and on mpmath mpc values.
+    """
+    az = abs(z)
+    p = dp = m = dm = 0
+    for c, a in zip(reversed(coeffs), reversed(majorants)):
+        dp = dp * z + p
+        p = p * z + c
+        dm = dm * az + m
+        m = m * az + a
+    return p, dp, gamma * m, gamma * dm
+
+
+def newton_radius(n: int, p, dp, e, de):
+    """Radius of a disk around z holding a root of a degree-n polynomial.
+
+    n*(|p| + e)/(|p'| - e') bounds n*|p(z)/p'(z)| for the exact values;
+    None when |p'| <= e' and the derivative cannot be bounded away from 0.
+    """
+    denom = abs(dp) - de
+    if not denom > 0:
+        return None
+    return n * (abs(p) + e) / denom * (1 + 2.0 ** -20)
+
+
+def _aberth_iterate(monic, z, tol, nudge, max_iterations):
+    """Gauss-Seidel Aberth-Ehrlich steps on z in place; True on convergence."""
+    n = len(z)
+    deriv = _derivative_coeffs(monic)
+    for _ in range(max_iterations):
+        moved = 0
+        for i in range(n):
+            pz = _horner(monic, z[i])
+            dz = _horner(deriv, z[i])
+            if dz == 0:
+                z[i] = z[i] + tol + nudge
+                moved = max(moved, abs(tol))
+                continue
+            newton = pz / dz
+            s = 0
+            for j in range(n):
+                if j != i:
+                    diff = z[i] - z[j]
+                    if diff == 0:
+                        diff = tol
+                    s += 1 / diff
+            denom = 1 - newton * s
+            if denom == 0:
+                step = newton
+            else:
+                step = newton / denom
+            z[i] = z[i] - step
+            moved = max(moved, abs(step))
+        if moved < tol * (1 + max(abs(v) for v in z)):
+            return True
+    return False
+
+
+# a few bits above the rounding floor of doubles: well-conditioned roots
+# get there, and one mpmath step then reaches full precision
+_DOUBLE_TOL = 2.0 ** -44
+
+
+def _double_start(monic, start, max_iterations):
+    """`start` refined by Aberth in complex doubles, or None.
+
+    None unless every coefficient converts to a finite double without
+    underflow and the pass converges to finite approximations that the
+    Weierstrass radii, rounding error included, already isolate.  A
+    cluster that doubles cannot resolve keeps the circle start.
+    """
+    coeffs = []
+    for c in monic:
+        d = complex(c)
+        if not cmath.isfinite(d) or (c != 0 and abs(d) < 2.0 ** -1000):
+            return None
+        coeffs.append(d)
+    z = [complex(w) for w in start]
+    if not _aberth_iterate(coeffs, z, _DOUBLE_TOL, 1e-6, max_iterations):
+        return None
+    if not all(cmath.isfinite(w) for w in z):
+        return None
+    if _inclusion_radii(coeffs, z, 2.0 ** -53) is None:
+        return None
+    return [mpc(w) for w in z]
 
 
 def aberth_roots(coeffs, precision: int, max_iterations: int = 400):
@@ -114,7 +222,6 @@ def aberth_roots(coeffs, precision: int, max_iterations: int = 400):
         if n == 1:
             z = -monic[0]
             return [ComplexBall(z, mpf(2) ** (-precision) * (1 + abs(z)), precision)]
-        deriv = _derivative_coeffs(monic)
         # initial guesses on a circle scaled by the Cauchy bound,
         # slightly rotated to break symmetric stalls deterministically
         radius = 1 + max(abs(v) for v in monic[:-1])
@@ -122,56 +229,46 @@ def aberth_roots(coeffs, precision: int, max_iterations: int = 400):
             radius * mpmath.exp(2j * mpmath.pi * (mpf(k) / n) + 0.4j)
             for k in range(n)
         ]
+        z = _double_start(monic, z, max_iterations) or z
         tol = mpf(2) ** (-(precision + 16))
-        for _ in range(max_iterations):
-            moved = mpf(0)
-            for i in range(n):
-                pz = _horner(monic, z[i])
-                dz = _horner(deriv, z[i])
-                if dz == 0:
-                    z[i] = z[i] + tol + mpf(10) ** (-6)
-                    moved = max(moved, abs(tol))
-                    continue
-                newton = pz / dz
-                s = mpc(0)
-                for j in range(n):
-                    if j != i:
-                        diff = z[i] - z[j]
-                        if diff == 0:
-                            diff = tol
-                        s += 1 / diff
-                denom = 1 - newton * s
-                if denom == 0:
-                    step = newton
-                else:
-                    step = newton / denom
-                z[i] = z[i] - step
-                moved = max(moved, abs(step))
-            if moved < tol * (1 + max(abs(v) for v in z)):
-                break
+        _aberth_iterate(monic, z, tol, mpf(10) ** (-6), max_iterations)
         balls = _certify(monic, z, precision)
         balls.sort(key=lambda b: ordering_key(b.center))
         return balls
 
 
 def _certify(monic, z, precision):
-    n = len(monic) - 1
-    balls = []
+    radii = _inclusion_radii(monic, z, mpf(2) ** (-(precision + 32)))
+    if radii is None:
+        raise PrecisionError("root disks overlap; raise precision")
+    return [ComplexBall(w, r, precision) for w, r in zip(z, radii)]
+
+
+def _inclusion_radii(monic, z, unit):
+    """Weierstrass radii n*(|p(z_i)| + e_i)/|prod_j (z_i - z_j)|, or None.
+
+    e_i bounds the rounding error of p(z_i) at unit roundoff `unit`, so
+    the disks cover the roots; None unless they are pairwise disjoint.
+    """
+    n = len(z)
+    # rounding of the monic coefficients and of Horner
+    gamma = error_factor(4 * (n + 1), unit)
+    majorants = [abs(c) for c in monic]
+    radii = []
     for i in range(n):
-        pz = _horner(monic, z[i])
-        prod = mpc(1)
+        prod = 1
         for j in range(n):
             if j != i:
                 prod *= z[i] - z[j]
         if prod == 0:
-            raise PrecisionError("coincident approximations")
-        radius = n * abs(pz / prod) * (1 + mpf(2) ** (-20))
-        balls.append(ComplexBall(z[i], radius, precision))
+            return None
+        bound = gamma * _horner(majorants, abs(z[i]))
+        radii.append(n * (abs(_horner(monic, z[i])) + bound) / abs(prod) * (1 + 2.0 ** -20))
     for i in range(n):
         for j in range(i + 1, n):
-            if not balls[i].is_disjoint_from(balls[j]):
-                raise PrecisionError("root disks overlap; raise precision")
-    return balls
+            if not abs(z[i] - z[j]) > radii[i] + radii[j]:
+                return None
+    return radii
 
 
 def solve_numeric(coeffs, precision: int, max_precision: int | None = None):
@@ -234,33 +331,3 @@ def _check_cross_factor(balls_with_mult):
         for j in range(i + 1, len(balls_with_mult)):
             if not balls_with_mult[i][0].is_disjoint_from(balls_with_mult[j][0]):
                 raise PrecisionError("roots of distinct factors overlap")
-
-
-def refine_newton(coeffs, start, precision: int, iterations: int = 64):
-    """Newton-polish one root of a numeric polynomial; returns a ComplexBall.
-
-    The certificate radius n*|p/p'| always contains at least one true
-    root of the polynomial.
-    """
-    with mp.workprec(precision + 32):
-        c = [mpc(v) for v in coeffs]
-        n = len(c) - 1
-        deriv = _derivative_coeffs(c)
-        z = mpc(start)
-        tol = mpf(2) ** (-(precision + 8))
-        scale = 1 + abs(z)
-        for _ in range(iterations):
-            pz = _horner(c, z)
-            dz = _horner(deriv, z)
-            if dz == 0:
-                raise PrecisionError("vanishing derivative during refinement")
-            step = pz / dz
-            z = z - step
-            if abs(step) < tol * scale:
-                break
-        pz = _horner(c, z)
-        dz = _horner(deriv, z)
-        if dz == 0:
-            raise PrecisionError("vanishing derivative at refined point")
-        radius = n * abs(pz / dz) * (1 + mpf(2) ** (-20))
-        return ComplexBall(z, radius, precision)

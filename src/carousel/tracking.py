@@ -2,13 +2,21 @@
 
 The m points of Delta(u, v) = 0 over v = eta*e^(i*theta), theta from 0
 to 2*pi, are followed by a predictor (previous position) / corrector
-(Newton refinement with a certified inclusion radius) scheme.  The loop
-closes up to a permutation of the base fiber; it is checked against the
-exact cycle type predicted from the Puiseux branches of Delta.
+(Newton refinement with a certified inclusion radius) scheme.  The
+corrector runs in complex doubles under a running rounding-error bound;
+if a double-precision certificate still fails at the finest step, the
+whole loop is tracked again with the mpmath corrector at the requested
+precision.  The base fiber, the polish of the end points and the final
+matching always run at the requested precision.  The loop closes up to
+a permutation of the base fiber; it is checked against the exact cycle
+type predicted from the Puiseux branches of Delta.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -16,8 +24,14 @@ from mpmath import mp, mpc, mpf
 
 from .polar import CerfDiagram
 from .poly import Polynomial
-from .roots import (PrecisionError, gaussian_to_mpc, ordering_key,
-                    solve_numeric)
+from .roots import (PrecisionError, error_factor, gaussian_to_mpc,
+                    horner_bound, newton_radius, ordering_key, solve_numeric)
+
+
+# unit roundoff and the normal range of IEEE doubles
+_UNIT = 2.0 ** -53
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 
 class TrackingError(RuntimeError):
@@ -59,7 +73,12 @@ class FixedPointVerdict:
 
 
 class _FiberPolynomial:
-    """Delta as a polynomial in u whose coefficients are evaluated at v."""
+    """Delta as a polynomial in u whose coefficients are evaluated at v.
+
+    The coefficient rows are kept at the working precision and in complex
+    doubles, each with its absolute values as the majorants that bound
+    the rounding error of `horner_bound`.
+    """
 
     def __init__(self, delta: Polynomial, precision: int):
         self.precision = precision
@@ -71,30 +90,44 @@ class _FiberPolynomial:
                 for exps, c in cp.terms.items():
                     dense[exps[0]] = gaussian_to_mpc(c)
                 self.coeffs_v.append(dense)
+            self.majorants_v = [[abs(c) for c in row] for row in self.coeffs_v]
+            self.trim = mpf(2) ** (-(precision // 2))
+            # rounding steps behind p and p': conversion, Horner in v, then
+            # Horner in u and its derivative recurrence
+            ops = 4 * (2 * len(self.coeffs_v) + max(map(len, self.coeffs_v)))
+            self.gamma = error_factor(ops, mpf(2) ** (-(precision + 32)))
         self.degree = len(self.coeffs_v) - 1
+        self.coeffs_d = [[complex(c) for c in row] for row in self.coeffs_v]
+        self.majorants_d = [[abs(c) for c in row] for row in self.coeffs_d]
+        self.trim_d = math.ldexp(1.0, -(precision // 2))
+        self.gamma_d = error_factor(ops, _UNIT)
 
     def at_value(self, v):
-        out = []
-        for dense in self.coeffs_v:
-            acc = mpc(0)
-            for c in reversed(dense):
-                acc = acc * v + c
-            out.append(acc)
-        # drop a numerically vanished leading coefficient (root at infinity)
-        scale = max([abs(c) for c in out] + [mpf(1)])
-        tol = scale * mpf(2) ** (-(self.precision // 2))
-        while len(out) > 1 and abs(out[-1]) <= tol:
-            out.pop()
-        return out
+        """Coefficients in u at v and their majorants, at working precision."""
+        return _evaluate(self.coeffs_v, self.majorants_v, v, self.trim)
+
+    def at_value_double(self, v: complex):
+        """Coefficients in u at v and their majorants, in complex doubles."""
+        return _evaluate(self.coeffs_d, self.majorants_d, v, self.trim_d)
 
 
-def _horner2(coeffs, z):
-    p = mpc(0)
-    dp = mpc(0)
-    for c in reversed(coeffs):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _evaluate(rows, majorant_rows, v, trim):
+    av = abs(v)
+    coeffs = []
+    majorants = []
+    for row, mrow in zip(rows, majorant_rows):
+        acc = m = 0
+        for c, a in zip(reversed(row), reversed(mrow)):
+            acc = acc * v + c
+            m = m * av + a
+        coeffs.append(acc)
+        majorants.append(m)
+    # drop a numerically vanished leading coefficient (root at infinity)
+    tol = max([abs(c) for c in coeffs] + [1]) * trim
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= tol:
+        coeffs.pop()
+        majorants.pop()
+    return coeffs, majorants
 
 
 def choose_radii(
@@ -174,7 +207,7 @@ def _validate_eta(fiber, m, rho, eta, samples, sep_floor):
     for s in range(samples):
         v = eta * mpmath.expjpi(mpf(2 * s) / samples)
         try:
-            roots = solve_numeric(fiber.at_value(v), fiber.precision)
+            roots = solve_numeric(fiber.at_value(v)[0], fiber.precision)
         except PrecisionError:
             return False, {}
         near = [b for b in roots if abs(b.center) < rho / 2]
@@ -198,14 +231,15 @@ def _validate_eta(fiber, m, rho, eta, samples, sep_floor):
 
 
 def _base_fiber(fiber, radii):
-    roots = solve_numeric(fiber.at_value(radii.eta), fiber.precision)
+    roots = solve_numeric(fiber.at_value(radii.eta)[0], fiber.precision)
     near = [b for b in roots if abs(b.center) < radii.rho / 2]
     near.sort(key=lambda b: ordering_key(b.center))
     return near
 
 
-def _refine_points(coeffs, points, rho, precision):
-    """Newton-correct all tracked points; return (points, radii) or None."""
+def _refine_points(fiber, v, points, rho, precision):
+    """Newton-correct all tracked points over v in mpmath; (points, radii) or None."""
+    coeffs, majorants = fiber.at_value(v)
     n = len(coeffs) - 1
     tol = mpf(2) ** (-(precision + 8))
     new_pts = []
@@ -214,7 +248,7 @@ def _refine_points(coeffs, points, rho, precision):
         zz = z
         ok = False
         for _ in range(40):
-            p, dp = _horner2(coeffs, zz)
+            p, dp, _, _ = horner_bound(coeffs, majorants, zz, fiber.gamma)
             if dp == 0:
                 return None
             step = p / dp
@@ -222,16 +256,54 @@ def _refine_points(coeffs, points, rho, precision):
             if abs(step) < tol * (1 + abs(zz)):
                 ok = True
                 break
-        p, dp = _horner2(coeffs, zz)
-        if dp == 0:
+        radius = newton_radius(n, *horner_bound(coeffs, majorants, zz, fiber.gamma))
+        if radius is None:
             return None
-        radius = n * abs(p / dp) * (1 + mpf(2) ** (-20))
         if not ok and radius > mpf(2) ** (-(precision // 2)):
             return None
         if abs(zz) >= rho / 2:
             return None
         new_pts.append(zz)
         new_radii.append(radius)
+    return _checked_move(points, new_pts, new_radii)
+
+
+def _refine_double(fiber, v, points, rho):
+    """The corrector of `_refine_points` in complex doubles.
+
+    Newton stops once |p| is within its rounding bound e.  The step is
+    refused (None) unless every point gets there within 40 iterations
+    with finite values, normal bounds (no underflow) and |p'| > e'.
+    """
+    coeffs, majorants = fiber.at_value_double(complex(v))
+    n = len(coeffs) - 1
+    gamma = fiber.gamma_d
+    half = float(rho) / 2
+    new_pts = []
+    new_radii = []
+    for z in points:
+        for _ in range(40):
+            p, dp, e, de = horner_bound(coeffs, majorants, z, gamma)
+            if not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
+                    and cmath.isfinite(p) and cmath.isfinite(dp)):
+                return None
+            if abs(p) <= e:
+                break
+            if abs(dp) <= de:
+                return None
+            z = z - p / dp
+        else:
+            return None
+        radius = newton_radius(n, p, dp, e, de)
+        if radius is None or abs(z) >= half:
+            return None
+        new_pts.append(z)
+        new_radii.append(radius)
+    return _checked_move(points, new_pts, new_radii)
+
+
+def _checked_move(points, new_pts, new_radii):
+    """Accept corrected points only if unambiguous and continuous."""
     # pairwise separation with the 4x ambiguity margin
     for i in range(len(new_pts)):
         for j in range(i + 1, len(new_pts)):
@@ -248,6 +320,39 @@ def _refine_points(coeffs, points, rho, precision):
         if max_move > min_sep / 4:
             return None
     return new_pts, new_radii
+
+
+def _track(refine, points, eta, steps, direction):
+    """Follow `points` once around |v| = eta with the corrector `refine`.
+
+    `refine(v, points)` returns (points, radii) or None; a refused step
+    bisects its angle interval, up to depth 40 and 2^20 steps in all.
+    Returns the end points, the orbit traces and the number of steps.
+    """
+    traces = [[(float(z.real), float(z.imag))] for z in points]
+    used = 0
+    max_steps = 1 << 20
+    for k in range(steps):
+        # angle intervals still to cover, the leftmost on top
+        pending = [(mpf(k) / steps, mpf(k + 1) / steps, 0)]
+        while pending:
+            theta_from, theta_to, depth = pending.pop()
+            if used > max_steps:
+                raise TrackingError("step budget exhausted (matching stayed ambiguous)")
+            v = eta * mpmath.expjpi(2 * direction * theta_to)
+            used += 1
+            result = refine(v, points)
+            if result is None:
+                if depth > 40:
+                    raise TrackingError("matching ambiguity at maximal resolution")
+                mid = (theta_from + theta_to) / 2
+                pending.append((mid, theta_to, depth + 1))
+                pending.append((theta_from, mid, depth + 1))
+                continue
+            points = result[0]
+            for trace, z in zip(traces, points):
+                trace.append((float(z.real), float(z.imag)))
+    return points, traces, used
 
 
 def carousel_permutation(
@@ -278,35 +383,31 @@ def carousel_permutation(
             raise TrackingError(
                 f"base fiber carries {len(base)} points, expected {m}"
             )
-        points = [b.center for b in base]
-        traces = [[(float(z.real), float(z.imag))] for z in points]
-        budget = [0]
-        max_steps = 1 << 20
-
-        def advance(theta_from, theta_to, pts, depth):
-            if budget[0] > max_steps:
-                raise TrackingError("step budget exhausted (matching stayed ambiguous)")
-            v = radii.eta * mpmath.expjpi(2 * direction * theta_to)
-            coeffs = fiber.at_value(v)
-            budget[0] += 1
-            result = _refine_points(coeffs, pts, radii.rho, precision)
-            if result is None:
-                if depth > 40:
-                    raise TrackingError("matching ambiguity at maximal resolution")
-                mid = (theta_from + theta_to) / 2
-                pts = advance(theta_from, mid, pts, depth + 1)
-                return advance(mid, theta_to, pts, depth + 1)
-            new_pts, _ = result
-            for i, z in enumerate(new_pts):
-                traces[i].append((float(z.real), float(z.imag)))
-            return new_pts
-
-        for k in range(steps):
-            t0 = mpf(k) / steps
-            t1 = mpf(k + 1) / steps
-            points = advance(t0, t1, points, 0)
-
-        sigma = _match_to_base(points, base, precision)
+        rho = radii.rho
+        end_v = radii.eta * mpmath.expjpi(2 * direction)
+        try:
+            points, traces, used = _track(
+                lambda v, pts: _refine_double(fiber, v, pts, rho),
+                [complex(b.center) for b in base],
+                radii.eta,
+                steps,
+                direction,
+            )
+            polished = _refine_points(
+                fiber, end_v, [mpc(z) for z in points], rho, precision
+            )
+            if polished is None:
+                raise TrackingError("end points do not polish at full precision")
+            sigma = _match_to_base(polished[0], base, precision)
+        except TrackingError:
+            points, traces, used = _track(
+                lambda v, pts: _refine_points(fiber, v, pts, rho, precision),
+                [b.center for b in base],
+                radii.eta,
+                steps,
+                direction,
+            )
+            sigma = _match_to_base(points, base, precision)
         fixed = tuple(i for i, j in enumerate(sigma) if i == j)
         cycle_type = _cycle_type(sigma)
         return CarouselPermutation(
@@ -316,7 +417,7 @@ def carousel_permutation(
             cycle_type=cycle_type,
             fixed_points=fixed,
             orbit_traces=tuple(tuple(t) for t in traces),
-            steps_used=budget[0],
+            steps_used=used,
             precision_used=precision,
         )
 

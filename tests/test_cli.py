@@ -80,6 +80,34 @@ class TestAnalyze:
         assert [r["germ"] for r in reports] == ["x^2 + y^2", "x^3 - y^2"]
         assert [r["mu"] for r in reports] == [1, 2]
 
+    def test_germ_file_batch_keeps_going_past_a_bad_germ(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^2 + y^2\nx^2\nx^3 - y^2\n")
+        code, out, err = run_cli(
+            ["analyze", "--germ-file", str(listing), "--json-compact"], capsys
+        )
+        assert code == 1
+        reports = json.loads(out)
+        assert [r["germ"] for r in reports] == ["x^2 + y^2", "x^2", "x^3 - y^2"]
+        assert reports[1]["error"]["stage"] == "invariants"
+        assert reports[1]["error"]["message"]
+        assert set(reports[1]) == {"germ", "error"}
+        assert [reports[0]["mu"], reports[2]["mu"]] == [1, 2]
+        assert "error" in err
+
+    def test_germ_file_batch_writes_one_svg_per_germ(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^2 + y^2\nx^3 - y^2\n")
+        figure = tmp_path / "fig.svg"
+        code, _, _ = run_cli(
+            ["analyze", "--germ-file", str(listing), "--svg", str(figure)], capsys
+        )
+        assert code == 0
+        assert not figure.exists()
+        blobs = [(tmp_path / f"fig-{k}.svg").read_bytes() for k in range(2)]
+        assert all(b.startswith(b"<svg") for b in blobs)
+        assert blobs[0] != blobs[1]
+
 
 class TestQuotient:
     def test_paper_quarter_turn(self, capsys):

@@ -35,6 +35,17 @@ class TestCriticalPoints:
         values = sorted(float(p.value.center.real) for p in record.points)
         assert abs(values[0] + 0.25) < 1e-25 and abs(values[1] - 0.25) < 1e-25
 
+    def test_points_ordered_by_rounded_coordinates(self):
+        # conjugate pairs share a real part up to rounding noise
+        fam = F("x^5 - x*y^3 + t*(x^2 + y^2)")
+        record = critical_points(fam, Fraction(1, 64))
+        keys = [
+            tuple(round(float(part), 9) for z in (p.x.center, p.y.center)
+                  for part in (z.real, z.imag))
+            for p in record.points
+        ]
+        assert keys == sorted(keys)
+
     def test_constant_family_keeps_fat_point(self):
         fam = F("x^3 + y^3")
         record = critical_points(fam, Fraction(1, 8))

@@ -8,7 +8,8 @@ from mpmath import mpf
 
 from carousel.gaussian import GaussianRational
 from carousel.poly import Polynomial, PolynomialError, parse_polynomial
-from carousel.roots import ComplexBall, univariate_roots
+from carousel.roots import (ComplexBall, PrecisionError, aberth_roots,
+                            solve_numeric, univariate_roots)
 
 
 def U(text):
@@ -92,3 +93,54 @@ def test_degree_zero_rejected():
 def test_ball_precision_floor():
     with pytest.raises(ValueError):
         ComplexBall(0, 0, 17)
+
+
+def test_double_start_agrees_with_circle_start(monkeypatch):
+    import carousel.roots as roots_mod
+
+    rng = random.Random(3)
+    for _ in range(10):
+        coeffs = [mpmath.mpc(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(7)]
+        seeded = aberth_roots(coeffs, 128)
+        with monkeypatch.context() as patch:
+            patch.setattr(roots_mod, "_double_start", lambda *args: None)
+            circle = aberth_roots(coeffs, 128)
+        assert len(seeded) == len(circle) == 6
+        for a, b in zip(seeded, circle):
+            assert abs(a.center - b.center) <= a.radius + b.radius
+
+
+def test_cluster_escalates_and_certifies(monkeypatch):
+    import carousel.roots as roots_mod
+
+    # (z - 1)^2 - 2^-100: the doubles see a double root at 1
+    with mpmath.mp.workprec(256):
+        coeffs = [mpmath.mpc(1 - mpf(2) ** -100), mpmath.mpc(-2), mpmath.mpc(1)]
+    with pytest.raises(PrecisionError):
+        aberth_roots(coeffs, 53)
+    tried = []
+    real = roots_mod.aberth_roots
+
+    def spy(c, precision, *args):
+        tried.append(precision)
+        return real(c, precision, *args)
+
+    monkeypatch.setattr(roots_mod, "aberth_roots", spy)
+    balls = solve_numeric(coeffs, 53)
+    assert tried[0] == 53 and len(tried) > 1
+    assert len(balls) == 2 and balls[0].is_disjoint_from(balls[1])
+    with mpmath.mp.workprec(256):
+        for ball, sign in zip(balls, (-1, 1)):
+            assert abs(ball.center - (1 + sign * mpf(2) ** -50)) <= ball.radius
+
+
+def test_coefficients_beyond_double_range():
+    # z^2 - 10^400 overflows doubles, so the circle start is used
+    with mpmath.mp.workprec(160):
+        coeffs = [mpmath.mpc(-mpf(10) ** 400), mpmath.mpc(0), mpmath.mpc(1)]
+    balls = aberth_roots(coeffs, 128)
+    assert len(balls) == 2
+    with mpmath.mp.workprec(160):
+        for ball, sign in zip(balls, (-1, 1)):
+            assert abs(ball.center - sign * mpf(10) ** 200) <= ball.radius
+            assert ball.radius < mpf(10) ** 160

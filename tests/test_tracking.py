@@ -1,9 +1,16 @@
 """Carousel radii, fiber tracking, permutation oracle, verdicts."""
 
-import pytest
+import random
 
+import mpmath
+import pytest
+from mpmath import mp, mpf
+
+import carousel.tracking as tracking_mod
+from carousel.gaussian import GaussianRational
 from carousel.polar import diagram_from_defining
-from carousel.poly import parse_polynomial
+from carousel.poly import Polynomial, parse_polynomial
+from carousel.roots import aberth_roots
 from carousel.tracking import (
     RadiiError,
     TrackingError,
@@ -12,6 +19,9 @@ from carousel.tracking import (
     fixed_point_verdict,
     predicted_cycle_type,
 )
+
+DIAGRAMS = ("v - u^5", "v + u", "v - u^2", "(v - u^2)*(v - u^3)", "v^2 - u^3",
+            "(v - u^3)*(v + u^3)", "v - u^2 + u^3")
 
 
 def D(text):
@@ -109,6 +119,62 @@ class TestCarouselPermutation:
         radii = choose_radii(d, 128)
         with pytest.raises(TrackingError):
             carousel_permutation(d, radii, steps=32)
+
+
+class TestDoubleKernel:
+    @staticmethod
+    def _count_mpmath_steps(monkeypatch):
+        calls = [0]
+        real = tracking_mod._refine_points
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tracking_mod, "_refine_points", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", DIAGRAMS)
+    def test_double_and_mpmath_kernels_agree(self, text, monkeypatch):
+        d = D(text)
+        radii = choose_radii(d, 128)
+        calls = self._count_mpmath_steps(monkeypatch)
+        fast = carousel_permutation(d, radii)
+        # only the end-point polish ran in mpmath
+        assert calls[0] == 1
+        # a double kernel that refuses every step falls back to mpmath
+        monkeypatch.setattr(tracking_mod, "_refine_double", lambda *args: None)
+        slow = carousel_permutation(d, radii)
+        assert calls[0] > fast.steps_used
+        assert slow.sigma == fast.sigma
+        assert slow.steps_used == fast.steps_used
+        assert [str(b.center) for b in slow.base_points] == [
+            str(b.center) for b in fast.base_points
+        ]
+        assert [len(t) for t in slow.orbit_traces] == [
+            len(t) for t in fast.orbit_traces
+        ]
+
+    def test_double_balls_enclose_the_roots(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            degree = rng.randint(2, 7)
+            terms = {
+                (i, j): GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+                for i in range(degree)
+                for j in range(3)
+            }
+            terms[(degree, 0)] = GaussianRational(rng.randint(1, 4))
+            fiber = tracking_mod._FiberPolynomial(Polynomial(("u", "v"), terms), 256)
+            with mp.workprec(288):
+                v = mpmath.expjpi(mpf(rng.randint(0, 63)) / 32) / 16
+                roots = aberth_roots(fiber.at_value(v)[0], 256)
+                rho = 4 * (1 + max(abs(b.center) for b in roots))
+                starts = [complex(b.center) * (1 + 1e-9j) for b in roots]
+                result = tracking_mod._refine_double(fiber, v, starts, rho)
+                assert result is not None
+                for ball, z, radius in zip(roots, *result):
+                    assert abs(ball.center - z) <= radius
 
 
 class TestPredictedCycleType:
