@@ -17,10 +17,10 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, poly_gcd, squarefree_decomposition
+from .poly import Polynomial, poly_gcd
 from .puiseux import milnor_number
-from .roots import (ComplexBall, PrecisionError, gaussian_to_mpc, ordering_key,
-                    solve_numeric, univariate_roots)
+from .roots import (ComplexBall, PrecisionError, aberth_roots, gaussian_to_mpc,
+                    ordering_key, univariate_roots)
 
 
 class FamilyError(ValueError):
@@ -155,7 +155,7 @@ def _eval_numeric(f, x0, y0):
     return acc
 
 
-def _system_roots(f, precision, shear_budget=4):
+def _system_roots(f, precision):
     """Common roots of (df/dx, df/dy) with exact multiplicities."""
     p = f.partial_derivative("x")
     q = f.partial_derivative("y")
@@ -164,9 +164,7 @@ def _system_roots(f, precision, shear_budget=4):
     g = poly_gcd(p, q)
     if not g.is_constant():
         raise FamilyError("non-isolated critical locus at this parameter")
-    for attempt, lam in enumerate((0, 1, -1, 2, 3)):
-        if attempt >= shear_budget + 1:
-            break
+    for lam in (0, 1, -1, 2, 3):
         try:
             if lam == 0:
                 return _system_roots_plain(p, q, precision)
@@ -204,8 +202,7 @@ def _system_roots_plain(p, q, precision):
     if py == 0 and qx == 0:
         return _cross_product(p, q, precision)
     if px == 0 and qy == 0:
-        swapped = _cross_product(_swap_vars(q), _swap_vars(p), precision)
-        return [(bx, by, mu) for bx, by, mu in swapped]
+        return _cross_product(q, p, precision)
     if py >= 1 and qy >= 1:
         from .poly import resultant
 
@@ -214,10 +211,6 @@ def _system_roots_plain(p, q, precision):
             raise FamilyError("elimination collapsed: common factor in the gradient")
         return _points_from_eliminant(p, q, eliminant, precision)
     raise _Ambiguous  # mixed degenerate shapes: shear and retry
-
-
-def _swap_vars(p):
-    return Polynomial(("x", "y"), {(j, i): c for (i, j), c in p.terms.items()})
 
 
 def _cross_product(p, q, precision):
@@ -242,28 +235,15 @@ def _exact_univariate_roots(p, var, precision):
 
 
 def _points_from_eliminant(p, q, eliminant, precision):
-    factors = squarefree_decomposition(eliminant)
     out = []
-    for factor, mult in factors:
-        if factor.degree("x") < 1:
-            continue
-        coeffs = [gaussian_to_mpc(c) for c in _dense_x(factor)]
-        for ball in solve_numeric(coeffs, precision):
-            ys = _fiber_point(p, q, ball, precision)
-            if len(ys) == 1:
-                out.append((ball, ys[0], mult))
-            elif len(ys) == 0:
-                continue  # spurious eliminant root (leading-coefficient artifact)
-            else:
-                raise _Ambiguous  # several points share this x: shear separates
-    return out
-
-
-def _dense_x(factor):
-    d = factor.degree("x")
-    out = [GaussianRational(0)] * (d + 1)
-    for exps, c in factor.terms.items():
-        out[exps[0]] = c
+    for ball, mult in _exact_univariate_roots(eliminant, "x", precision):
+        ys = _fiber_point(p, q, ball, precision)
+        if len(ys) == 1:
+            out.append((ball, ys[0], mult))
+        elif len(ys) == 0:
+            continue  # spurious eliminant root (leading-coefficient artifact)
+        else:
+            raise _Ambiguous  # several points share this x: shear separates
     return out
 
 
@@ -290,8 +270,9 @@ def _fiber_point(p, q, xball, precision):
         if len(trimmed) <= 1:
             continue
         try:
-            roots = solve_numeric(trimmed, precision)
+            roots = aberth_roots(trimmed, precision)
         except PrecisionError:
+            # a cluster is left to the shear retry, not to more bits
             raise _Ambiguous
         other_scale = max([abs(c) for c in other] + [mpf(1)])
         for b in roots:

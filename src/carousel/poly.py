@@ -195,8 +195,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -401,6 +402,14 @@ def _coeff_str(coeff: GaussianRational, has_monomial: bool) -> str:
 # the optional leading '-' extends the bare grammar so that canonical
 # printing of negative leading terms parses back.
 
+# largest total degree the parser builds; beyond it a product or power
+# is refused before it is expanded
+MAX_DEGREE = 256
+
+
+def _parsed_degree(p: Polynomial) -> int:
+    return 0 if p.is_zero() else p.total_degree()
+
 
 class _Parser:
     def __init__(self, text: str, variables: tuple):
@@ -454,7 +463,13 @@ class _Parser:
         result = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            result = result * self.parse_factor()
+            self.skip_ws()
+            start = self.pos
+            factor = self.parse_factor()
+            if _parsed_degree(result) + _parsed_degree(factor) > MAX_DEGREE:
+                self.pos = start
+                self.error(f"product degree above {MAX_DEGREE}")
+            result = result * factor
         return result
 
     def parse_factor(self) -> Polynomial:
@@ -462,7 +477,11 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
+            start = self.pos
             exponent = self.parse_uint("exponent must be a non-negative integer")
+            if exponent * max(1, _parsed_degree(base)) > MAX_DEGREE:
+                self.pos = start
+                self.error(f"power degree above {MAX_DEGREE}")
             return base**exponent
         return base
 

@@ -28,8 +28,8 @@ from .poly import (
     squarefree_decomposition,
     squarefree_part,
 )
-from .roots import (ComplexBall, PrecisionError, gaussian_to_mpc,
-                    max_precision_cap, solve_numeric)
+from .roots import (MAX_PRECISION, ComplexBall, PrecisionError, aberth_roots,
+                    gaussian_to_mpc)
 
 
 class PuiseuxError(ValueError):
@@ -417,6 +417,7 @@ def _bezout(q: int, p: int):
 
 def _segment_roots(psi, ring, prec):
     """Roots of the segment polynomial: (value, multiplicity, exact-or-None)."""
+    # one solve per call: on PrecisionError puiseux_branches doubles prec
     out = []
     if ring.exact:
         # build an exact univariate polynomial in a scratch variable
@@ -432,11 +433,11 @@ def _segment_roots(psi, ring, prec):
                 out.append((gaussian_to_mpc(xi), mult, xi))
             else:
                 numeric = [gaussian_to_mpc(c) for c in coeffs]
-                for ball in solve_numeric(numeric, prec):
+                for ball in aberth_roots(numeric, prec):
                     out.append((ball.center, mult, None))
     else:
         coeffs = [mpc(c) for c in psi]
-        balls = solve_numeric(coeffs, prec)
+        balls = aberth_roots(coeffs, prec)
         used = [False] * len(balls)
         tol = mpf(2) ** (-(prec // 4))
         scale = max([abs(b.center) for b in balls] + [mpf(1)])
@@ -571,10 +572,9 @@ def puiseux_branches(
                 raise
             trunc = min(512, 2 * trunc)
         except PrecisionError:
-            cap = max_precision_cap()
-            if prec >= cap:
+            if prec >= MAX_PRECISION:
                 raise
-            prec = min(cap, 2 * prec)
+            prec = min(MAX_PRECISION, 2 * prec)
 
 
 def _check_degree_accounting(f, x_mult, decomposition):
@@ -648,27 +648,33 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         G = G - shift.scale(factor) * F
 
 
-def milnor_number(f: Polynomial, precision: int = 128) -> int:
-    """mu = intersection multiplicity of the two partial derivatives at 0."""
+def milnor_and_branches(
+    f: Polynomial, truncation: int | None = None, precision: int = 128
+) -> tuple:
+    """(mu, branch decomposition) of a reduced germ; mu + r - 1 must be even."""
     _require_reduced_isolated(f)
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
-    if not fx.constant_term().is_zero() or not fy.constant_term().is_zero():
-        return 0  # smooth germ
-    mu = intersection_multiplicity(fx, fy)
-    r = puiseux_branches(f, precision=precision).branch_count
+    smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()
+    mu = 0 if smooth else intersection_multiplicity(fx, fy)
+    branches = puiseux_branches(f, truncation=truncation, precision=precision)
+    r = branches.branch_count
     if (mu + r - 1) % 2 != 0:
         raise PuiseuxError(
             f"Milnor relation violated: mu={mu}, branch count={r} have wrong parity"
         )
-    return mu
+    return mu, branches
+
+
+def milnor_number(f: Polynomial, precision: int = 128) -> int:
+    """mu = intersection multiplicity of the two partial derivatives at 0."""
+    return milnor_and_branches(f, precision=precision)[0]
 
 
 def delta_invariant(f: Polynomial, precision: int = 128) -> int:
     """delta = (mu + r - 1) / 2 with r the number of local branches."""
-    mu = milnor_number(f, precision=precision)
-    r = puiseux_branches(f, precision=precision).branch_count
-    return (mu + r - 1) // 2
+    mu, branches = milnor_and_branches(f, precision=precision)
+    return (mu + branches.branch_count - 1) // 2
 
 
 def _require_reduced_isolated(f: Polynomial):

@@ -26,7 +26,7 @@ from .polar import (
     tangency_report,
 )
 from .poly import Polynomial, parse_polynomial
-from .puiseux import milnor_number, puiseux_branches
+from .puiseux import milnor_and_branches
 from .tracking import (
     CarouselPermutation,
     CarouselRadii,
@@ -125,8 +125,9 @@ def analyze_germ(
 
     def invariants():
         order = germ.order_at_origin()
-        mu = milnor_number(germ, precision=precision)
-        branches = puiseux_branches(germ, truncation=truncation, precision=precision)
+        mu, branches = milnor_and_branches(
+            germ, truncation=truncation, precision=precision
+        )
         r = branches.branch_count
         delta = (mu + r - 1) // 2
         return order, mu, delta, r
@@ -209,7 +210,11 @@ def analyze_germ(
 
 
 def _ball_pair(ball):
-    return [float(ball.center.real), float(ball.center.imag)]
+    # a component within the ball's radius of 0 is rounding noise
+    return [
+        0.0 if abs(part) <= ball.radius else float(part)
+        for part in (ball.center.real, ball.center.imag)
+    ]
 
 
 def report_dict(result: AnalysisResult, include_timing: bool = True) -> dict:

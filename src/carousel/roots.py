@@ -13,7 +13,6 @@ pairwise disjoint disks isolate exactly one root each.
 from __future__ import annotations
 
 import cmath
-import os
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -26,15 +25,11 @@ class PrecisionError(ArithmeticError):
     """Raised when roots could not be certified at the allowed precision."""
 
 
-def max_precision_cap(default: int = 4096) -> int:
-    """Retry ceiling for precision doubling, overridable via CAROUSEL_MAX_PRECISION."""
-    value = os.environ.get("CAROUSEL_MAX_PRECISION")
-    if not value:
-        return default
-    try:
-        return max(53, int(value))
-    except ValueError:
-        return default
+# ceiling of every precision-doubling retry, in bits
+MAX_PRECISION = 4096
+
+# Aberth sweeps per solve, in doubles and again in mpmath
+_MAX_ITERATIONS = 400
 
 
 class ComplexBall:
@@ -142,11 +137,11 @@ def newton_radius(n: int, p, dp, e, de):
     return n * (abs(p) + e) / denom * (1 + 2.0 ** -20)
 
 
-def _aberth_iterate(monic, z, tol, nudge, max_iterations):
+def _aberth_iterate(monic, z, tol, nudge):
     """Gauss-Seidel Aberth-Ehrlich steps on z in place; True on convergence."""
     n = len(z)
     deriv = _derivative_coeffs(monic)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         moved = 0
         for i in range(n):
             pz = _horner(monic, z[i])
@@ -180,7 +175,7 @@ def _aberth_iterate(monic, z, tol, nudge, max_iterations):
 _DOUBLE_TOL = 2.0 ** -44
 
 
-def _double_start(monic, start, max_iterations):
+def _double_start(monic, start):
     """`start` refined by Aberth in complex doubles, or None.
 
     None unless every coefficient converts to a finite double without
@@ -195,7 +190,7 @@ def _double_start(monic, start, max_iterations):
             return None
         coeffs.append(d)
     z = [complex(w) for w in start]
-    if not _aberth_iterate(coeffs, z, _DOUBLE_TOL, 1e-6, max_iterations):
+    if not _aberth_iterate(coeffs, z, _DOUBLE_TOL, 1e-6):
         return None
     if not all(cmath.isfinite(w) for w in z):
         return None
@@ -204,11 +199,12 @@ def _double_start(monic, start, max_iterations):
     return [mpc(w) for w in z]
 
 
-def aberth_roots(coeffs, precision: int, max_iterations: int = 400):
+def aberth_roots(coeffs, precision: int):
     """All roots of a squarefree numeric polynomial (dense mpc list, low first).
 
     Returns certified ComplexBall list sorted by (re, im) of the centers.
-    Raises PrecisionError when the certificates fail to separate roots.
+    Raises PrecisionError when the certificates fail to separate roots;
+    this is a single attempt, solve_numeric is the one that escalates.
     """
     with mp.workprec(precision + 32):
         c = [mpc(v) for v in coeffs]
@@ -229,9 +225,9 @@ def aberth_roots(coeffs, precision: int, max_iterations: int = 400):
             radius * mpmath.exp(2j * mpmath.pi * (mpf(k) / n) + 0.4j)
             for k in range(n)
         ]
-        z = _double_start(monic, z, max_iterations) or z
+        z = _double_start(monic, z) or z
         tol = mpf(2) ** (-(precision + 16))
-        _aberth_iterate(monic, z, tol, mpf(10) ** (-6), max_iterations)
+        _aberth_iterate(monic, z, tol, mpf(10) ** (-6))
         balls = _certify(monic, z, precision)
         balls.sort(key=lambda b: ordering_key(b.center))
         return balls
@@ -271,23 +267,28 @@ def _inclusion_radii(monic, z, unit):
     return radii
 
 
-def solve_numeric(coeffs, precision: int, max_precision: int | None = None):
-    """Roots of a numeric squarefree polynomial, doubling precision on failure."""
-    if max_precision is None:
-        max_precision = max_precision_cap()
+def _escalate(solve, precision: int):
+    """solve(prec) from `precision` up, doubling prec on PrecisionError.
+
+    The one precision ladder of the solver: more bits are tried only
+    after a certificate failed, and never beyond MAX_PRECISION.
+    """
     prec = precision
     while True:
         try:
-            return aberth_roots(coeffs, prec)
+            return solve(prec)
         except PrecisionError:
-            if prec >= max_precision:
+            if prec >= MAX_PRECISION:
                 raise
-            prec = min(2 * prec, max_precision)
+            prec = min(2 * prec, MAX_PRECISION)
 
 
-def univariate_roots(
-    p: Polynomial, precision: int, max_precision: int | None = None
-) -> list:
+def solve_numeric(coeffs, precision: int):
+    """Roots of a numeric squarefree polynomial, doubling precision on failure."""
+    return _escalate(lambda prec: aberth_roots(coeffs, prec), precision)
+
+
+def univariate_roots(p: Polynomial, precision: int) -> list:
     """All complex roots with multiplicity of an exact univariate polynomial.
 
     Multiplicities come from the exact squarefree decomposition, so the
@@ -302,28 +303,23 @@ def univariate_roots(
         raise PolynomialError("univariate_roots expects one variable")
     if p.degree(p.variables[0]) < 1:
         raise PolynomialError("polynomial has no roots (degree 0)")
-    if max_precision is None:
-        max_precision = max_precision_cap()
     factors = squarefree_decomposition(p)
-    prec = precision
-    while True:
+
+    def solve(prec):
         with mp.workprec(prec + 32):
             out = []
-            try:
-                for factor, mult in factors:
-                    if factor.degree(factor.variables[0]) < 1:
-                        continue
-                    coeffs = [gaussian_to_mpc(c) for c in factor.dense_coefficients()]
-                    for ball in aberth_roots(coeffs, prec):
-                        out.append((ball, mult))
-                _check_cross_factor(out)
-            except PrecisionError:
-                if prec >= max_precision:
-                    raise
-                prec = min(2 * prec, max_precision)
-                continue
-        out.sort(key=lambda bm: ordering_key(bm[0].center))
-        return out
+            for factor, mult in factors:
+                if factor.degree(factor.variables[0]) < 1:
+                    continue
+                coeffs = [gaussian_to_mpc(c) for c in factor.dense_coefficients()]
+                for ball in aberth_roots(coeffs, prec):
+                    out.append((ball, mult))
+            _check_cross_factor(out)
+            return out
+
+    out = _escalate(solve, precision)
+    out.sort(key=lambda bm: ordering_key(bm[0].center))
+    return out
 
 
 def _check_cross_factor(balls_with_mult):

@@ -1,8 +1,12 @@
 """CLI behavior: JSON reports, determinism, SVG, exit codes."""
 
 import json
+import time
+
+import pytest
 
 from carousel.cli import main
+from carousel.report import StageError, analyze_germ, report_dict
 
 
 def run_cli(argv, capsys):
@@ -69,6 +73,18 @@ class TestAnalyze:
         assert code == 1
         assert "position" in err
 
+    def test_huge_degree_fails_fast_at_parse(self, capsys):
+        for germ in ("x^99999999 + y^2", "(x + y)^100000"):
+            start = time.perf_counter()
+            with pytest.raises(StageError) as err:
+                analyze_germ(germ)
+            assert time.perf_counter() - start < 1
+            assert err.value.stage == "parse"
+            code, out, err_text = run_cli(["analyze", "--germ", germ], capsys)
+            assert code == 1
+            assert out == ""
+            assert "[parse]" in err_text and "degree above" in err_text
+
     def test_germ_file_batch(self, tmp_path, capsys):
         listing = tmp_path / "germs.txt"
         listing.write_text("# comment\nx^2 + y^2\nx^3 - y^2\n")
@@ -107,6 +123,18 @@ class TestAnalyze:
         blobs = [(tmp_path / f"fig-{k}.svg").read_bytes() for k in range(2)]
         assert all(b.startswith(b"<svg") for b in blobs)
         assert blobs[0] != blobs[1]
+
+
+class TestReport:
+    def test_base_points_print_noise_as_zero(self):
+        for germ in ("x^4 + y^3", "x^4 + x^2*y^2 + y^4"):
+            result = analyze_germ(germ)
+            printed = report_dict(result, include_timing=False)["carousel"]["base_points"]
+            balls = result.permutation.base_points
+            assert len(printed) == len(balls)
+            for pair, ball in zip(printed, balls):
+                for value in pair:
+                    assert value == 0.0 or abs(value) > ball.radius
 
 
 class TestQuotient:

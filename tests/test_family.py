@@ -156,3 +156,46 @@ class TestMixedGradient:
         fam = F("x^2 + y^2 + t*y^2")
         with pytest.raises(FamilyError):
             critical_points(fam, -1)
+
+
+class TestSeparatedGradient:
+    # fx depends on y alone and fy on x alone: the swapped separated system
+    def test_both_parameters_in_the_gradient(self):
+        fam = F("x*y + t*x + t*y")
+        record = critical_points(fam, Fraction(1, 8))
+        assert len(record.points) == 1
+        point = record.points[0]
+        assert point.local_mu == 1
+        assert abs(point.x.center + mpmath.mpf(1) / 8) < 1e-30
+        assert abs(point.y.center + mpmath.mpf(1) / 8) < 1e-30
+        assert conservation_check(fam).all_conserved
+
+    def test_one_parameter_in_the_gradient(self):
+        fam = F("x*y + t*y")
+        record = critical_points(fam, Fraction(1, 8))
+        assert [p.local_mu for p in record.points] == [1]
+        assert abs(record.points[0].x.center + mpmath.mpf(1) / 8) < 1e-30
+        assert abs(record.points[0].y.center) < 1e-30
+        report = conservation_check(fam)
+        assert report.mu_origin == 1
+        assert report.all_conserved
+
+
+class TestSingleAttemptSolves:
+    def test_clustered_fiber_goes_to_the_shear_without_more_bits(self, monkeypatch):
+        import carousel.family as family_mod
+        import carousel.roots as roots_mod
+
+        tried = []
+        real = roots_mod.aberth_roots
+
+        def spy(coeffs, precision):
+            tried.append(precision)
+            return real(coeffs, precision)
+
+        monkeypatch.setattr(roots_mod, "aberth_roots", spy)
+        monkeypatch.setattr(family_mod, "aberth_roots", spy)
+        fam = F("x^2*y + y^4 + t*x*y")
+        record = critical_points(fam, GaussianRational(Fraction(-1, 64), Fraction(1, 64)))
+        assert tried and set(tried) == {128}
+        assert record.total_mu == 5

@@ -7,6 +7,7 @@ import pytest
 
 from carousel.gaussian import GaussianRational
 from carousel.poly import (
+    MAX_DEGREE,
     ParseError,
     Polynomial,
     PolynomialError,
@@ -66,6 +67,29 @@ class TestParser:
             P("x^y")
         with pytest.raises(ParseError):
             P("x^-2")
+
+    def test_degree_bound_refuses_before_expanding(self):
+        # the exponent is refused at its own position, unexpanded
+        with pytest.raises(ParseError, match="degree above") as err:
+            P("x^99999999 + y^2")
+        assert err.value.position == 2
+        with pytest.raises(ParseError, match="degree above") as err:
+            P("(x + y)^100000")
+        assert err.value.position == 8
+        with pytest.raises(ParseError, match="degree above"):
+            P("(x^2)^129")
+        with pytest.raises(ParseError, match="degree above") as err:
+            P("x^200 * y^57")
+        assert err.value.position == 8
+        assert P("x^200 * y^56").total_degree() == MAX_DEGREE
+        assert P("0 * x^3").is_zero()
+
+    def test_power_matches_repeated_product(self):
+        base = P("x - 2*y + i")
+        product = P("1")
+        for n in range(9):
+            assert base**n == product
+            product = product * base
 
 
 class TestDerivative:

@@ -242,6 +242,29 @@ class TestMilnorDelta:
             for b in range(2, 6):
                 assert milnor_number(P(f"x^{a} + y^{b}")) == (a - 1) * (b - 1)
 
+    def test_branches_computed_once_per_germ(self, monkeypatch):
+        import carousel.polar as polar_mod
+        import carousel.puiseux as puiseux_mod
+        from carousel.report import analyze_germ
+
+        germ = P("x^2*y + y^4")
+        calls = []
+        real = puiseux_mod.puiseux_branches
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(puiseux_mod, "puiseux_branches", counting)
+        monkeypatch.setattr(polar_mod, "puiseux_branches", counting)
+        assert delta_invariant(germ) == 3
+        assert calls == [germ]
+        calls.clear()
+        result = analyze_germ("x^2*y + y^4", steps=64)
+        assert (result.mu, result.delta, result.branch_count) == (5, 3, 2)
+        # the line stage expands the Cerf diagram, never the germ
+        assert [f for f in calls if f == germ] == [germ]
+
     def test_non_isolated_rejected(self):
         with pytest.raises(PuiseuxError):
             milnor_number(P("x^2"))

@@ -4,6 +4,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from carousel.gaussian import GaussianRational
@@ -144,3 +146,37 @@ def test_coefficients_beyond_double_range():
         for ball, sign in zip(balls, (-1, 1)):
             assert abs(ball.center - sign * mpf(10) ** 200) <= ball.radius
             assert ball.radius < mpf(10) ** 160
+
+
+_GAUSSIAN = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+@seed(20)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_GAUSSIAN, st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda rm: rm[0],
+    )
+)
+def test_one_ball_per_distinct_root(roots_with_mult):
+    z = Polynomial.variable(("u",), "u")
+    p = Polynomial.constant(("u",), 1)
+    for root, mult in roots_with_mult:
+        p = p * (z - Polynomial.constant(("u",), root)) ** mult
+    found = univariate_roots(p, 128)
+    assert len(found) == len(roots_with_mult)
+    with mpmath.mp.workprec(160):
+        for root, mult in roots_with_mult:
+            exact = mpmath.mpc(
+                mpf(root.re.numerator) / root.re.denominator,
+                mpf(root.im.numerator) / root.im.denominator,
+            )
+            holding = [m for ball, m in found if abs(ball.center - exact) <= ball.radius]
+            assert holding == [mult]
