@@ -90,8 +90,6 @@ def cmd_analyze(args) -> int:
                 seed=args.seed,
                 precision=args.precision,
                 steps=args.steps,
-                truncation=args.truncation,
-                radius_scale=Fraction(args.radius_scale),
                 forced_line=forced,
                 progress=_progress,
             )
@@ -223,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--precision", type=int, default=128, help="bits (default 128)")
     pa.add_argument("--steps", type=int, default=512)
-    pa.add_argument("--truncation", type=int, default=None)
-    pa.add_argument("--radius-scale", default="1", help="rational scale for the discs")
     pa.add_argument("--line", default=None, help="force l = a*x + b*y as 'a,b'")
     pa.add_argument(
         "--svg",

@@ -192,10 +192,6 @@ class MarkedDiskComplex:
             mat[cls[k]][k] -= 1
         return mat
 
-    def boundary_2(self):
-        """d2: the disk cell -> sum of all edges."""
-        return [[1] for _ in range(self.n)]
-
     def euler_characteristic(self) -> int:
         return len(self.pairing) - self.n + 1
 

@@ -152,23 +152,14 @@ def polar_curve(f: Polynomial, line: LinearForm) -> PolarCurve:
     return PolarCurve(gamma, removed)
 
 
-def cerf_diagram(
-    f: Polynomial,
-    line: LinearForm,
-    truncation: int | None = None,
-    precision: int = 128,
-) -> CerfDiagram:
+def cerf_diagram(f: Polynomial, line: LinearForm, precision: int = 128) -> CerfDiagram:
     """Cerf diagram of f for `line`: squarefree image of the polar curve."""
     polar = polar_curve(f, line)
-    return cerf_diagram_of_polar(f, line, polar, truncation, precision)
+    return cerf_diagram_of_polar(f, line, polar, precision)
 
 
 def cerf_diagram_of_polar(
-    f: Polynomial,
-    line: LinearForm,
-    polar: PolarCurve,
-    truncation: int | None = None,
-    precision: int = 128,
+    f: Polynomial, line: LinearForm, polar: PolarCurve, precision: int = 128
 ) -> CerfDiagram:
     if polar.is_empty_at_origin:
         return CerfDiagram(
@@ -199,36 +190,25 @@ def cerf_diagram_of_polar(
         raise CertificateFailure("elimination collapsed (shared component slipped through)")
     if delta_raw.degree("v") < 1:
         raise CertificateFailure("image curve carries no value direction")
-    _, delta_prim = content_primitive(delta_raw, "v")
-    delta = squarefree_part(delta_prim)
+    # u | Delta and v | Delta read the same on Delta and on its squarefree part
+    _, delta = content_primitive(delta_raw, "v")
     if min(e[1] for e in delta.terms) > 0:
         raise CertificateFailure("a branch of the diagram lies inside {v = 0}")
     if min(e[0] for e in delta.terms) > 0:
         raise CertificateFailure(
             "a branch of the diagram lies inside {u = 0}: restriction to the polar is not finite"
         )
-    return diagram_from_defining(delta, truncation, precision)
+    return diagram_from_defining(delta, precision)
 
 
-def diagram_from_defining(
-    delta: Polynomial, truncation: int | None = None, precision: int = 128
-) -> CerfDiagram:
-    """Branch data, exponents and contact count for a given reduced Delta(u, v)."""
+def diagram_from_defining(delta: Polynomial, precision: int = 128) -> CerfDiagram:
+    """Branch data, exponents and contact count for Delta(u, v), made squarefree."""
     if delta.variables != ("u", "v"):
         delta = delta.in_variables(("u", "v"))
     delta = squarefree_part(delta)
     if delta.is_constant():
         raise PuiseuxError("diagram polynomial is constant")
-    if truncation is None:
-        # start small: branch separation rarely needs deep tails, and the
-        # expansion retries with doubled truncation when it does
-        truncation = max(8, 2 * (delta.degree("v") + 1) ** 2)
-    # the two certificates below hold by construction; assert them anyway
-    for var in ("u", "v"):
-        g = poly_gcd(delta, delta.partial_derivative(var))
-        if not g.is_constant():
-            raise PuiseuxError("diagram is not squarefree")  # pragma: no cover
-    branches = puiseux_branches(delta, truncation=truncation, precision=precision)
+    branches = puiseux_branches(delta, precision=precision)
     if branches.x_axis_multiplicity or any(b.is_axis for b in branches.branches):
         raise CertificateFailure("diagram has an axis branch")
     exponents = tuple(b.leading_exponent for b in branches.branches)
@@ -289,7 +269,10 @@ class LineSelection:
     failures: tuple
 
 
-def _candidate_lines(seed: int, budget: int):
+_MAX_LINE_ATTEMPTS = 32
+
+
+def _candidate_lines(seed: int):
     fixed = [(1, 0), (0, 1), (1, 1), (1, -1)]
     rng = random.Random(seed)
     seen = set()
@@ -298,9 +281,7 @@ def _candidate_lines(seed: int, budget: int):
         produced += 1
         seen.add((a, b, 0, 0))
         yield GaussianRational(a), GaussianRational(b)
-        if produced >= budget:
-            return
-    while produced < budget:
+    while produced < _MAX_LINE_ATTEMPTS:
         if produced < 16:
             a, b = rng.randint(-4, 4), rng.randint(-4, 4)
             key = (a, b, 0, 0)
@@ -319,11 +300,7 @@ def _candidate_lines(seed: int, budget: int):
 
 
 def select_generic_line(
-    f: Polynomial,
-    seed: int = 0,
-    truncation: int | None = None,
-    precision: int = 128,
-    max_attempts: int = 32,
+    f: Polynomial, seed: int = 0, precision: int = 128
 ) -> LineSelection:
     """Draw candidate lines until all certificates pass.
 
@@ -340,7 +317,7 @@ def select_generic_line(
     failures = []
     last_inconsistent = None
     attempts = 0
-    for a, b in _candidate_lines(seed, max_attempts):
+    for a, b in _candidate_lines(seed):
         attempts += 1
         line = LinearForm(a=a, b=b, seed=seed)
         try:
@@ -349,7 +326,7 @@ def select_generic_line(
                 raise CertificateFailure(
                     "polar curve shares a component with the germ"
                 )
-            diagram = cerf_diagram_of_polar(f, line, polar, truncation, precision)
+            diagram = cerf_diagram_of_polar(f, line, polar, precision)
         except CertificateFailure as exc:
             failures.append((str(line), str(exc)))
             continue

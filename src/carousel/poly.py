@@ -315,22 +315,6 @@ class Polynomial:
             coeffs[exps[i]][exps[:i] + exps[i + 1 :]] = coeff
         return [Polynomial(rest, t) for t in coeffs]
 
-    @classmethod
-    def from_univariate(cls, coeffs: list, var: str, position: int | None = None):
-        """Inverse of as_univariate: rebuild with `var` inserted."""
-        if not coeffs:
-            raise PolynomialError("empty coefficient list")
-        rest = coeffs[0].variables
-        if position is None:
-            position = len(rest)
-        variables = rest[:position] + (var,) + rest[position:]
-        terms = {}
-        for k, c in enumerate(coeffs):
-            for exps, coeff in c.terms.items():
-                new = exps[:position] + (k,) + exps[position:]
-                terms[new] = coeff
-        return cls(variables, terms)
-
     def dense_coefficients(self) -> list:
         """For a univariate polynomial: list of GaussianRational, low to high."""
         if len(self.variables) != 1:
@@ -672,8 +656,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         result = _bivariate_modular_gcd(p, q, main, other)
         if result is not None:
             return result
-    cp, pp = _content_primitive(p, main)
-    cq, pq = _content_primitive(q, main)
+    cp, pp = content_primitive(p, main)
+    cq, pq = content_primitive(q, main)
     cont = poly_gcd(cp, cq)
     g = _primitive_prs_gcd(pp, pq, main)
     return (cont * g).monic()
@@ -683,8 +667,8 @@ def _bivariate_modular_gcd(p, q, main, other):
     """Brown-style gcd: univariate gcds at sample points, interpolated and
     verified by exact division.  Returns None when sampling stays unlucky
     (the caller falls back to the remainder-sequence gcd)."""
-    cp, pp = _content_primitive(p, main)
-    cq, pq = _content_primitive(q, main)
+    cp, pp = content_primitive(p, main)
+    cq, pq = content_primitive(q, main)
     cont = poly_gcd(cp, cq)
     lc_p = pp.as_univariate(main)[-1].in_variables(p.variables)
     lc_q = pq.as_univariate(main)[-1].in_variables(p.variables)
@@ -725,7 +709,7 @@ def _bivariate_modular_gcd(p, q, main, other):
         if len(samples) >= dv_bound:
             candidate = _interpolate_bivariate(samples, best_degree, p.variables, main, other)
             if candidate is not None:
-                _, candidate = _content_primitive(candidate, main)
+                _, candidate = content_primitive(candidate, main)
                 candidate = candidate.monic()
                 if _poly_divides(candidate, pp) and _poly_divides(candidate, pq):
                     return (cont * candidate).monic()
@@ -812,7 +796,12 @@ def _univar_gcd_single(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     return Polynomial(p.variables, terms)
 
 
-def _content_primitive(p: Polynomial, var: str):
+def content_primitive(p: Polynomial, var: str):
+    """Split p into (content, primitive part) with respect to `var`.
+
+    The content is the gcd of the coefficient polynomials and carries no
+    `var` dependence.
+    """
     coeffs = [c for c in p.as_univariate(var) if not c.is_zero()]
     content = coeffs[0]
     for c in coeffs[1:]:
@@ -822,15 +811,6 @@ def _content_primitive(p: Polynomial, var: str):
     content = content.monic()
     content_full = content.in_variables(p.variables)
     return content_full, divexact(p, content_full)
-
-
-def content_primitive(p: Polynomial, var: str):
-    """Split p into (content, primitive part) with respect to `var`.
-
-    The content is the gcd of the coefficient polynomials and carries no
-    `var` dependence.
-    """
-    return _content_primitive(p, var)
 
 
 def _rational_content_normalize(p: Polynomial) -> Polynomial:
@@ -888,10 +868,10 @@ def _primitive_prs_gcd(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
             break
         if r.degree(var) <= 0:
             return Polynomial.constant(p.variables, 1)
-        _, r = _content_primitive(r, var)
+        _, r = content_primitive(r, var)
         # scalar normalization caps the rational growth along the sequence
         p, q = q, r.monic()
-    _, p = _content_primitive(p, var)
+    _, p = content_primitive(p, var)
     return p.monic()
 
 
@@ -919,7 +899,7 @@ def squarefree_decomposition(p: Polynomial) -> list:
     if p.is_constant():
         return []
     main = next(v for v in p.variables if p.degree(v) > 0)
-    content, primitive = _content_primitive(p, main)
+    content, primitive = content_primitive(p, main)
     out = [] if content.is_constant() else squarefree_decomposition(content)
     a = primitive.monic()
     da = a.partial_derivative(main)

@@ -41,7 +41,8 @@ class CommonComponentError(PuiseuxError):
 
 
 class SeparationError(PuiseuxError):
-    """Truncation too small to tell two branches apart; retry larger."""
+    """Truncation too small to reach a branch's first exponent or to tell
+    two branches apart; retry larger."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +144,6 @@ class PuiseuxBranch:
     def leading_exponent(self) -> Fraction:
         """Exponent a in y ~ c * x^a."""
         return Fraction(self.y_order, self.ramification_index)
-
-    def eval_y(self, t):
-        return sum(
-            (b.center * t**m for m, b in zip(self.exponents, self.coefficients)),
-            mpc(0),
-        )
-
-    def series_terms(self):
-        return [(m, b.center) for m, b in zip(self.exponents, self.coefficients)]
 
 
 @dataclass(frozen=True)
@@ -360,6 +352,11 @@ def _expand(terms: dict, ring, prec: int, budget: int, depth: int = 0) -> list:
     if (0, 0) in terms:
         return branches  # unit germ: nothing further through the origin
     if _y_order_at_zero(terms) == 1:
+        # the first exponent of y(x) is the order of h(x, 0); past the
+        # budget the tail would come back empty and read as the axis.
+        # Deeper down an empty tail is legitimate (y^2 = x^3).
+        if depth == 0 and min(i for (i, j) in terms if j == 0) > budget:
+            raise SeparationError("first exponent beyond the truncation")
         tail_ring = ring if not ring.exact else _NumericRing(mpf(2) ** (-(prec // 2)))
         branches.append((1, mpc(1), _tail_series(terms, budget, tail_ring)))
         return branches
@@ -456,12 +453,14 @@ def _segment_roots(psi, ring, prec):
     return [(xi, m, xe) for xi, m, xe in out if abs(mpc(xi)) != 0]
 
 
-def _finalize_branch(e, mu, shifted, prec, truncation):
+def _finalize_branch(e, mu, shifted, prec, budget):
     exps = sorted(m for m in shifted)
     if exps and mu != 1:
         nu = mu ** (mpf(-1) / e)
         shifted = {m: c * nu**m for m, c in shifted.items()}
-    exps = [m for m in exps if m <= truncation]
+    if exps and exps[0] > budget:
+        raise SeparationError("first exponent beyond the truncation")
+    exps = [m for m in exps if m <= budget]
     if exps:
         g = e
         for m in exps:
@@ -476,7 +475,7 @@ def _finalize_branch(e, mu, shifted, prec, truncation):
         ramification_index=e,
         exponents=tuple(exps),
         coefficients=balls,
-        truncation_order=truncation,
+        truncation_order=budget,
     )
 
 
@@ -510,14 +509,14 @@ def _check_separation(branches, prec):
                 raise SeparationError("branches agree to the computed truncation")
 
 
-def puiseux_branches(
-    f: Polynomial, truncation: int | None = None, precision: int = 128
-) -> BranchDecomposition:
+def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition:
     """All local branches of f at the origin.
 
     x-power factors are split off into `x_axis_multiplicity`; a y-power
     factor becomes an explicit axis branch.  Branch multiplicities come
     from the exact squarefree decomposition (all 1 for squarefree f).
+    The series start at 8 terms and double, up to 512, until every
+    branch keeps its first exponent and the branches separate.
     """
     if f.is_zero():
         raise PuiseuxError("zero germ")
@@ -525,8 +524,6 @@ def puiseux_branches(
         raise PuiseuxError("puiseux_branches expects a bivariate germ")
     if not f.constant_term().is_zero():
         raise PuiseuxError("unit germ: f(0,0) != 0")
-    if truncation is None:
-        truncation = min(512, max(8, 2 * f.total_degree() ** 2))
     xvar = f.variables[0]
     x_mult = min(e[0] for e in f.terms)
     h = f
@@ -539,7 +536,7 @@ def puiseux_branches(
         if h.is_constant()
         else squarefree_decomposition(h)
     )
-    trunc = truncation
+    trunc = 8
     prec = precision
     while True:
         try:
@@ -570,7 +567,7 @@ def puiseux_branches(
         except SeparationError:
             if trunc >= 512:
                 raise
-            trunc = min(512, 2 * trunc)
+            trunc *= 2
         except PrecisionError:
             if prec >= MAX_PRECISION:
                 raise
@@ -596,9 +593,8 @@ def _check_degree_accounting(f, x_mult, decomposition):
 
 
 def _restrict_y0(f: Polynomial):
-    """f(x, 0) as (order, dense coefficient dict exponent -> coeff)."""
-    coeffs = {i: c for (i, j), c in f.terms.items() if j == 0}
-    return coeffs
+    """f(x, 0) as a dict exponent -> coefficient (empty when y divides f)."""
+    return {i: c for (i, j), c in f.terms.items() if j == 0}
 
 
 def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
@@ -648,16 +644,14 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         G = G - shift.scale(factor) * F
 
 
-def milnor_and_branches(
-    f: Polynomial, truncation: int | None = None, precision: int = 128
-) -> tuple:
+def milnor_and_branches(f: Polynomial, precision: int = 128) -> tuple:
     """(mu, branch decomposition) of a reduced germ; mu + r - 1 must be even."""
     _require_reduced_isolated(f)
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()
     mu = 0 if smooth else intersection_multiplicity(fx, fy)
-    branches = puiseux_branches(f, truncation=truncation, precision=precision)
+    branches = puiseux_branches(f, precision=precision)
     r = branches.branch_count
     if (mu + r - 1) % 2 != 0:
         raise PuiseuxError(

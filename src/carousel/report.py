@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gaussian import GaussianRational
 from .polar import (
@@ -101,8 +100,6 @@ def analyze_germ(
     seed: int = 0,
     precision: int = 128,
     steps: int = 512,
-    truncation: int | None = None,
-    radius_scale: Fraction = Fraction(1),
     forced_line: tuple | None = None,
     progress=None,
 ) -> AnalysisResult:
@@ -125,9 +122,7 @@ def analyze_germ(
 
     def invariants():
         order = germ.order_at_origin()
-        mu, branches = milnor_and_branches(
-            germ, truncation=truncation, precision=precision
-        )
+        mu, branches = milnor_and_branches(germ, precision=precision)
         r = branches.branch_count
         delta = (mu + r - 1) // 2
         return order, mu, delta, r
@@ -145,13 +140,9 @@ def analyze_germ(
                 seed=seed,
             )
             polar = polar_curve(germ, line)
-            diagram = cerf_diagram_of_polar(
-                germ, line, polar, truncation=truncation, precision=precision
-            )
+            diagram = cerf_diagram_of_polar(germ, line, polar, precision=precision)
             return LineSelection(line, polar, diagram, 1, ()), True
-        selection = select_generic_line(
-            germ, seed, truncation=truncation, precision=precision
-        )
+        selection = select_generic_line(germ, seed, precision=precision)
         return selection, False
 
     selection, forced = _stage(timings, "line", line_stage)
@@ -163,9 +154,7 @@ def analyze_germ(
     fp = None
     if not selection.diagram.is_empty:
         note("validating carousel radii")
-        radii = _stage(
-            timings, "radii", choose_radii, selection.diagram, precision, radius_scale
-        )
+        radii = _stage(timings, "radii", choose_radii, selection.diagram, precision)
         note("tracking the fiber loop")
         permutation = _stage(
             timings,

@@ -46,9 +46,6 @@ class ComplexBall:
             raise ValueError("ball radius must be finite and non-negative")
         self.precision = precision
 
-    def contains_zero(self) -> bool:
-        return abs(self.center) <= self.radius
-
     def is_disjoint_from(self, other: "ComplexBall") -> bool:
         return abs(self.center - other.center) > self.radius + other.radius
 

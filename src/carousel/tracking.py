@@ -130,9 +130,7 @@ def _evaluate(rows, majorant_rows, v, trim):
     return coeffs, majorants
 
 
-def choose_radii(
-    diagram: CerfDiagram, precision: int = 128, radius_scale=1
-) -> CarouselRadii:
+def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     """Shrink (rho, eta) geometrically until every disc condition holds.
 
     Checks: Delta(u, 0) = 0 has u = 0 as its only root well inside the
@@ -147,9 +145,6 @@ def choose_radii(
     m = diagram.contact_count
     delta = diagram.defining
     with mp.workprec(precision + 32):
-        scale = mpf(radius_scale) if not hasattr(radius_scale, "numerator") else (
-            mpf(radius_scale.numerator) / mpf(radius_scale.denominator)
-        )
         slice_zero = delta.eliminate_variable("v", 0)
         nonzero_bound = None
         xvar = slice_zero.variables[0]
@@ -165,9 +160,7 @@ def choose_radii(
                     nonzero_bound = low
         rho = None
         for k in range(41):
-            cand = scale * mpf(4) ** (-k)
-            if cand > 1:
-                continue
+            cand = mpf(4) ** (-k)
             if nonzero_bound is None or 2 * cand < nonzero_bound:
                 rho = cand
                 break

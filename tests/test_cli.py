@@ -68,6 +68,12 @@ class TestAnalyze:
         assert out == ""
         assert "error" in err
 
+    def test_removed_knobs_are_argparse_errors(self, capsys):
+        for flag, value in (("--truncation", "8"), ("--radius-scale", "1")):
+            with pytest.raises(SystemExit) as err:
+                main(["analyze", "--germ", "x^3-y^2", flag, value])
+            assert err.value.code == 2
+
     def test_parse_error_position(self, capsys):
         code, out, err = run_cli(["analyze", "--germ", "x +"], capsys)
         assert code == 1

@@ -92,6 +92,14 @@ class TestCerfDiagram:
             assert d.contact_count == intersection_multiplicity(d.defining, v)
             assert d.contact_count == sum(b.y_order for b in d.branches.branches)
 
+    def test_first_exponent_beyond_start_truncation(self):
+        # the first exponent lies past the 8 starting terms: the expansion
+        # must double rather than return an empty branch (the axis)
+        for text, m in (("v - u^9", 9), ("v^2 - u^19", 19)):
+            d = diagram_from_defining(parse_polynomial(text, ("u", "v")))
+            assert not any(b.is_axis for b in d.branches.branches)
+            assert d.contact_count == m
+
     def test_diagram_squarefree(self):
         for text in ("x^3 - x*y^2", "x^4 + x^2*y^2 + y^4"):
             sel = select_generic_line(P(text), 0)
@@ -122,6 +130,17 @@ class TestPickGenericLine:
         assert sel.attempts == 2
         assert len(sel.failures) == 1
         assert "share" in sel.failures[0][1]
+
+    def test_transverse_line_kept_for_a_high_contact_branch(self):
+        # Delta(u, v) = v + u^9 for l = x; its branch starts past the 8
+        # starting terms of the expansion and must not read as the axis
+        from carousel.report import analyze_germ
+
+        result = analyze_germ("y^2 - x^9", steps=64)
+        assert str(result.line) == "x"
+        assert result.line_attempts == 1
+        assert result.permutation.cycle_type == (9,)
+        assert result.diagram.contact_count == result.mu + result.f_order - 1
 
     def test_exhaustion_reports_certificates(self):
         # squares are not reduced: every line fails before the diagram stage

@@ -108,11 +108,13 @@ class TestBranches:
                 assert dec.branch_count == math.gcd(n, m)
 
     def test_resubstitution(self):
-        # every branch must satisfy its curve to high t-order
+        # every branch must satisfy its curve to its truncation order; the
+        # last germ separates only past order 16, so it is checked to 24
         for text in ("x^5 - y^2", "x^3 - x*y^2", "(y - x^2)^2 - x^5",
-                     "(y^2 - 2*x^2)^2 - x^5", "x^2*y + y^4"):
+                     "(y^2 - 2*x^2)^2 - x^5", "x^2*y + y^4",
+                     "(y^2 - x^3)*(y^2 - x^3 - x^10)"):
             f = P(text)
-            dec = puiseux_branches(f, truncation=24)
+            dec = puiseux_branches(f)
             for b in dec.branches:
                 if b.is_axis:
                     continue
@@ -121,6 +123,11 @@ class TestBranches:
     def test_unit_germ_rejected(self):
         with pytest.raises(PuiseuxError):
             puiseux_branches(P("1 + x + y"))
+
+    def test_truncation_doubles_until_branches_separate(self):
+        dec = puiseux_branches(P("(y - x^2 - x^9)*(y - x^2 - 2*x^9)"))
+        assert [b.exponents for b in dec.branches] == [(2, 9), (2, 9)]
+        assert [b.truncation_order for b in dec.branches] == [16, 16]
 
 
 def _assert_small_residual(f, branch, order):
