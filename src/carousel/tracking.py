@@ -15,9 +15,11 @@ type predicted from the Puiseux branches of Delta.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -131,101 +133,87 @@ def _evaluate(rows, majorant_rows, v, trim):
 
 
 def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
-    """Shrink (rho, eta) geometrically until every disc condition holds.
+    """Shrink (rho, eta) geometrically until an exact Rouche certificate holds.
 
-    Checks: Delta(u, 0) = 0 has u = 0 as its only root well inside the
-    fiber disc; every sampled fiber over |v| = eta carries exactly m
-    roots below rho/2 and none in the guard annulus [rho/2, 2*rho]; the
-    m base roots are pairwise separated relative to 2^(-precision/4).
+    Write Delta = sum a_ij u^i v^j and m = contact_count, so a = a_m0 is
+    the lowest coefficient of Delta(u, 0), and let
+    S(r) = sum_{i>m} |a_i0| r^i and B(r, eta) = sum_{j>=1} |a_ij| r^i eta^j,
+    with each |a_ij| rounded up to a rational.  rho is the first 4^-k with
+    S(2*rho) < |a| (2*rho)^m, so u = 0 is the only root of Delta(u, 0) in
+    |u| <= 2*rho.  eta is the first rho*4^-j with S(r) + B(r, eta) < |a| r^m
+    at r = rho/2 and r = 2*rho.  Divided by r^m, the left side is a sum of
+    powers of r with nonnegative coefficients, convex in log r, so the
+    inequality holds on the whole annulus between; by Rouche every fiber
+    over |v| <= eta then has exactly m roots in |u| < rho/2 and none in
+    rho/2 <= |u| <= 2*rho.  The base fiber over v = eta is solved once: its
+    m roots must be pairwise separated relative to 2^(-precision/4).
     """
     if diagram.is_empty:
         raise RadiiError("empty diagram has no carousel")
-    from .roots import univariate_roots
-
     m = diagram.contact_count
-    delta = diagram.defining
+    terms = diagram.defining.terms
+    lowest = terms[(m, 0)]
+    lowest_sq = lowest.re * lowest.re + lowest.im * lowest.im
+    # every other term has j >= 1 or i > m, as u^m is the lowest of Delta(u, 0)
+    bounds = [(i, j, _modulus_bound(c)) for (i, j), c in terms.items() if (i, j) != (m, 0)]
+
+    def ratio_sq(r, eta):
+        """((S(r) + B(r, eta)) / (|a| r^m))^2, exactly."""
+        rest = sum(b * r ** i * eta ** j for i, j, b in bounds)
+        return rest * rest / (lowest_sq * r ** (2 * m))
+
+    k = next((k for k in range(41) if ratio_sq(Fraction(2, 4 ** k), 0) < 1), None)
+    if k is None:
+        raise RadiiError("could not isolate the origin in the fiber disc")
+    rho = Fraction(1, 4 ** k)
     with mp.workprec(precision + 32):
-        slice_zero = delta.eliminate_variable("v", 0)
-        nonzero_bound = None
-        xvar = slice_zero.variables[0]
-        reduced = {
-            (e[0] - min(k[0] for k in slice_zero.terms),): c
-            for e, c in slice_zero.terms.items()
-        }
-        off_origin = Polynomial((xvar,), reduced)
-        if off_origin.degree(xvar) >= 1:
-            for ball, _ in univariate_roots(off_origin, precision):
-                low = abs(ball.center) - ball.radius
-                if nonzero_bound is None or low < nonzero_bound:
-                    nonzero_bound = low
-        rho = None
-        for k in range(41):
-            cand = mpf(4) ** (-k)
-            if nonzero_bound is None or 2 * cand < nonzero_bound:
-                rho = cand
-                break
-        if rho is None:
-            raise RadiiError("could not isolate the origin in the fiber disc")
-        fiber = _FiberPolynomial(delta, precision)
-        samples = 64
+        fiber = _FiberPolynomial(diagram.defining, precision)
         sep_floor = mpf(2) ** (-(precision // 4))
-        eta = None
-        validation = {}
         for j in range(1, 41):
-            cand = rho * mpf(4) ** (-j)
-            ok, info = _validate_eta(fiber, m, rho, cand, samples, sep_floor)
-            if ok:
-                eta = cand
-                validation = info
-                break
-        if eta is None:
-            raise RadiiError(
-                "could not validate a value-circle radius (degenerate diagram "
-                "or precision too low)"
-            )
-        validation.update(
-            {
-                "origin_isolated_below": None
-                if nonzero_bound is None
-                else float(nonzero_bound),
-                "samples": samples,
+            eta = rho / 4 ** j
+            inner, outer = ratio_sq(rho / 2, eta), ratio_sq(2 * rho, eta)
+            if inner >= 1 or outer >= 1:
+                continue
+            rho_mp, eta_mp = mpf(4) ** (-k), mpf(4) ** (-k - j)
+            try:
+                base = [b.center for b in _base_fiber(fiber, rho_mp, eta_mp)]
+            except PrecisionError:
+                continue
+            seps = [
+                abs(a - b) / max(abs(a), abs(b), mpf(1e-30))
+                for a, b in itertools.combinations(base, 2)
+            ]
+            if len(base) != m or min(seps, default=sep_floor) < sep_floor:
+                continue
+            validation = {
                 "fiber_count": m,
+                "base_min_relative_separation": float(min(seps)) if seps else None,
+                "rouche_ratio_half_rho": math.sqrt(inner),
+                "rouche_ratio_two_rho": math.sqrt(outer),
             }
-        )
-        return CarouselRadii(rho=rho, eta=eta, validation=validation, precision=precision)
+            return CarouselRadii(
+                rho=rho_mp, eta=eta_mp, validation=validation, precision=precision
+            )
+    raise RadiiError(
+        "could not validate a value-circle radius (degenerate diagram "
+        "or precision too low)"
+    )
 
 
-def _validate_eta(fiber, m, rho, eta, samples, sep_floor):
-    min_sep = None
-    for s in range(samples):
-        v = eta * mpmath.expjpi(mpf(2 * s) / samples)
-        try:
-            roots = solve_numeric(fiber.at_value(v)[0], fiber.precision)
-        except PrecisionError:
-            return False, {}
-        near = [b for b in roots if abs(b.center) < rho / 2]
-        annulus = [
-            b for b in roots if rho / 2 <= abs(b.center) <= 2 * rho
-        ]
-        if len(near) != m or annulus:
-            return False, {}
-        if s == 0:
-            for i in range(len(near)):
-                for j in range(i + 1, len(near)):
-                    d = abs(near[i].center - near[j].center)
-                    rel = d / max(abs(near[i].center), abs(near[j].center), mpf(1e-30))
-                    if min_sep is None or rel < min_sep:
-                        min_sep = rel
-            if min_sep is not None and min_sep < sep_floor:
-                return False, {}
-    return True, {
-        "base_min_relative_separation": None if min_sep is None else float(min_sep),
-    }
+def _modulus_bound(c) -> Fraction:
+    """A rational upper bound of |c|, exact on the axes, else within 2^-32."""
+    if not c.im or not c.re:
+        return abs(c.re or c.im)
+    n = c.re * c.re + c.im * c.im
+    scaled = (n.numerator * n.denominator) << 64
+    root = math.isqrt(scaled)
+    return Fraction(root + (root * root < scaled), n.denominator << 32)
 
 
-def _base_fiber(fiber, radii):
-    roots = solve_numeric(fiber.at_value(radii.eta)[0], fiber.precision)
-    near = [b for b in roots if abs(b.center) < radii.rho / 2]
+def _base_fiber(fiber, rho, eta):
+    """The fiber points below rho/2 over v = eta, in canonical order."""
+    roots = solve_numeric(fiber.at_value(eta)[0], fiber.precision)
+    near = [b for b in roots if abs(b.center) < rho / 2]
     near.sort(key=lambda b: ordering_key(b.center))
     return near
 
@@ -370,7 +358,7 @@ def carousel_permutation(
         raise TrackingError("direction must be +1 or -1")
     with mp.workprec(precision + 32):
         fiber = _FiberPolynomial(diagram.defining, precision)
-        base = _base_fiber(fiber, radii)
+        base = _base_fiber(fiber, radii.rho, radii.eta)
         m = diagram.contact_count
         if len(base) != m:
             raise TrackingError(

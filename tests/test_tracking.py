@@ -8,9 +8,9 @@ from mpmath import mp, mpf
 
 import carousel.tracking as tracking_mod
 from carousel.gaussian import GaussianRational
-from carousel.polar import diagram_from_defining
+from carousel.polar import diagram_from_defining, select_generic_line
 from carousel.poly import Polynomial, parse_polynomial
-from carousel.roots import aberth_roots
+from carousel.roots import aberth_roots, solve_numeric
 from carousel.tracking import (
     RadiiError,
     TrackingError,
@@ -53,6 +53,68 @@ class TestChooseRadii:
     def test_base_separation_recorded(self):
         r = choose_radii(D("v - u^5"), 128)
         assert r.validation["base_min_relative_separation"] > 2.0 ** (-128 / 4)
+
+
+class TestRoucheCertificate:
+    CERTIFIED = DIAGRAMS + ("v - u^2*(1 - u)^4", "(1+i)*v - u^3 + 5*u^4")
+
+    @pytest.mark.parametrize("text", CERTIFIED)
+    def test_sampled_fibers_obey_the_certificate(self, text):
+        # the certificate covers the whole disc |v| <= eta: sample two circles
+        d = D(text)
+        radii = choose_radii(d, 128)
+        rho, m = radii.rho, d.contact_count
+        fiber = tracking_mod._FiberPolynomial(d.defining, 128)
+        with mp.workprec(160):
+            for scale in (1, mpf(1) / 2):
+                for s in range(256):
+                    v = scale * radii.eta * mpmath.expjpi(mpf(s) / 128)
+                    balls = solve_numeric(fiber.at_value(v)[0], 128)
+                    inside = [b for b in balls if abs(b.center) + b.radius < rho / 2]
+                    outside = [b for b in balls if abs(b.center) - b.radius > 2 * rho]
+                    assert len(inside) == m, (text, scale, s)
+                    assert len(inside) + len(outside) == len(balls), (text, scale, s)
+
+    @pytest.mark.parametrize("text", CERTIFIED)
+    def test_rouche_margins_recorded(self, text):
+        validation = choose_radii(D(text), 128).validation
+        for key in ("rouche_ratio_half_rho", "rouche_ratio_two_rho"):
+            assert 0 <= validation[key] < 1, key
+
+    def test_margins_of_a_pure_power(self):
+        # v - u^5 at rho = 1, eta = 1/64: eta / (1/2)^5 and eta / 2^5
+        validation = choose_radii(D("v - u^5"), 128).validation
+        assert validation["rouche_ratio_half_rho"] == 0.5
+        assert validation["rouche_ratio_two_rho"] == 2.0 ** -11
+
+    def test_one_base_solve_and_no_slice_solve(self, monkeypatch):
+        from carousel import roots
+
+        diagram = select_generic_line(parse_polynomial("x^5 - x*y^3", ("x", "y"))).diagram
+        calls = {"solve_numeric": 0, "univariate_roots": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(tracking_mod, "solve_numeric")
+        spy(roots, "univariate_roots")
+        choose_radii(diagram, 128)
+        assert calls == {"solve_numeric": 1, "univariate_roots": 0}
+
+    def test_triangle_bound_shrinks_rho(self):
+        # Delta(u, 0) = -u^2 (1 - u)^4 has its far root at u = 1, which
+        # would allow rho = 1/4; the coefficient bound needs rho = 1/16
+        d = D("v - u^2*(1 - u)^4")
+        radii = choose_radii(d, 128)
+        assert radii.rho == mpf(1) / 16
+        perm = carousel_permutation(d, radii)
+        assert perm.cycle_type == predicted_cycle_type(d) == (2,)
 
 
 class TestCarouselPermutation:
