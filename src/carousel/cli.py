@@ -89,7 +89,6 @@ def cmd_analyze(args) -> int:
                 variables=variables,
                 seed=args.seed,
                 precision=args.precision,
-                steps=args.steps,
                 forced_line=forced,
                 progress=_progress,
             )
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--vars", default="x,y", help="comma-separated symbols (default x,y)")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--precision", type=int, default=128, help="bits (default 128)")
-    pa.add_argument("--steps", type=int, default=512)
     pa.add_argument("--line", default=None, help="force l = a*x + b*y as 'a,b'")
     pa.add_argument(
         "--svg",

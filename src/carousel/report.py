@@ -99,7 +99,6 @@ def analyze_germ(
     variables=("x", "y"),
     seed: int = 0,
     precision: int = 128,
-    steps: int = 512,
     forced_line: tuple | None = None,
     progress=None,
 ) -> AnalysisResult:
@@ -162,8 +161,7 @@ def analyze_germ(
             carousel_permutation,
             selection.diagram,
             radii,
-            steps,
-            precision,
+            precision=precision,
         )
         predicted = predicted_cycle_type(selection.diagram)
         if tuple(sorted(permutation.cycle_type)) != tuple(sorted(predicted)):

@@ -134,14 +134,25 @@ def newton_radius(n: int, p, dp, e, de):
     return n * (abs(p) + e) / denom * (1 + 2.0 ** -20)
 
 
-def _aberth_iterate(monic, z, tol, nudge):
-    """Gauss-Seidel Aberth-Ehrlich steps on z in place; True on convergence."""
+def _aberth_iterate(monic, z, tol, nudge, gamma=None):
+    """Gauss-Seidel Aberth-Ehrlich steps on z in place; True on convergence.
+
+    Converged means that a sweep moved no point by more than `tol`
+    (relative).  With `gamma`, a point whose |p(z_i)| is within the
+    running rounding bound e_i of `horner_bound` sits at the rounding
+    floor and is not moved, and a sweep that moves no point converges.
+    """
     n = len(z)
     deriv = _derivative_coeffs(monic)
+    majorants = [abs(c) for c in monic]
     for _ in range(_MAX_ITERATIONS):
         moved = 0
+        settled = True
         for i in range(n):
             pz = _horner(monic, z[i])
+            if gamma is not None and abs(pz) <= gamma * _horner(majorants, abs(z[i])):
+                continue
+            settled = False
             dz = _horner(deriv, z[i])
             if dz == 0:
                 z[i] = z[i] + tol + nudge
@@ -162,7 +173,7 @@ def _aberth_iterate(monic, z, tol, nudge):
                 step = newton / denom
             z[i] = z[i] - step
             moved = max(moved, abs(step))
-        if moved < tol * (1 + max(abs(v) for v in z)):
+        if settled or moved < tol * (1 + max(abs(v) for v in z)):
             return True
     return False
 
@@ -224,7 +235,8 @@ def aberth_roots(coeffs, precision: int):
         ]
         z = _double_start(monic, z) or z
         tol = mpf(2) ** (-(precision + 16))
-        _aberth_iterate(monic, z, tol, mpf(10) ** (-6))
+        gamma = error_factor(4 * (n + 1), mpf(2) ** (-(precision + 32)))
+        _aberth_iterate(monic, z, tol, mpf(10) ** (-6), gamma)
         balls = _certify(monic, z, precision)
         balls.sort(key=lambda b: ordering_key(b.center))
         return balls

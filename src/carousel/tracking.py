@@ -1,15 +1,23 @@
 """Carousel monodromy: track the diagram fiber over the value circle.
 
 The m points of Delta(u, v) = 0 over v = eta*e^(i*theta), theta from 0
-to 2*pi, are followed by a predictor (previous position) / corrector
-(Newton refinement with a certified inclusion radius) scheme.  The
-corrector runs in complex doubles under a running rounding-error bound;
-if a double-precision certificate still fails at the finest step, the
-whole loop is tracked again with the mpmath corrector at the requested
-precision.  The base fiber, the polish of the end points and the final
-matching always run at the requested precision.  The loop closes up to
-a permutation of the base fiber; it is checked against the exact cycle
-type predicted from the Puiseux branches of Delta.
+to 2*pi, are followed by a predictor / corrector scheme with adaptive
+steps.  Each step is a dyadic fraction of a turn: it starts at 1/64,
+doubles after an accepted step up to 1/16 and halves after a refusal.
+The predictor moves each point along the tangent du/dv = -Delta_v/Delta_u;
+a step is accepted only if every predicted point passes Smale's
+alpha-test against the new fiber, with pairwise disjoint 2*beta balls,
+and Newton's method then gives it a certified inclusion radius, the
+corrected points stay unambiguous and none moves more than a quarter of
+their separation.  The corrector runs in complex doubles under a
+running rounding-error bound; if a double-precision certificate still
+fails at the finest step, the whole loop is tracked again with the
+mpmath corrector at the requested precision.  Both share one constant
+work budget.  The base fiber comes solved with the radii, and the
+polish of the end points and the final matching run at the requested
+precision.  The loop closes up to a permutation of the base fiber; it is
+checked against the exact cycle type predicted from the Puiseux
+branches of Delta.
 """
 
 from __future__ import annotations
@@ -18,12 +26,13 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
+from .gaussian import GaussianRational
 from .polar import CerfDiagram
 from .poly import Polynomial
 from .roots import (PrecisionError, error_factor, gaussian_to_mpc,
@@ -35,6 +44,22 @@ _UNIT = 2.0 ** -53
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
+# Smale's constant: beta*gamma < _ALPHA_0 makes z an approximate zero,
+# whose Newton iterates converge quadratically to a root within 2*beta
+_ALPHA_0 = (13 - 3 * math.sqrt(17)) / 4
+
+# step control: angles are integer multiples of 2^-_DEPTH turn; a step of
+# 2^-k turn starts at k = _FIRST_STEP, and _LONGEST_STEP <= k <= _DEPTH
+_DEPTH = 50
+_FIRST_STEP = 6
+_LONGEST_STEP = 4
+_TURN = 1 << _DEPTH
+
+# corrector work per carousel: tracker steps in either precision, plus
+# the Newton iterations and the alpha-test Horner passes of the mpmath
+# corrector (its costly part)
+WORK_BUDGET = 50000
+
 
 class TrackingError(RuntimeError):
     pass
@@ -44,14 +69,49 @@ class RadiiError(TrackingError):
     """No validated disc pair was found while shrinking."""
 
 
+class WorkBudgetError(TrackingError):
+    """The corrector used up WORK_BUDGET; `counters` says on what."""
+
+    def __init__(self, counters: dict):
+        super().__init__(
+            f"work budget of {WORK_BUDGET} exhausted ("
+            + ", ".join(f"{k} {v}" for k, v in counters.items())
+            + ")"
+        )
+        self.counters = dict(counters)
+
+
+class _Work:
+    """Counts corrector work against WORK_BUDGET."""
+
+    def __init__(self):
+        self.counters = {"steps": 0, "newton_iterations": 0, "alpha_passes": 0}
+
+    @property
+    def used(self) -> int:
+        return sum(self.counters.values())
+
+    def spend(self, key: str, amount: int = 1):
+        self.counters[key] += amount
+        if self.used > WORK_BUDGET:
+            raise WorkBudgetError(self.counters)
+
+
 @dataclass(frozen=True)
 class CarouselRadii:
-    """Validated disc radii: fiber disc |u| < rho, value circle |v| = eta."""
+    """Validated disc radii: fiber disc |u| < rho, value circle |v| = eta.
+
+    `base_points` are the certified fiber points below rho/2 over v = eta,
+    solved at `precision`, and `fiber` is Delta ready for evaluation, so
+    that tracking at the same precision solves nothing again.
+    """
 
     rho: mpf
     eta: mpf
     validation: dict
     precision: int
+    base_points: tuple = field(repr=False, compare=False)
+    fiber: "_FiberPolynomial" = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -64,6 +124,7 @@ class CarouselPermutation:
     orbit_traces: tuple
     steps_used: int
     precision_used: int
+    work_used: int
 
 
 @dataclass(frozen=True)
@@ -94,8 +155,8 @@ class _FiberPolynomial:
                 self.coeffs_v.append(dense)
             self.majorants_v = [[abs(c) for c in row] for row in self.coeffs_v]
             self.trim = mpf(2) ** (-(precision // 2))
-            # rounding steps behind p and p': conversion, Horner in v, then
-            # Horner in u and its derivative recurrence
+            # rounding steps behind p and p' and the Taylor coefficients:
+            # conversion, Horner in v, then at most 2(n + 1) steps in u
             ops = 4 * (2 * len(self.coeffs_v) + max(map(len, self.coeffs_v)))
             self.gamma = error_factor(ops, mpf(2) ** (-(precision + 32)))
         self.degree = len(self.coeffs_v) - 1
@@ -111,6 +172,31 @@ class _FiberPolynomial:
     def at_value_double(self, v: complex):
         """Coefficients in u at v and their majorants, in complex doubles."""
         return _evaluate(self.coeffs_d, self.majorants_d, v, self.trim_d)
+
+    def predict(self, points, v_from, v_to, double: bool):
+        """Each point moved along the tangent du/dv = -Delta_v/Delta_u at v_from.
+
+        A prediction only: the corrector certifies what it is given.
+        """
+        rows = self.coeffs_d if double else self.coeffs_v
+        coeffs, dcoeffs = [], []
+        for row in rows:
+            c = dc = 0
+            for a in reversed(row):
+                dc = dc * v_from + c
+                c = c * v_from + a
+            coeffs.append(c)
+            dcoeffs.append(dc)
+        dv = v_to - v_from
+        out = []
+        for z in points:
+            p = d_u = d_v = 0
+            for c, dc in zip(reversed(coeffs), reversed(dcoeffs)):
+                d_u = d_u * z + p
+                p = p * z + c
+                d_v = d_v * z + dc
+            out.append(z if d_u == 0 else z - d_v / d_u * dv)
+        return out
 
 
 def _evaluate(rows, majorant_rows, v, trim):
@@ -145,8 +231,11 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     powers of r with nonnegative coefficients, convex in log r, so the
     inequality holds on the whole annulus between; by Rouche every fiber
     over |v| <= eta then has exactly m roots in |u| < rho/2 and none in
-    rho/2 <= |u| <= 2*rho.  The base fiber over v = eta is solved once: its
-    m roots must be pairwise separated relative to 2^(-precision/4).
+    rho/2 <= |u| <= 2*rho.  eta must also pass the separation certificate
+    of `_separation_bound`: no two points of a fiber over 0 < |v| <= eta
+    coincide.  The base fiber over v = eta is solved once: its m roots
+    must be pairwise separated relative to 2^(-precision/4), and they are
+    kept with the radii for the tracker.
     """
     if diagram.is_empty:
         raise RadiiError("empty diagram has no carousel")
@@ -166,6 +255,7 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     if k is None:
         raise RadiiError("could not isolate the origin in the fiber disc")
     rho = Fraction(1, 4 ** k)
+    separation_sq = _separation_bound(diagram.defining)
     with mp.workprec(precision + 32):
         fiber = _FiberPolynomial(diagram.defining, precision)
         sep_floor = mpf(2) ** (-(precision // 4))
@@ -174,14 +264,18 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
             inner, outer = ratio_sq(rho / 2, eta), ratio_sq(2 * rho, eta)
             if inner >= 1 or outer >= 1:
                 continue
+            separation = separation_sq(eta)
+            if separation >= 1:
+                continue
             rho_mp, eta_mp = mpf(4) ** (-k), mpf(4) ** (-k - j)
             try:
-                base = [b.center for b in _base_fiber(fiber, rho_mp, eta_mp)]
+                base = _base_fiber(fiber, rho_mp, eta_mp)
             except PrecisionError:
                 continue
+            centers = [b.center for b in base]
             seps = [
                 abs(a - b) / max(abs(a), abs(b), mpf(1e-30))
-                for a, b in itertools.combinations(base, 2)
+                for a, b in itertools.combinations(centers, 2)
             ]
             if len(base) != m or min(seps, default=sep_floor) < sep_floor:
                 continue
@@ -190,14 +284,158 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
                 "base_min_relative_separation": float(min(seps)) if seps else None,
                 "rouche_ratio_half_rho": math.sqrt(inner),
                 "rouche_ratio_two_rho": math.sqrt(outer),
+                "separation_ratio": math.sqrt(separation),
             }
             return CarouselRadii(
-                rho=rho_mp, eta=eta_mp, validation=validation, precision=precision
+                rho=rho_mp,
+                eta=eta_mp,
+                validation=validation,
+                precision=precision,
+                base_points=tuple(base),
+                fiber=fiber,
             )
     raise RadiiError(
         "could not validate a value-circle radius (degenerate diagram "
         "or precision too low)"
     )
+
+
+def _separation_bound(delta: Polynomial):
+    """eta -> (sum_{j>k} |d_j| eta^(j-k) / |d_k|)^2, exactly.
+
+    d_j are the coefficients of D(v) = Res_u(Delta, Delta_u), d_k the
+    lowest nonzero one.  Below 1 the value proves, term by term, that
+    D(v)/v^k has no zero in |v| <= eta, so no two points of a fiber over
+    0 < |v| <= eta coincide and a refused tracker step can only have
+    been too long.  A Delta of degree below 2 in u has nothing to
+    separate.
+    """
+    if delta.degree("u") < 2:
+        return lambda eta: 0
+    d = _discriminant(delta)
+    k = next((j for j, c in enumerate(d) if not c.is_zero()), None)
+    if k is None:
+        raise RadiiError("diagram is not squarefree in u")
+    lowest_sq = d[k].re * d[k].re + d[k].im * d[k].im
+    rest = [(j - k, _modulus_bound(c)) for j, c in enumerate(d) if j > k and not c.is_zero()]
+
+    def ratio_sq(eta):
+        s = sum(b * eta ** e for e, b in rest)
+        return s * s / lowest_sq
+
+    return ratio_sq
+
+
+def _discriminant(delta: Polynomial) -> list:
+    """Res_u(Delta, Delta_u) as dense coefficients in v, up to a constant factor.
+
+    Delta is scaled to Gaussian-integer coefficients.  The resultant, of
+    degree at most N = (2n - 1)*deg_v(Delta) for n = deg_u(Delta), is
+    evaluated exactly at v = 0, 1, ..., N by a subresultant remainder
+    sequence over Z[i]; where the u-degree drops, the leading
+    coefficients of Delta and Delta_u vanish together, so the Sylvester
+    determinant is 0 there.  Newton's forward differences then give it
+    in the falling-factorial basis, whose expansion has integer
+    (Stirling) coefficients.  Bareiss elimination over bivariate
+    polynomials (`poly.resultant`) gives the same polynomial but can be
+    hundreds of times slower on dense Delta.
+    """
+    n, dv = delta.degree("u"), delta.degree("v")
+    scale = math.lcm(*(x.denominator for c in delta.terms.values() for x in (c.re, c.im)))
+    rows = [[(0, 0)] * (dv + 1) for _ in range(n + 1)]
+    for (i, j), c in delta.terms.items():
+        rows[i][j] = (int(c.re * scale), int(c.im * scale))
+    top = (2 * n - 1) * dv
+    values = []
+    for v in range(top + 1):
+        p = []
+        for row in rows:
+            re = im = 0
+            for a, b in reversed(row):
+                re, im = re * v + a, im * v + b
+            p.append((re, im))
+        if p[-1] == (0, 0):
+            values.append((0, 0))
+        else:
+            dp = [(k * re, k * im) for k, (re, im) in enumerate(p)][1:]
+            values.append(_zi_resultant(p, dp))
+    # D(v) = sum_k diff_k * (v)_k / k!, (v)_k = v (v - 1) ... (v - k + 1);
+    # everything is kept over the common denominator top!
+    coeffs = [[0, 0] for _ in range(top + 1)]
+    falling = [1]
+    weight = math.factorial(top)
+    for k in range(top + 1):
+        re0, im0 = values[0]
+        for j, stirling in enumerate(falling):
+            coeffs[j][0] += re0 * stirling * weight
+            coeffs[j][1] += im0 * stirling * weight
+        values = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(values, values[1:])]
+        falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
+        weight //= k + 1
+    total = math.factorial(top)
+    return [GaussianRational(Fraction(re, total), Fraction(im, total)) for re, im in coeffs]
+
+
+def _zi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _zi_pow(a, k):
+    out = (1, 0)
+    for _ in range(k):
+        out = _zi_mul(out, a)
+    return out
+
+
+def _zi_exact_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) // norm, (a[1] * b[0] - a[0] * b[1]) // norm)
+
+
+def _zi_prem(a, b):
+    """Pseudo-remainder r with lc(b)^(deg a - deg b + 1)*a = q*b + r over Z[i]."""
+    r = list(a)
+    lead = b[-1]
+    unused = len(a) - len(b) + 1
+    while r and len(r) >= len(b):
+        top = r[-1]
+        shift = len(r) - len(b)
+        r = [_zi_mul(lead, c) for c in r]
+        for i, c in enumerate(b):
+            t = _zi_mul(top, c)
+            r[shift + i] = (r[shift + i][0] - t[0], r[shift + i][1] - t[1])
+        r.pop()
+        unused -= 1
+        while r and r[-1] == (0, 0):
+            r.pop()
+    factor = _zi_pow(lead, unused)
+    return [_zi_mul(factor, c) for c in r]
+
+
+def _zi_resultant(a, b):
+    """Res(a, b) over Z[i] for deg a >= deg b >= 1 (coefficient lists, low first).
+
+    The subresultant remainder sequence of Collins and Brown (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 3.3.7);
+    all its divisions are exact.
+    """
+    sign = 1
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
+        r = _zi_prem(a, b)
+        if not r:
+            return (0, 0)
+        divisor = _zi_mul(g, _zi_pow(h, delta))
+        a, b = b, [_zi_exact_div(c, divisor) for c in r]
+        g = a[-1]
+        if delta:
+            h = _zi_exact_div(_zi_pow(g, delta), _zi_pow(h, delta - 1))
+    degree = len(a) - 1
+    res = _zi_exact_div(_zi_pow(b[-1], degree), _zi_pow(h, degree - 1))
+    return (sign * res[0], sign * res[1])
 
 
 def _modulus_bound(c) -> Fraction:
@@ -218,17 +456,82 @@ def _base_fiber(fiber, rho, eta):
     return near
 
 
-def _refine_points(fiber, v, points, rho, precision):
-    """Newton-correct all tracked points over v in mpmath; (points, radii) or None."""
-    coeffs, majorants = fiber.at_value(v)
+def _alpha_radius(coeffs, majorants, z, gamma, double):
+    """2*beta at z if z passes Smale's alpha-test for p, else None.
+
+    The Taylor coefficients t_k = p^(k)(z)/k! come from Horner's Taylor
+    shift, and the same passes on the majorants at |z| give M_k, so
+    |t_k| <= |computed t_k| + gamma*M_k as in `horner_bound`.  With
+    d = |t_1| - gamma*M_1 > 0 these bound beta = |t_0/t_1| and
+    gamma_S = max_{k>=2} |t_k/t_1|^(1/(k-1)) from above.  In doubles
+    every error bound must be a normal number.
+    """
     n = len(coeffs) - 1
+    if n < 1:
+        return None
+    az = abs(z)
+    t, mt = list(coeffs), list(majorants)
+    for k in range(n):
+        for i in range(n - 1, k - 1, -1):
+            t[i] += z * t[i + 1]
+            mt[i] += az * mt[i + 1]
+    bounds = []
+    for c, a in zip(t, mt):
+        err = gamma * a
+        if double and not (_TINY <= err <= _HUGE and cmath.isfinite(c)):
+            return None
+        bounds.append((abs(c), err))
+    (t0, e0), (t1, e1) = bounds[:2]
+    den = t1 - e1
+    if not den > 0:
+        return None
+    beta = (t0 + e0) / den
+    gamma_s = max(
+        (((tk + ek) / den) ** (1.0 / (k - 1)) for k, (tk, ek) in enumerate(bounds) if k >= 2),
+        default=0,
+    )
+    if not beta * gamma_s * (1 + 2.0 ** -20) < _ALPHA_0:
+        return None
+    return 2 * beta
+
+
+def _alpha_certified(coeffs, majorants, points, gamma, double) -> bool:
+    """Every point passes the alpha-test and the 2*beta balls are disjoint."""
+    radii = []
+    for z in points:
+        radius = _alpha_radius(coeffs, majorants, z, gamma, double)
+        if radius is None:
+            return False
+        radii.append(radius)
+    return all(
+        abs(points[i] - points[j]) > radii[i] + radii[j]
+        for i, j in itertools.combinations(range(len(points)), 2)
+    )
+
+
+def _refine_points(fiber, v_from, v_to, points, rho, precision, work):
+    """Predict from v_from and correct over v_to in mpmath; (points, radii) or None.
+
+    With v_from == v_to (the polish of tracked end points) there is no
+    prediction to certify and the points are only corrected.  Every
+    Newton iteration and every Horner pass of the alpha-test (n per
+    point) is charged to `work`.
+    """
+    coeffs, majorants = fiber.at_value(v_to)
+    n = len(coeffs) - 1
+    predicted = points
+    if v_from != v_to:
+        predicted = fiber.predict(points, v_from, v_to, double=False)
+        work.spend("alpha_passes", len(points) * n)
+        if not _alpha_certified(coeffs, majorants, predicted, fiber.gamma, False):
+            return None
     tol = mpf(2) ** (-(precision + 8))
     new_pts = []
     new_radii = []
-    for z in points:
-        zz = z
+    for zz in predicted:
         ok = False
         for _ in range(40):
+            work.spend("newton_iterations")
             p, dp, _, _ = horner_bound(coeffs, majorants, zz, fiber.gamma)
             if dp == 0:
                 return None
@@ -249,20 +552,24 @@ def _refine_points(fiber, v, points, rho, precision):
     return _checked_move(points, new_pts, new_radii)
 
 
-def _refine_double(fiber, v, points, rho):
-    """The corrector of `_refine_points` in complex doubles.
+def _refine_double(fiber, v_from, v_to, points, rho):
+    """The predictor and corrector of `_refine_points` in complex doubles.
 
     Newton stops once |p| is within its rounding bound e.  The step is
     refused (None) unless every point gets there within 40 iterations
     with finite values, normal bounds (no underflow) and |p'| > e'.
     """
-    coeffs, majorants = fiber.at_value_double(complex(v))
-    n = len(coeffs) - 1
+    v_from, v_to = complex(v_from), complex(v_to)
+    coeffs, majorants = fiber.at_value_double(v_to)
     gamma = fiber.gamma_d
+    predicted = fiber.predict(points, v_from, v_to, double=True)
+    if not _alpha_certified(coeffs, majorants, predicted, gamma, True):
+        return None
+    n = len(coeffs) - 1
     half = float(rho) / 2
     new_pts = []
     new_radii = []
-    for z in points:
+    for z in predicted:
         for _ in range(40):
             p, dp, e, de = horner_bound(coeffs, majorants, z, gamma)
             if not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
@@ -303,62 +610,66 @@ def _checked_move(points, new_pts, new_radii):
     return new_pts, new_radii
 
 
-def _track(refine, points, eta, steps, direction):
+def _track(refine, points, eta, direction, work):
     """Follow `points` once around |v| = eta with the corrector `refine`.
 
-    `refine(v, points)` returns (points, radii) or None; a refused step
-    bisects its angle interval, up to depth 40 and 2^20 steps in all.
-    Returns the end points, the orbit traces and the number of steps.
+    `refine(v_from, v_to, points)` returns (points, radii) or None.  The
+    first step is 1/64 turn; an accepted step doubles the next one, up
+    to 1/16 turn, and a refusal halves it, down to 2^-50 turn.  Every
+    step is charged to `work`.  Returns the end points, the orbit traces
+    and the number of steps tried.
     """
     traces = [[(float(z.real), float(z.imag))] for z in points]
     used = 0
-    max_steps = 1 << 20
-    for k in range(steps):
-        # angle intervals still to cover, the leftmost on top
-        pending = [(mpf(k) / steps, mpf(k + 1) / steps, 0)]
-        while pending:
-            theta_from, theta_to, depth = pending.pop()
-            if used > max_steps:
-                raise TrackingError("step budget exhausted (matching stayed ambiguous)")
-            v = eta * mpmath.expjpi(2 * direction * theta_to)
-            used += 1
-            result = refine(v, points)
-            if result is None:
-                if depth > 40:
-                    raise TrackingError("matching ambiguity at maximal resolution")
-                mid = (theta_from + theta_to) / 2
-                pending.append((mid, theta_to, depth + 1))
-                pending.append((theta_from, mid, depth + 1))
-                continue
-            points = result[0]
-            for trace, z in zip(traces, points):
-                trace.append((float(z.real), float(z.imag)))
+    theta = 0
+    length = _TURN >> _FIRST_STEP
+    v_from = mpc(eta)
+    while theta < _TURN:
+        step = min(length, _TURN - theta)
+        v_to = eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN)
+        work.spend("steps")
+        used += 1
+        result = refine(v_from, v_to, points)
+        if result is None:
+            if step == 1:
+                raise TrackingError("matching ambiguity at maximal resolution")
+            length = step // 2
+            continue
+        theta += step
+        v_from = v_to
+        length = min(2 * length, _TURN >> _LONGEST_STEP)
+        points = result[0]
+        for trace, z in zip(traces, points):
+            trace.append((float(z.real), float(z.imag)))
     return points, traces, used
 
 
 def carousel_permutation(
     diagram: CerfDiagram,
     radii: CarouselRadii,
-    steps: int = 512,
     precision: int = 128,
     direction: int = 1,
 ) -> CarouselPermutation:
     """Monodromy permutation of the fiber points over one loop in v.
 
-    Deterministic for fixed (steps, precision); ambiguous corrector steps
-    bisect the angle interval locally, failing hard beyond 2^20 steps.
-    `direction=-1` traverses the loop clockwise and yields the inverse
-    permutation.
+    Deterministic for a fixed precision: the steps are dyadic fractions
+    of a turn chosen by the rule of `_track`.  A loop that needs more
+    than WORK_BUDGET units of corrector work raises WorkBudgetError.
+    With radii from `choose_radii` at the same precision the base fiber
+    is not solved again.  `direction=-1` traverses the loop clockwise
+    and yields the inverse permutation.
     """
     if diagram.is_empty:
         raise TrackingError("empty diagram has no carousel")
-    if steps < 64:
-        raise TrackingError("need at least 64 steps")
     if direction not in (1, -1):
         raise TrackingError("direction must be +1 or -1")
+    work = _Work()
     with mp.workprec(precision + 32):
-        fiber = _FiberPolynomial(diagram.defining, precision)
-        base = _base_fiber(fiber, radii.rho, radii.eta)
+        if radii.precision == precision:
+            fiber, base = radii.fiber, list(radii.base_points)
+        else:
+            fiber = _FiberPolynomial(diagram.defining, precision)
+            base = _base_fiber(fiber, radii.rho, radii.eta)
         m = diagram.contact_count
         if len(base) != m:
             raise TrackingError(
@@ -368,25 +679,29 @@ def carousel_permutation(
         end_v = radii.eta * mpmath.expjpi(2 * direction)
         try:
             points, traces, used = _track(
-                lambda v, pts: _refine_double(fiber, v, pts, rho),
+                lambda v_from, v_to, pts: _refine_double(fiber, v_from, v_to, pts, rho),
                 [complex(b.center) for b in base],
                 radii.eta,
-                steps,
                 direction,
+                work,
             )
             polished = _refine_points(
-                fiber, end_v, [mpc(z) for z in points], rho, precision
+                fiber, end_v, end_v, [mpc(z) for z in points], rho, precision, work
             )
             if polished is None:
                 raise TrackingError("end points do not polish at full precision")
             sigma = _match_to_base(polished[0], base, precision)
+        except WorkBudgetError:
+            raise
         except TrackingError:
             points, traces, used = _track(
-                lambda v, pts: _refine_points(fiber, v, pts, rho, precision),
+                lambda v_from, v_to, pts: _refine_points(
+                    fiber, v_from, v_to, pts, rho, precision, work
+                ),
                 [b.center for b in base],
                 radii.eta,
-                steps,
                 direction,
+                work,
             )
             sigma = _match_to_base(points, base, precision)
         fixed = tuple(i for i, j in enumerate(sigma) if i == j)
@@ -400,6 +715,7 @@ def carousel_permutation(
             orbit_traces=tuple(tuple(t) for t in traces),
             steps_used=used,
             precision_used=precision,
+            work_used=work.used,
         )
 
 

@@ -69,7 +69,11 @@ class TestAnalyze:
         assert "error" in err
 
     def test_removed_knobs_are_argparse_errors(self, capsys):
-        for flag, value in (("--truncation", "8"), ("--radius-scale", "1")):
+        for flag, value in (
+            ("--truncation", "8"),
+            ("--radius-scale", "1"),
+            ("--steps", "512"),
+        ):
             with pytest.raises(SystemExit) as err:
                 main(["analyze", "--germ", "x^3-y^2", flag, value])
             assert err.value.code == 2

@@ -136,7 +136,7 @@ class TestPickGenericLine:
         # starting terms of the expansion and must not read as the axis
         from carousel.report import analyze_germ
 
-        result = analyze_germ("y^2 - x^9", steps=64)
+        result = analyze_germ("y^2 - x^9")
         assert str(result.line) == "x"
         assert result.line_attempts == 1
         assert result.permutation.cycle_type == (9,)

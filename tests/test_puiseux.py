@@ -267,7 +267,7 @@ class TestMilnorDelta:
         assert delta_invariant(germ) == 3
         assert calls == [germ]
         calls.clear()
-        result = analyze_germ("x^2*y + y^4", steps=64)
+        result = analyze_germ("x^2*y + y^4")
         assert (result.mu, result.delta, result.branch_count) == (5, 3, 2)
         # the line stage expands the Cerf diagram, never the germ
         assert [f for f in calls if f == germ] == [germ]

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+import carousel.roots as roots_mod
 from carousel.gaussian import GaussianRational
 from carousel.poly import Polynomial, PolynomialError, parse_polynomial
 from carousel.roots import (ComplexBall, PrecisionError, aberth_roots,
@@ -98,7 +99,6 @@ def test_ball_precision_floor():
 
 
 def test_double_start_agrees_with_circle_start(monkeypatch):
-    import carousel.roots as roots_mod
 
     rng = random.Random(3)
     for _ in range(10):
@@ -113,7 +113,6 @@ def test_double_start_agrees_with_circle_start(monkeypatch):
 
 
 def test_cluster_escalates_and_certifies(monkeypatch):
-    import carousel.roots as roots_mod
 
     # (z - 1)^2 - 2^-100: the doubles see a double root at 1
     with mpmath.mp.workprec(256):
@@ -180,3 +179,37 @@ def test_one_ball_per_distinct_root(roots_with_mult):
             )
             holding = [m for ball, m in found if abs(ball.center - exact) <= ball.radius]
             assert holding == [mult]
+
+
+def test_clustered_solve_stops_at_the_rounding_floor(monkeypatch):
+    # the base fiber of the diagram of -3*y^5 + 3*x^3*y - 3*x^2 over
+    # v = 1/256: two clusters of four roots about 1.5e-5 apart, whose
+    # mpmath pass used to run all its sweeps because tol lies below the
+    # rounding floor there
+    delta = parse_polynomial(
+        "u^15 - 3125/256*u^8 - 3125/192*u^6*v - 3125/384*u^4*v^2"
+        " - 3125/1728*u^2*v^3 - 3125/20736*v^4",
+        ("u", "v"),
+    )
+    coeffs = [0] * 16
+    for (i, j), c in delta.terms.items():
+        coeffs[i] += c.re / 256 ** j
+    with mpmath.mp.workprec(160):
+        coeffs = [mpmath.mpc(mpf(c.numerator) / c.denominator) for c in coeffs]
+    passes = []
+    real = roots_mod._aberth_iterate
+
+    def spy(monic, z, *args):
+        passes.append((type(z[0]), real(monic, z, *args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(roots_mod, "_aberth_iterate", spy)
+    balls = aberth_roots(coeffs, 128)
+    # the mpmath pass converged: every root reached the rounding floor
+    assert passes[-1] == (mpmath.mpc, True)
+    monkeypatch.undo()
+    reference = aberth_roots(coeffs, 512)
+    assert len(balls) == len(reference) == 15
+    with mpmath.mp.workprec(544):
+        for ball in balls:
+            assert sum(abs(ball.center - r.center) <= ball.radius for r in reference) == 1

@@ -1,19 +1,25 @@
 """Carousel radii, fiber tracking, permutation oracle, verdicts."""
 
+import cmath
+import math
 import random
+import time
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
 
 import carousel.tracking as tracking_mod
 from carousel.gaussian import GaussianRational
 from carousel.polar import diagram_from_defining, select_generic_line
-from carousel.poly import Polynomial, parse_polynomial
-from carousel.roots import aberth_roots, solve_numeric
+from carousel.poly import Polynomial, parse_polynomial, poly_gcd, resultant, squarefree_part
+from carousel.report import StageError, analyze_germ
+from carousel.roots import aberth_roots, error_factor, solve_numeric
 from carousel.tracking import (
     RadiiError,
-    TrackingError,
+    WorkBudgetError,
     carousel_permutation,
     choose_radii,
     fixed_point_verdict,
@@ -78,8 +84,18 @@ class TestRoucheCertificate:
     @pytest.mark.parametrize("text", CERTIFIED)
     def test_rouche_margins_recorded(self, text):
         validation = choose_radii(D(text), 128).validation
-        for key in ("rouche_ratio_half_rho", "rouche_ratio_two_rho"):
+        for key in ("rouche_ratio_half_rho", "rouche_ratio_two_rho", "separation_ratio"):
             assert 0 <= validation[key] < 1, key
+
+    def test_separation_certificate_shrinks_eta(self):
+        # u^2 = v + 64*v^2: Rouche holds at eta = 1/64, but the two fiber
+        # points collide at v = -1/64 on that circle; Disc_u is 4*v*(1 + 64*v)
+        d = D("u^2 - v - 64*v^2")
+        radii = choose_radii(d, 128)
+        assert radii.eta == mpf(1) / 256
+        assert radii.validation["separation_ratio"] == 0.25
+        perm = carousel_permutation(d, radii)
+        assert perm.cycle_type == predicted_cycle_type(d) == (2,)
 
     def test_margins_of_a_pure_power(self):
         # v - u^5 at rho = 1, eta = 1/64: eta / (1/2)^5 and eta / 2^5
@@ -117,6 +133,42 @@ class TestRoucheCertificate:
         assert perm.cycle_type == predicted_cycle_type(d) == (2,)
 
 
+_GAUSSIAN = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@seed(9)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 3)), _GAUSSIAN, min_size=2, max_size=10
+    )
+)
+# remainder sequences that skip degrees (u^6 + v*u^3 + 1: 6, 5, 3, ... but
+# 6, 5, 0 at v = 0) and a leading coefficient that vanishes at v = 0
+@example({(6, 0): GaussianRational(1), (3, 1): GaussianRational(1), (0, 0): GaussianRational(1)})
+@example({(4, 1): GaussianRational(1), (1, 0): GaussianRational(1), (0, 2): GaussianRational(2)})
+def test_discriminant_matches_the_sylvester_resultant(terms):
+    # the separation certificate's D against Bareiss elimination, up to a constant
+    delta = Polynomial(("u", "v"), terms)
+    assume(delta.degree("u") >= 2)
+    fast = tracking_mod._discriminant(delta)
+    slow = resultant(delta, delta.partial_derivative("u"), "u").dense_coefficients()
+    width = max(len(fast), len(slow))
+    fast += [GaussianRational(0)] * (width - len(fast))
+    slow += [GaussianRational(0)] * (width - len(slow))
+    j = next((j for j, c in enumerate(slow) if not c.is_zero()), None)
+    if j is None:
+        assert all(c.is_zero() for c in fast)
+        return
+    ratio = fast[j] * slow[j].inverse()
+    assert not ratio.is_zero()
+    assert all((a - ratio * b).is_zero() for a, b in zip(fast, slow))
+
+
 class TestCarouselPermutation:
     def test_quintic_cycle(self):
         d = D("v - u^5")
@@ -146,14 +198,20 @@ class TestCarouselPermutation:
     def test_determinism_and_step_doubling(self):
         d = D("(v - u^2)*(v - u^3)")
         radii = choose_radii(d, 128)
-        a = carousel_permutation(d, radii, steps=512, precision=128)
-        b = carousel_permutation(d, radii, steps=512, precision=128)
+        a = carousel_permutation(d, radii, precision=128)
+        b = carousel_permutation(d, radii, precision=128)
         assert a.sigma == b.sigma
+        assert a.steps_used == b.steps_used
+        assert a.orbit_traces == b.orbit_traces
         assert [str(x.center) for x in a.base_points] == [
             str(x.center) for x in b.base_points
         ]
-        doubled = carousel_permutation(d, radii, steps=1024, precision=128)
-        assert doubled.sigma == a.sigma
+        # the points over |v| = eta lie on two circles, so the continuity
+        # check refuses some steps: each refusal halves the next step and
+        # each acceptance doubles it, more steps than the 18 of a loop
+        # that refuses none
+        accepted = len(a.orbit_traces[0]) - 1
+        assert 18 < accepted < a.steps_used
 
     def test_loop_inverse(self):
         d = D("v - u^5")
@@ -168,19 +226,108 @@ class TestCarouselPermutation:
     def test_traces_cover_the_loop(self):
         d = D("v - u^2")
         radii = choose_radii(d, 128)
-        perm = carousel_permutation(d, radii, steps=128)
+        perm = carousel_permutation(d, radii)
         assert len(perm.orbit_traces) == 2
-        assert all(len(t) >= 129 for t in perm.orbit_traces)
+        # one trace point per accepted step, plus the start
+        assert all(len(t) == perm.steps_used + 1 for t in perm.orbit_traces)
+        # each trace starts on its base point and ends on its image
+        for i, trace in enumerate(perm.orbit_traces):
+            for end, index in ((trace[0], i), (trace[-1], perm.sigma[i])):
+                center = complex(perm.base_points[index].center)
+                assert abs(complex(*end) - center) < 1e-12
         # the tracked points stay inside the fiber disc
         half = float(radii.rho) / 2
         for trace in perm.orbit_traces:
             assert all(re * re + im * im < half * half for re, im in trace)
 
     def test_minimum_steps_enforced(self):
-        d = D("v - u^2")
+        # the 1/16-turn cap sets 18 steps even where nothing is refused,
+        # and the fixed step count is no longer a parameter
+        d = D("v + u")
         radii = choose_radii(d, 128)
-        with pytest.raises(TrackingError):
-            carousel_permutation(d, radii, steps=32)
+        assert carousel_permutation(d, radii).steps_used == 18
+        with pytest.raises(TypeError):
+            carousel_permutation(d, radii, steps=512)
+
+    def test_work_budget_raises_with_counters(self, monkeypatch):
+        d = D("v - u^5")
+        radii = choose_radii(d, 128)
+        assert carousel_permutation(d, radii).work_used <= 40
+        monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
+        with pytest.raises(WorkBudgetError) as info:
+            carousel_permutation(d, radii)
+        assert info.value.counters == {"steps": 11, "newton_iterations": 0, "alpha_passes": 0}
+        assert "work budget of 10 exhausted" in str(info.value)
+
+    def test_budget_is_a_carousel_stage_error(self, monkeypatch):
+        monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
+        with pytest.raises(StageError) as info:
+            analyze_germ("x^5 - y^2")
+        assert info.value.stage == "carousel"
+        assert isinstance(info.value.error, WorkBudgetError)
+
+    def test_clustered_fiber_ends_within_budget(self):
+        # two clusters of four fiber points about 1.5e-5 apart: the double
+        # corrector cannot separate them, and the mpmath fallback either
+        # finishes or stops at the work budget
+        start = time.perf_counter()
+        try:
+            result = analyze_germ("-3*y^5 + 3*x^3*y - 3*x^2")
+        except StageError as exc:
+            assert exc.stage == "carousel"
+            assert isinstance(exc.error, WorkBudgetError)
+        else:
+            assert result.permutation.cycle_type == result.predicted_cycles
+        assert time.perf_counter() - start < 60
+
+
+class TestAlphaTest:
+    @staticmethod
+    def _radius(coeffs, z, double):
+        if double:
+            coeffs = [complex(c) for c in coeffs]
+            gamma = error_factor(4 * len(coeffs), 2.0 ** -53)
+        else:
+            coeffs = [mpc(c) for c in coeffs]
+            gamma = error_factor(4 * len(coeffs), mpf(2) ** -160)
+        majorants = [abs(c) for c in coeffs]
+        return tracking_mod._alpha_radius(coeffs, majorants, z, gamma, double)
+
+    @pytest.mark.parametrize("double", (True, False))
+    def test_accepts_at_a_simple_root(self, double):
+        # u^2 - 1 at 0.9: beta = 0.19/1.8, gamma = 1/1.8, alpha ~ 0.059
+        with mp.workprec(192):
+            z = complex(0.9) if double else mpc("0.9")
+            radius = self._radius([-1, 0, 1], z, double)
+            assert radius is not None
+            assert abs(z - 1) <= radius
+
+    @pytest.mark.parametrize("double", (True, False))
+    def test_refuses_next_to_a_near_double_root(self, double):
+        # (u - 1)(u - 1 - eps) at 1 + 3*eps: beta = 1.2*eps, gamma = 1/(5*eps)
+        eps = mpf(2) ** -20
+        with mp.workprec(192):
+            coeffs = [1 + eps, -(2 + eps), 1]
+            z = 1 + 3 * eps
+            assert self._radius(coeffs, complex(z) if double else mpc(z), double) is None
+            # within eps/1024 of one root of the pair it passes
+            near = 1 + eps / 1024
+            assert self._radius(coeffs, complex(near) if double else mpc(near), double)
+
+    def test_refuses_a_prediction_that_is_too_far(self):
+        # v - u^2: one step straight from u = 1/4 to the next fiber over a
+        # quarter turn is refused, the tangent prediction over 1/64 passes
+        d = D("v - u^2")
+        fiber = tracking_mod._FiberPolynomial(d.defining, 128)
+        eta = 1.0 / 16
+        start = [0.25, -0.25]
+        for turn, accepted in ((1 / 4, False), (1 / 64, True)):
+            v_to = eta * cmath.exp(2j * math.pi * turn)
+            coeffs, majorants = fiber.at_value_double(v_to)
+            predicted = fiber.predict([complex(z) for z in start], eta, v_to, double=True)
+            assert tracking_mod._alpha_certified(
+                coeffs, majorants, predicted, fiber.gamma_d, True
+            ) is accepted
 
 
 class TestDoubleKernel:
@@ -233,7 +380,7 @@ class TestDoubleKernel:
                 roots = aberth_roots(fiber.at_value(v)[0], 256)
                 rho = 4 * (1 + max(abs(b.center) for b in roots))
                 starts = [complex(b.center) * (1 + 1e-9j) for b in roots]
-                result = tracking_mod._refine_double(fiber, v, starts, rho)
+                result = tracking_mod._refine_double(fiber, v, v, starts, rho)
                 assert result is not None
                 for ball, z, radius in zip(roots, *result):
                     assert abs(ball.center - z) <= radius
@@ -293,3 +440,74 @@ class TestFixedPointVerdict:
         )
         with pytest.raises(RadiiError):
             choose_radii(diagram, 128)
+
+
+# every corpus germ takes the 18 steps of a loop without refusals, except
+# these two, whose fiber points lie on nearby circles
+STEP_BOUNDS = {"x^5 - x*y^3": 64, "x^4 + x^2*y^2 + y^4": 256}
+
+
+def test_steps_used_on_the_corpus():
+    from carousel.corpus import CORPUS, NON_M2
+
+    for germ in CORPUS + NON_M2:
+        steps = analyze_germ(germ).permutation.steps_used
+        assert steps <= STEP_BOUNDS.get(germ, 18), (germ, steps)
+
+
+def test_one_base_solve_per_analysis(monkeypatch):
+    # choose_radii solves the base fiber and hands it to the tracker
+    calls = []
+    real = tracking_mod.solve_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tracking_mod, "solve_numeric", counted)
+    result = analyze_germ("x^5 - x*y^3")
+    assert len(calls) == 1
+    assert result.permutation.cycle_type == result.predicted_cycles
+
+
+_CONSTANTS = ("1", "-1", "2", "i", "-2*i", "1+i", "3")
+
+
+@seed(6)
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_CONSTANTS), st.integers(min_value=1, max_value=4)),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    )
+)
+def test_tracked_cycle_type_of_branch_products(branches):
+    # prod (v - c*u^k) over distinct (c, k): each factor is one cycle of length k
+    d = D("*".join(f"(v - ({c})*u^{k})" for c, k in branches))
+    perm = carousel_permutation(d, choose_radii(d, 128))
+    assert perm.cycle_type == predicted_cycle_type(d) == tuple(sorted(k for _, k in branches))
+
+
+@seed(7)
+@settings(max_examples=15, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: 2 <= sum(e) <= 4),
+        st.integers(-3, 3).filter(bool),
+        min_size=2,
+        max_size=4,
+    )
+)
+def test_tracked_cycle_type_of_m2_germs(terms):
+    f = Polynomial(("x", "y"), {e: GaussianRational(c) for e, c in terms.items()})
+    fx, fy = f.partial_derivative("x"), f.partial_derivative("y")
+    # an isolated singularity: squarefree, and the partials share no curve through 0
+    assume(squarefree_part(f).total_degree() == f.total_degree())
+    assume(not fx.is_zero() and not fy.is_zero())
+    g = poly_gcd(fx, fy)
+    assume(g.is_constant() or not g.constant_term().is_zero())
+    result = analyze_germ(str(f))
+    assert result.permutation.cycle_type == result.predicted_cycles
+    assert result.permutation.fixed_points == ()
