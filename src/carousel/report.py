@@ -161,7 +161,6 @@ def analyze_germ(
             carousel_permutation,
             selection.diagram,
             radii,
-            precision=precision,
         )
         predicted = predicted_cycle_type(selection.diagram)
         if tuple(sorted(permutation.cycle_type)) != tuple(sorted(predicted)):

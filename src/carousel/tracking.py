@@ -11,10 +11,11 @@ and Newton's method then gives it a certified inclusion radius, the
 corrected points stay unambiguous and none moves more than a quarter of
 their separation.  The corrector runs in complex doubles under a
 running rounding-error bound; if a double-precision certificate still
-fails at the finest step, the whole loop is tracked again with the
-mpmath corrector at the requested precision.  Both share one constant
-work budget.  The base fiber comes solved with the radii, and the
-polish of the end points and the final matching run at the requested
+fails at the finest step, or after 2^20 steps, the whole loop is
+tracked again with the mpmath corrector at the precision of the radii.
+The mpmath work (steps, Newton iterations and alpha-test passes) is
+held to a constant budget.  The base fiber comes solved with the radii,
+and the polish of the end points and the final matching run at their
 precision.  The loop closes up to a permutation of the base fiber; it is
 checked against the exact cycle type predicted from the Puiseux
 branches of Delta.
@@ -32,9 +33,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .gaussian import GaussianRational
 from .polar import CerfDiagram
-from .poly import Polynomial
+from .poly import Polynomial, resultant
 from .roots import (PrecisionError, error_factor, gaussian_to_mpc,
                     horner_bound, newton_radius, ordering_key, solve_numeric)
 
@@ -55,9 +55,11 @@ _FIRST_STEP = 6
 _LONGEST_STEP = 4
 _TURN = 1 << _DEPTH
 
-# corrector work per carousel: tracker steps in either precision, plus
-# the Newton iterations and the alpha-test Horner passes of the mpmath
-# corrector (its costly part)
+# tracker steps per loop, in either precision
+_MAX_STEPS = 1 << 20
+
+# mpmath corrector work per carousel: its steps, Newton iterations and
+# alpha-test Horner passes; the double corrector is not charged
 WORK_BUDGET = 50000
 
 
@@ -70,7 +72,7 @@ class RadiiError(TrackingError):
 
 
 class WorkBudgetError(TrackingError):
-    """The corrector used up WORK_BUDGET; `counters` says on what."""
+    """The mpmath corrector used up WORK_BUDGET; `counters` says on what."""
 
     def __init__(self, counters: dict):
         super().__init__(
@@ -82,7 +84,7 @@ class WorkBudgetError(TrackingError):
 
 
 class _Work:
-    """Counts corrector work against WORK_BUDGET."""
+    """Counts mpmath corrector work against WORK_BUDGET."""
 
     def __init__(self):
         self.counters = {"steps": 0, "newton_iterations": 0, "alpha_passes": 0}
@@ -102,8 +104,8 @@ class CarouselRadii:
     """Validated disc radii: fiber disc |u| < rho, value circle |v| = eta.
 
     `base_points` are the certified fiber points below rho/2 over v = eta,
-    solved at `precision`, and `fiber` is Delta ready for evaluation, so
-    that tracking at the same precision solves nothing again.
+    solved at `precision`, and `fiber` is Delta ready for evaluation; the
+    tracker works at that precision and solves nothing again.
     """
 
     rho: mpf
@@ -124,7 +126,6 @@ class CarouselPermutation:
     orbit_traces: tuple
     steps_used: int
     precision_used: int
-    work_used: int
 
 
 @dataclass(frozen=True)
@@ -269,9 +270,13 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
                 continue
             rho_mp, eta_mp = mpf(4) ** (-k), mpf(4) ** (-k - j)
             try:
-                base = _base_fiber(fiber, rho_mp, eta_mp)
+                roots = solve_numeric(fiber.at_value(eta_mp)[0], precision)
             except PrecisionError:
                 continue
+            base = sorted(
+                (b for b in roots if abs(b.center) < rho_mp / 2),
+                key=lambda b: ordering_key(b.center),
+            )
             centers = [b.center for b in base]
             seps = [
                 abs(a - b) / max(abs(a), abs(b), mpf(1e-30))
@@ -312,7 +317,7 @@ def _separation_bound(delta: Polynomial):
     """
     if delta.degree("u") < 2:
         return lambda eta: 0
-    d = _discriminant(delta)
+    d = resultant(delta, delta.partial_derivative("u"), "u").dense_coefficients()
     k = next((j for j, c in enumerate(d) if not c.is_zero()), None)
     if k is None:
         raise RadiiError("diagram is not squarefree in u")
@@ -326,118 +331,6 @@ def _separation_bound(delta: Polynomial):
     return ratio_sq
 
 
-def _discriminant(delta: Polynomial) -> list:
-    """Res_u(Delta, Delta_u) as dense coefficients in v, up to a constant factor.
-
-    Delta is scaled to Gaussian-integer coefficients.  The resultant, of
-    degree at most N = (2n - 1)*deg_v(Delta) for n = deg_u(Delta), is
-    evaluated exactly at v = 0, 1, ..., N by a subresultant remainder
-    sequence over Z[i]; where the u-degree drops, the leading
-    coefficients of Delta and Delta_u vanish together, so the Sylvester
-    determinant is 0 there.  Newton's forward differences then give it
-    in the falling-factorial basis, whose expansion has integer
-    (Stirling) coefficients.  Bareiss elimination over bivariate
-    polynomials (`poly.resultant`) gives the same polynomial but can be
-    hundreds of times slower on dense Delta.
-    """
-    n, dv = delta.degree("u"), delta.degree("v")
-    scale = math.lcm(*(x.denominator for c in delta.terms.values() for x in (c.re, c.im)))
-    rows = [[(0, 0)] * (dv + 1) for _ in range(n + 1)]
-    for (i, j), c in delta.terms.items():
-        rows[i][j] = (int(c.re * scale), int(c.im * scale))
-    top = (2 * n - 1) * dv
-    values = []
-    for v in range(top + 1):
-        p = []
-        for row in rows:
-            re = im = 0
-            for a, b in reversed(row):
-                re, im = re * v + a, im * v + b
-            p.append((re, im))
-        if p[-1] == (0, 0):
-            values.append((0, 0))
-        else:
-            dp = [(k * re, k * im) for k, (re, im) in enumerate(p)][1:]
-            values.append(_zi_resultant(p, dp))
-    # D(v) = sum_k diff_k * (v)_k / k!, (v)_k = v (v - 1) ... (v - k + 1);
-    # everything is kept over the common denominator top!
-    coeffs = [[0, 0] for _ in range(top + 1)]
-    falling = [1]
-    weight = math.factorial(top)
-    for k in range(top + 1):
-        re0, im0 = values[0]
-        for j, stirling in enumerate(falling):
-            coeffs[j][0] += re0 * stirling * weight
-            coeffs[j][1] += im0 * stirling * weight
-        values = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(values, values[1:])]
-        falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
-        weight //= k + 1
-    total = math.factorial(top)
-    return [GaussianRational(Fraction(re, total), Fraction(im, total)) for re, im in coeffs]
-
-
-def _zi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _zi_pow(a, k):
-    out = (1, 0)
-    for _ in range(k):
-        out = _zi_mul(out, a)
-    return out
-
-
-def _zi_exact_div(a, b):
-    norm = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) // norm, (a[1] * b[0] - a[0] * b[1]) // norm)
-
-
-def _zi_prem(a, b):
-    """Pseudo-remainder r with lc(b)^(deg a - deg b + 1)*a = q*b + r over Z[i]."""
-    r = list(a)
-    lead = b[-1]
-    unused = len(a) - len(b) + 1
-    while r and len(r) >= len(b):
-        top = r[-1]
-        shift = len(r) - len(b)
-        r = [_zi_mul(lead, c) for c in r]
-        for i, c in enumerate(b):
-            t = _zi_mul(top, c)
-            r[shift + i] = (r[shift + i][0] - t[0], r[shift + i][1] - t[1])
-        r.pop()
-        unused -= 1
-        while r and r[-1] == (0, 0):
-            r.pop()
-    factor = _zi_pow(lead, unused)
-    return [_zi_mul(factor, c) for c in r]
-
-
-def _zi_resultant(a, b):
-    """Res(a, b) over Z[i] for deg a >= deg b >= 1 (coefficient lists, low first).
-
-    The subresultant remainder sequence of Collins and Brown (Cohen, A
-    Course in Computational Algebraic Number Theory, Algorithm 3.3.7);
-    all its divisions are exact.
-    """
-    sign = 1
-    g = h = (1, 0)
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        r = _zi_prem(a, b)
-        if not r:
-            return (0, 0)
-        divisor = _zi_mul(g, _zi_pow(h, delta))
-        a, b = b, [_zi_exact_div(c, divisor) for c in r]
-        g = a[-1]
-        if delta:
-            h = _zi_exact_div(_zi_pow(g, delta), _zi_pow(h, delta - 1))
-    degree = len(a) - 1
-    res = _zi_exact_div(_zi_pow(b[-1], degree), _zi_pow(h, degree - 1))
-    return (sign * res[0], sign * res[1])
-
-
 def _modulus_bound(c) -> Fraction:
     """A rational upper bound of |c|, exact on the axes, else within 2^-32."""
     if not c.im or not c.re:
@@ -446,14 +339,6 @@ def _modulus_bound(c) -> Fraction:
     scaled = (n.numerator * n.denominator) << 64
     root = math.isqrt(scaled)
     return Fraction(root + (root * root < scaled), n.denominator << 32)
-
-
-def _base_fiber(fiber, rho, eta):
-    """The fiber points below rho/2 over v = eta, in canonical order."""
-    roots = solve_numeric(fiber.at_value(eta)[0], fiber.precision)
-    near = [b for b in roots if abs(b.center) < rho / 2]
-    near.sort(key=lambda b: ordering_key(b.center))
-    return near
 
 
 def _alpha_radius(coeffs, majorants, z, gamma, double):
@@ -513,14 +398,15 @@ def _refine_points(fiber, v_from, v_to, points, rho, precision, work):
     """Predict from v_from and correct over v_to in mpmath; (points, radii) or None.
 
     With v_from == v_to (the polish of tracked end points) there is no
-    prediction to certify and the points are only corrected.  Every
-    Newton iteration and every Horner pass of the alpha-test (n per
-    point) is charged to `work`.
+    prediction to certify and the points are only corrected.  Every step,
+    Newton iteration and Horner pass of the alpha-test (n per point) is
+    charged to `work`.
     """
     coeffs, majorants = fiber.at_value(v_to)
     n = len(coeffs) - 1
     predicted = points
     if v_from != v_to:
+        work.spend("steps")
         predicted = fiber.predict(points, v_from, v_to, double=False)
         work.spend("alpha_passes", len(points) * n)
         if not _alpha_certified(coeffs, majorants, predicted, fiber.gamma, False):
@@ -610,14 +496,14 @@ def _checked_move(points, new_pts, new_radii):
     return new_pts, new_radii
 
 
-def _track(refine, points, eta, direction, work):
+def _track(refine, points, eta, direction):
     """Follow `points` once around |v| = eta with the corrector `refine`.
 
     `refine(v_from, v_to, points)` returns (points, radii) or None.  The
     first step is 1/64 turn; an accepted step doubles the next one, up
-    to 1/16 turn, and a refusal halves it, down to 2^-50 turn.  Every
-    step is charged to `work`.  Returns the end points, the orbit traces
-    and the number of steps tried.
+    to 1/16 turn, and a refusal halves it, down to 2^-50 turn, failing
+    hard beyond _MAX_STEPS steps.  Returns the end points, the orbit
+    traces and the number of steps tried.
     """
     traces = [[(float(z.real), float(z.imag))] for z in points]
     used = 0
@@ -626,8 +512,9 @@ def _track(refine, points, eta, direction, work):
     v_from = mpc(eta)
     while theta < _TURN:
         step = min(length, _TURN - theta)
+        if used >= _MAX_STEPS:
+            raise TrackingError("step budget exhausted (matching stayed ambiguous)")
         v_to = eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN)
-        work.spend("steps")
         used += 1
         result = refine(v_from, v_to, points)
         if result is None:
@@ -647,29 +534,24 @@ def _track(refine, points, eta, direction, work):
 def carousel_permutation(
     diagram: CerfDiagram,
     radii: CarouselRadii,
-    precision: int = 128,
     direction: int = 1,
 ) -> CarouselPermutation:
     """Monodromy permutation of the fiber points over one loop in v.
 
-    Deterministic for a fixed precision: the steps are dyadic fractions
-    of a turn chosen by the rule of `_track`.  A loop that needs more
-    than WORK_BUDGET units of corrector work raises WorkBudgetError.
-    With radii from `choose_radii` at the same precision the base fiber
-    is not solved again.  `direction=-1` traverses the loop clockwise
-    and yields the inverse permutation.
+    Works at the precision of `radii`, from the base fiber solved with
+    them.  Deterministic: the steps are dyadic fractions of a turn chosen
+    by the rule of `_track`.  A loop that needs more than WORK_BUDGET
+    units of mpmath corrector work raises WorkBudgetError.
+    `direction=-1` traverses the loop clockwise and yields the inverse
+    permutation.
     """
     if diagram.is_empty:
         raise TrackingError("empty diagram has no carousel")
     if direction not in (1, -1):
         raise TrackingError("direction must be +1 or -1")
     work = _Work()
+    precision, fiber, base = radii.precision, radii.fiber, radii.base_points
     with mp.workprec(precision + 32):
-        if radii.precision == precision:
-            fiber, base = radii.fiber, list(radii.base_points)
-        else:
-            fiber = _FiberPolynomial(diagram.defining, precision)
-            base = _base_fiber(fiber, radii.rho, radii.eta)
         m = diagram.contact_count
         if len(base) != m:
             raise TrackingError(
@@ -683,7 +565,6 @@ def carousel_permutation(
                 [complex(b.center) for b in base],
                 radii.eta,
                 direction,
-                work,
             )
             polished = _refine_points(
                 fiber, end_v, end_v, [mpc(z) for z in points], rho, precision, work
@@ -701,7 +582,6 @@ def carousel_permutation(
                 [b.center for b in base],
                 radii.eta,
                 direction,
-                work,
             )
             sigma = _match_to_base(points, base, precision)
         fixed = tuple(i for i, j in enumerate(sigma) if i == j)
@@ -715,7 +595,6 @@ def carousel_permutation(
             orbit_traces=tuple(tuple(t) for t in traces),
             steps_used=used,
             precision_used=precision,
-            work_used=work.used,
         )
 
 
