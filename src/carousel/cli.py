@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .family import FamilyGerm, coalescing_verdict, conservation_check
+from .family import DEFAULT_SAMPLES, FamilyGerm, coalescing_verdict, conservation_check
 from .gaussian import GaussianRational
 from .homology import (
     HomologyError,
@@ -153,7 +153,7 @@ def cmd_family(args) -> int:
         )
         family = FamilyGerm(
             F=poly,
-            t_samples=samples or FamilyGerm.__dataclass_fields__["t_samples"].default,
+            t_samples=samples or DEFAULT_SAMPLES,
             search_radius=Fraction(args.radius),
         )
         print(f"family: {args.family}", file=sys.stderr)

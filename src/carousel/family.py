@@ -10,8 +10,8 @@ applies the uniqueness statement only when its hypothesis holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -34,26 +34,28 @@ DEFAULT_SAMPLES = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyGerm:
+class FamilyGerm(
+    NamedTuple(
+        "FamilyGerm",
+        [("F", Polynomial), ("t_samples", tuple), ("search_radius", Fraction)],
+    )
+):
     """F(x, y, t) with f_0 having an isolated critical point at the origin."""
 
-    F: Polynomial
-    t_samples: tuple = DEFAULT_SAMPLES
-    search_radius: Fraction = Fraction(1, 2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.F.variables) != 3:
+    def __new__(cls, F: Polynomial, t_samples=DEFAULT_SAMPLES, search_radius=Fraction(1, 2)):
+        if len(F.variables) != 3:
             raise FamilyError("family polynomial must use (x, y, t)")
-        if not self.F.constant_term().is_zero():
+        if not F.constant_term().is_zero():
             raise FamilyError("family does not vanish at the origin")
-        samples = tuple(GaussianRational.from_value(s) for s in self.t_samples)
+        samples = tuple(GaussianRational.from_value(s) for s in t_samples)
         if any(s.is_zero() for s in samples):
             raise FamilyError("parameter samples must be nonzero")
-        object.__setattr__(self, "t_samples", samples)
-        object.__setattr__(self, "search_radius", Fraction(self.search_radius))
-        if self.search_radius <= 0:
+        search_radius = Fraction(search_radius)
+        if search_radius <= 0:
             raise FamilyError("search radius must be positive")
+        self = super().__new__(cls, F, samples, search_radius)
         f0 = self.slice(GaussianRational(0))
         if f0.is_zero():
             raise FamilyError("f_0 vanishes identically")
@@ -69,13 +71,13 @@ class FamilyGerm:
             g = poly_gcd(fx, fy)
             if not g.is_constant() and g.constant_term().is_zero():
                 raise FamilyError("f_0 has a non-isolated critical point")
+        return self
 
     def slice(self, t_value) -> Polynomial:
         return self.F.eliminate_variable("t", GaussianRational.from_value(t_value))
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     x: ComplexBall
     y: ComplexBall
     local_mu: int
@@ -84,8 +86,7 @@ class CriticalPoint:
     inside: bool
 
 
-@dataclass(frozen=True)
-class CriticalRecord:
+class CriticalRecord(NamedTuple):
     t: GaussianRational
     points: tuple
     total_mu: int
@@ -289,8 +290,7 @@ def _fiber_point(p, q, xball, precision):
     return merged
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     family: FamilyGerm
     mu_origin: int
     records: tuple
@@ -316,8 +316,7 @@ def conservation_check(family: FamilyGerm, precision: int = 128) -> Conservation
     )
 
 
-@dataclass(frozen=True)
-class CoalescingVerdict:
+class CoalescingVerdict(NamedTuple):
     status: str  # CONSISTENT | VIOLATION | NOT_APPLICABLE
     hypothesis_holds: bool
     zero_fiber_mu: tuple

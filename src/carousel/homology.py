@@ -11,16 +11,15 @@ trace gives the Lefschetz number 1 - tr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class HomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple
@@ -149,30 +148,28 @@ def smith_normal_form(matrix):
     return a, u, v
 
 
-@dataclass(frozen=True)
-class MarkedDiskComplex:
+class MarkedDiskComplex(NamedTuple("MarkedDiskComplex", [("n", int), ("pairing", tuple)])):
     """Disk with n cyclic marked points glued along a perfect matching."""
 
-    n: int
-    pairing: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+    def __new__(cls, n: int, pairing):
+        if n < 2 or n % 2 != 0:
             raise HomologyError("need an even number of marked points")
         seen = set()
         pairs = []
-        for pair in self.pairing:
+        for pair in pairing:
             pair = tuple(sorted(int(x) for x in pair))
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise HomologyError("pairing must consist of disjoint 2-element pairs")
             for x in pair:
-                if x < 0 or x >= self.n or x in seen:
+                if x < 0 or x >= n or x in seen:
                     raise HomologyError("pairing is not a perfect matching of 0..n-1")
                 seen.add(x)
             pairs.append(pair)
-        if len(seen) != self.n:
+        if len(seen) != n:
             raise HomologyError("pairing is not a perfect matching of 0..n-1")
-        object.__setattr__(self, "pairing", tuple(sorted(pairs)))
+        return super().__new__(cls, n, tuple(sorted(pairs)))
 
     def vertex_classes(self):
         """Map label -> class index (one class per pair)."""
@@ -196,8 +193,7 @@ class MarkedDiskComplex:
         return len(self.pairing) - self.n + 1
 
 
-@dataclass(frozen=True)
-class H1Data:
+class H1Data(NamedTuple):
     rank: int
     basis: tuple  # integer edge-chains, one per free generator
     torsion: tuple

@@ -13,7 +13,7 @@ trigger a redraw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gaussian import GaussianRational, ONE
 from .poly import (
@@ -45,8 +45,7 @@ class CertificateFailure(ValueError):
     """One candidate line failed one certificate (internal control flow)."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """l = a*x + b*y with the seed that produced it."""
 
     a: GaussianRational
@@ -71,8 +70,7 @@ class LinearForm:
         return str(self.as_polynomial())
 
 
-@dataclass(frozen=True)
-class PolarCurve:
+class PolarCurve(NamedTuple):
     """Reduced polar curve; `defining` = 1 means it is empty."""
 
     defining: Polynomial
@@ -83,8 +81,7 @@ class PolarCurve:
         return self.defining.is_constant() or not self.defining.constant_term().is_zero()
 
 
-@dataclass(frozen=True)
-class CerfDiagram:
+class CerfDiagram(NamedTuple):
     """Squarefree image curve Delta(u, v) with its branch data.
 
     `leading_exponents` lists, per branch, the rational a with
@@ -104,8 +101,7 @@ class CerfDiagram:
         return self.branches is None
 
 
-@dataclass(frozen=True)
-class TangencyVerdict:
+class TangencyVerdict(NamedTuple):
     exponents: tuple
     tangent: bool
     empty_polar: bool
@@ -260,8 +256,7 @@ def tangency_report(diagram: CerfDiagram, f_order: int) -> TangencyVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineSelection:
+class LineSelection(NamedTuple):
     line: LinearForm
     polar: PolarCurve
     diagram: CerfDiagram

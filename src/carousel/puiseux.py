@@ -15,8 +15,8 @@ operations), which needs only field arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -50,8 +50,7 @@ class SeparationError(PuiseuxError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonSegment:
+class NewtonSegment(NamedTuple):
     """One edge of the lower Newton polygon.
 
     `slope` is the plain (negative) slope in the exponent plane; the
@@ -118,8 +117,7 @@ def newton_polygon(f: Polynomial) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PuiseuxBranch:
+class PuiseuxBranch(NamedTuple):
     """One local branch: x = t^e, y = sum coefficients[k] * t^exponents[k].
 
     An empty exponent list encodes the axis branch y = 0.
@@ -146,8 +144,7 @@ class PuiseuxBranch:
         return Fraction(self.y_order, self.ramification_index)
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
+class BranchDecomposition(NamedTuple):
     germ: Polynomial
     branches: tuple
     multiplicities: tuple

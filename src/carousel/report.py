@@ -10,7 +10,7 @@ separate block).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gaussian import GaussianRational
 from .polar import (
@@ -48,8 +48,7 @@ class StageError(RuntimeError):
         self.error = error
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     germ_text: str
     variables: tuple
     germ: Polynomial

@@ -27,8 +27,8 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -99,8 +99,7 @@ class _Work:
             raise WorkBudgetError(self.counters)
 
 
-@dataclass(frozen=True)
-class CarouselRadii:
+class CarouselRadii(NamedTuple):
     """Validated disc radii: fiber disc |u| < rho, value circle |v| = eta.
 
     `base_points` are the certified fiber points below rho/2 over v = eta,
@@ -112,12 +111,11 @@ class CarouselRadii:
     eta: mpf
     validation: dict
     precision: int
-    base_points: tuple = field(repr=False, compare=False)
-    fiber: "_FiberPolynomial" = field(repr=False, compare=False)
+    base_points: tuple
+    fiber: "_FiberPolynomial"
 
 
-@dataclass(frozen=True)
-class CarouselPermutation:
+class CarouselPermutation(NamedTuple):
     m: int
     base_points: tuple
     sigma: tuple
@@ -128,8 +126,7 @@ class CarouselPermutation:
     precision_used: int
 
 
-@dataclass(frozen=True)
-class FixedPointVerdict:
+class FixedPointVerdict(NamedTuple):
     fixed_point_free: bool
     consistent: bool
     predicted_lefschetz: int | None

@@ -281,8 +281,7 @@ class TestExitCodeTwo:
 
         def tampered(*args, **kwargs):
             result = real(*args, **kwargs)
-            object.__setattr__(result.tangency, "consistent", False)
-            return result
+            return result._replace(tangency=result.tangency._replace(consistent=False))
 
         monkeypatch.setattr(cli_mod, "analyze_germ", tampered)
         code, out, _ = run_cli(
