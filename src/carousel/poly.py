@@ -9,9 +9,10 @@ is exact; numeric conversion happens only in the root solver.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .gaussian import GaussianRational, ZERO, ONE, I
+from .gaussian import GaussianRational, ZERO, ONE, I, from_integers
 
 
 class PolynomialError(ValueError):
@@ -560,8 +561,8 @@ def _univar_gcd(a: list, b: list) -> list:
     (denominators cleared, integer content stripped per step) to keep the
     coefficient sizes polynomial instead of exponential.
     """
-    A = _strip_int(_to_gaussian_int(a))
-    B = _strip_int(_to_gaussian_int(b))
+    A = _strip_int(_to_gaussian_int(a)[1])
+    B = _strip_int(_to_gaussian_int(b)[1])
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -569,22 +570,17 @@ def _univar_gcd(a: list, b: list) -> list:
         A, B = B, R
     if not A:
         return []
-    lead = GaussianRational(Fraction(A[-1][0]), Fraction(A[-1][1]))
-    inv = lead.inverse()
-    return [GaussianRational(Fraction(re), Fraction(im)) * inv for re, im in A]
+    # divide by the leading Gaussian integer la + lb*i
+    la, lb = A[-1]
+    n = la * la + lb * lb
+    return [from_integers(re * la + im * lb, im * la - re * lb, n) for re, im in A]
 
 
 def _to_gaussian_int(coeffs):
-    from math import gcd as _gcd
-
-    den = 1
-    for c in coeffs:
-        den = den * c.re.denominator // _gcd(den, c.re.denominator)
-        den = den * c.im.denominator // _gcd(den, c.im.denominator)
-    return [
-        (int(c.re * den), int(c.im * den))
-        for c in coeffs
-    ]
+    """(den, Gaussian-integer pairs of the coefficients times den), den the
+    lcm of their denominators."""
+    den = lcm(*(c.d for c in coeffs))
+    return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
 
 
 def _strip_int(coeffs):
@@ -595,11 +591,9 @@ def _strip_int(coeffs):
 
 
 def _int_content_strip(coeffs):
-    from math import gcd as _gcd
-
     g = 0
     for re, im in coeffs:
-        g = _gcd(g, _gcd(abs(re), abs(im)))
+        g = gcd(g, re, im)
         if g == 1:
             return coeffs
     if g in (0, 1):
@@ -818,20 +812,14 @@ def _rational_content_normalize(p: Polynomial) -> Polynomial:
     Gaussian integers (keeps sizes small along remainder sequences)."""
     if p.is_zero():
         return p
-    from math import gcd as _gcd
-
-    den = 1
-    for c in p.terms.values():
-        den = den * c.re.denominator // _gcd(den, c.re.denominator)
-        den = den * c.im.denominator // _gcd(den, c.im.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = _gcd(num, abs(int(c.re * den)))
-        num = _gcd(num, abs(int(c.im * den)))
-        if num == 1 and den == 1:
-            return p
-    content = Fraction(num, den) if num else Fraction(1, den)
-    return p.scale(GaussianRational(1 / content))
+    den, ints = _to_gaussian_int(p.terms.values())
+    num = gcd(*(x for pair in ints for x in pair))
+    if num == 1 and den == 1:
+        return p
+    return Polynomial(
+        p.variables,
+        {e: from_integers(re // num, im // num) for e, (re, im) in zip(p.terms, ints)},
+    )
 
 
 def _pseudo_remainder(p: Polynomial, q: Polynomial, var: str) -> Polynomial:

@@ -16,6 +16,7 @@ import cmath
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .gaussian import GaussianRational
 from .poly import Polynomial, PolynomialError
@@ -54,10 +55,16 @@ class ComplexBall:
 
 
 def gaussian_to_mpc(value: GaussianRational) -> mpc:
-    """Round an exact Q(i) value to the current working precision."""
-    re = mpf(value.re.numerator) / value.re.denominator
-    im = mpf(value.im.numerator) / value.im.denominator
-    return mpc(re, im)
+    """Round an exact Q(i) value to the current working precision.
+
+    Each component is rounded once, to nearest, however wide its
+    numerator and denominator are.
+    """
+    prec = mp.prec
+    return mp.make_mpc((
+        from_rational(value.a, value.d, prec, round_nearest),
+        from_rational(value.b, value.d, prec, round_nearest),
+    ))
 
 
 _ORDER_GRID = 1 << 40

@@ -239,8 +239,7 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
         raise RadiiError("empty diagram has no carousel")
     m = diagram.contact_count
     terms = diagram.defining.terms
-    lowest = terms[(m, 0)]
-    lowest_sq = lowest.re * lowest.re + lowest.im * lowest.im
+    lowest_sq = _modulus_sq(terms[(m, 0)])
     # every other term has j >= 1 or i > m, as u^m is the lowest of Delta(u, 0)
     bounds = [(i, j, _modulus_bound(c)) for (i, j), c in terms.items() if (i, j) != (m, 0)]
 
@@ -318,7 +317,7 @@ def _separation_bound(delta: Polynomial):
     k = next((j for j, c in enumerate(d) if not c.is_zero()), None)
     if k is None:
         raise RadiiError("diagram is not squarefree in u")
-    lowest_sq = d[k].re * d[k].re + d[k].im * d[k].im
+    lowest_sq = _modulus_sq(d[k])
     rest = [(j - k, _modulus_bound(c)) for j, c in enumerate(d) if j > k and not c.is_zero()]
 
     def ratio_sq(eta):
@@ -328,14 +327,22 @@ def _separation_bound(delta: Polynomial):
     return ratio_sq
 
 
+def _modulus_sq(c) -> Fraction:
+    """|c|^2 exactly."""
+    return Fraction(c.a * c.a + c.b * c.b, c.d * c.d)
+
+
 def _modulus_bound(c) -> Fraction:
     """A rational upper bound of |c|, exact on the axes, else within 2^-32."""
-    if not c.im or not c.re:
-        return abs(c.re or c.im)
-    n = c.re * c.re + c.im * c.im
-    scaled = (n.numerator * n.denominator) << 64
+    if not c.a or not c.b:
+        return Fraction(abs(c.a or c.b), c.d)
+    # |c|^2 = num/den in lowest terms; sqrt(num*den * 2^64) / (den * 2^32)
+    num, den = c.a * c.a + c.b * c.b, c.d * c.d
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    scaled = (num * den) << 64
     root = math.isqrt(scaled)
-    return Fraction(root + (root * root < scaled), n.denominator << 32)
+    return Fraction(root + (root * root < scaled), den << 32)
 
 
 def _alpha_radius(coeffs, majorants, z, gamma, double):

@@ -1,6 +1,7 @@
 """Certified univariate root solving."""
 
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,7 +13,7 @@ import carousel.roots as roots_mod
 from carousel.gaussian import GaussianRational
 from carousel.poly import Polynomial, PolynomialError, parse_polynomial
 from carousel.roots import (ComplexBall, PrecisionError, aberth_roots,
-                            solve_numeric, univariate_roots)
+                            gaussian_to_mpc, solve_numeric, univariate_roots)
 
 
 def U(text):
@@ -213,3 +214,17 @@ def test_clustered_solve_stops_at_the_rounding_floor(monkeypatch):
     with mpmath.mp.workprec(544):
         for ball in balls:
             assert sum(abs(ball.center - r.center) <= ball.radius for r in reference) == 1
+
+
+def test_gaussian_to_mpc_rounds_once():
+    # 120-bit numerators over 60-bit denominators at 53 bits: rounding the
+    # numerator first and then the quotient misses the nearest double in
+    # about a quarter of these; float(Fraction) is correctly rounded
+    rng = random.Random(11)
+    with mpmath.mp.workprec(53):
+        for _ in range(200):
+            d = rng.getrandbits(60) | 1 << 59
+            re = Fraction(rng.getrandbits(120) | 1 << 119, d)
+            im = Fraction(-(rng.getrandbits(120) | 1 << 119), d)
+            z = gaussian_to_mpc(GaussianRational(re, im))
+            assert (float(z.real), float(z.imag)) == (float(re), float(im))
