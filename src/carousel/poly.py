@@ -579,7 +579,9 @@ def _univar_gcd(a: list, b: list) -> list:
 def _to_gaussian_int(coeffs):
     """(den, Gaussian-integer pairs of the coefficients times den), den the
     lcm of their denominators."""
-    den = lcm(*(c.d for c in coeffs))
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.d)
     return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
 
 
@@ -813,12 +815,12 @@ def _rational_content_normalize(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     den, ints = _to_gaussian_int(p.terms.values())
-    num = gcd(*(x for pair in ints for x in pair))
-    if num == 1 and den == 1:
+    primitive = _int_content_strip(ints)
+    if den == 1 and primitive is ints:  # already coprime Gaussian integers
         return p
     return Polynomial(
         p.variables,
-        {e: from_integers(re // num, im // num) for e, (re, im) in zip(p.terms, ints)},
+        {e: from_integers(re, im) for e, (re, im) in zip(p.terms, primitive)},
     )
 
 
