@@ -626,7 +626,12 @@ def _int_prem_primitive(A, B):
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact gcd over Q(i)[vars], normalized monic in graded lex order."""
+    """Exact gcd over Q(i)[vars], normalized monic in graded lex order.
+
+    At most two variables may be in use: one goes to the Gaussian-integer
+    remainder sequence, two to Brown's evaluation/interpolation gcd
+    (`_bivariate_modular_gcd`).  Three or more raise PolynomialError.
+    """
     p._check_same(q)
     if p.is_zero():
         return q.monic()
@@ -634,84 +639,62 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return p.monic()
     if p.is_constant() or q.is_constant():
         return Polynomial.constant(p.variables, 1)
-    # pick the first variable occurring in both, else in either
-    main = None
     active = [v for v in p.variables if p.degree(v) > 0 or q.degree(v) > 0]
-    for v in p.variables:
-        if p.degree(v) > 0 and q.degree(v) > 0:
-            main = v
-            break
+    # pick the first variable occurring in both
+    main = next((v for v in active if p.degree(v) > 0 and q.degree(v) > 0), None)
     if main is None:
         # no shared variable: gcd divides both contents, which live in
         # disjoint variable sets, so it is a unit
         return Polynomial.constant(p.variables, 1)
     if len(active) == 1:
         return _univar_gcd_single(p, q, main)
-    if len(active) == 2:
-        other = next(v for v in active if v != main)
-        result = _bivariate_modular_gcd(p, q, main, other)
-        if result is not None:
-            return result
-    cp, pp = content_primitive(p, main)
-    cq, pq = content_primitive(q, main)
-    cont = poly_gcd(cp, cq)
-    g = _primitive_prs_gcd(pp, pq, main)
-    return (cont * g).monic()
+    if len(active) > 2:
+        raise PolynomialError(f"gcd in more than two variables: {active}")
+    other = next(v for v in active if v != main)
+    return _bivariate_modular_gcd(p, q, main, other)
 
 
 def _bivariate_modular_gcd(p, q, main, other):
-    """Brown-style gcd: univariate gcds at sample points, interpolated and
-    verified by exact division.  Returns None when sampling stays unlucky
-    (the caller falls back to the remainder-sequence gcd)."""
+    """Brown's gcd: univariate gcds at the points 0, 1, -1, 2, -2, ...,
+    interpolated in `other` and verified by exact division.
+
+    The loop ends: only finitely many points make a leading coefficient
+    vanish or give an image of too high degree, and `dv_bound` consecutive
+    images of the true degree interpolate to a candidate that divides both.
+    """
     cp, pp = content_primitive(p, main)
     cq, pq = content_primitive(q, main)
     cont = poly_gcd(cp, cq)
-    lc_p = pp.as_univariate(main)[-1].in_variables(p.variables)
-    lc_q = pq.as_univariate(main)[-1].in_variables(p.variables)
+    lc_p = pp.as_univariate(main)[-1]
+    lc_q = pq.as_univariate(main)[-1]
     gamma = poly_gcd(lc_p, lc_q)
-    dv_bound = (
-        gamma.degree(other)
-        + min(max(pp.degree(other), 0), max(pq.degree(other), 0))
-        + 1
-    )
+    dv_bound = gamma.degree(other) + min(pp.degree(other), pq.degree(other)) + 1
     best_degree = None
     samples = []  # (point, scaled dense u-coefficient list)
-    candidates = _sample_points()
-    tried = 0
-    while tried < 8 * dv_bound + 32:
-        r = next(candidates)
-        tried += 1
-        lcp_val = lc_p.evaluate({main: 0, other: r})
-        lcq_val = lc_q.evaluate({main: 0, other: r})
-        if lcp_val.is_zero() or lcq_val.is_zero():
+    for r in _sample_points():
+        if any(lc.eliminate_variable(other, r).is_zero() for lc in (lc_p, lc_q)):
             continue
         pu = pp.eliminate_variable(other, r)
         qu = pq.eliminate_variable(other, r)
-        g = _univar_gcd(
-            _dense_in(pu, main), _dense_in(qu, main)
-        )
+        g = _univar_gcd(_dense_in(pu, main), _dense_in(qu, main))
         d = len(g) - 1
         if d == 0:
-            return cont.monic() if not cont.is_constant() else Polynomial.constant(
-                p.variables, 1
-            )
+            return cont.monic()
         if best_degree is None or d < best_degree:
             best_degree = d
             samples = []
         if d > best_degree:
             continue
-        scale = gamma.evaluate({main: 0, other: r})
+        scale = gamma.eliminate_variable(other, r).constant_value()
         samples.append((r, [c * scale for c in g]))
         if len(samples) >= dv_bound:
             candidate = _interpolate_bivariate(samples, best_degree, p.variables, main, other)
-            if candidate is not None:
-                _, candidate = content_primitive(candidate, main)
-                candidate = candidate.monic()
-                if _poly_divides(candidate, pp) and _poly_divides(candidate, pq):
-                    return (cont * candidate).monic()
+            _, candidate = content_primitive(candidate, main)
+            candidate = candidate.monic()
+            if _poly_divides(candidate, pp) and _poly_divides(candidate, pq):
+                return (cont * candidate).monic()
             # unlucky mixture: drop the oldest sample and keep going
             samples.pop(0)
-    return None
 
 
 def _sample_points():
@@ -748,8 +731,6 @@ def _interpolate_bivariate(samples, degree_u, variables, main, other):
         for level in range(1, n):
             for i in range(n - 1, level - 1, -1):
                 span = points[i] - points[i - level]
-                if span.is_zero():
-                    return None
                 table[i] = (table[i] - table[i - 1]) * span.inverse()
         # expand the Newton form into dense coefficients in `other`
         dense = [ZERO] * n
@@ -779,9 +760,7 @@ def _interpolate_bivariate(samples, degree_u, variables, main, other):
 
 
 def _univar_gcd_single(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    pc = [c.constant_value() for c in p.as_univariate(var)]
-    qc = [c.constant_value() for c in q.as_univariate(var)]
-    g = _univar_gcd(pc, qc)
+    g = _univar_gcd(_dense_in(p, var), _dense_in(q, var))
     i = p._index(var)
     terms = {}
     for k, c in enumerate(g):
@@ -807,62 +786,6 @@ def content_primitive(p: Polynomial, var: str):
     content = content.monic()
     content_full = content.in_variables(p.variables)
     return content_full, divexact(p, content_full)
-
-
-def _rational_content_normalize(p: Polynomial) -> Polynomial:
-    """Divide by the positive rational content; coefficients become coprime
-    Gaussian integers (keeps sizes small along remainder sequences)."""
-    if p.is_zero():
-        return p
-    den, ints = _to_gaussian_int(p.terms.values())
-    primitive = _int_content_strip(ints)
-    if den == 1 and primitive is ints:  # already coprime Gaussian integers
-        return p
-    return Polynomial(
-        p.variables,
-        {e: from_integers(re, im) for e, (re, im) in zip(p.terms, primitive)},
-    )
-
-
-def _pseudo_remainder(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Primitive-flavored prem(p, q) in `var` (exact up to scalar content)."""
-    dp, dq = p.degree(var), q.degree(var)
-    if dp < dq:
-        return p
-    qc = q.as_univariate(var)
-    lc = qc[-1].in_variables(p.variables)
-    rem = _rational_content_normalize(p)
-    for _ in range(dp - dq + 1):
-        if rem.is_zero() or rem.degree(var) < dq:
-            break
-        # scale once so the leading division below is exact
-        rem = rem * lc
-        rc = rem.as_univariate(var)
-        dr = len(rc) - 1
-        lead = rc[-1].in_variables(p.variables)
-        shift_exps = [0] * len(p.variables)
-        shift_exps[p._index(var)] = dr - dq
-        shift = Polynomial(p.variables, {tuple(shift_exps): ONE})
-        rem = rem - divexact(lead, lc) * shift * q
-        rem = _rational_content_normalize(rem)
-    return rem
-
-
-def _primitive_prs_gcd(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    if p.degree(var) < q.degree(var):
-        p, q = q, p
-    while not q.is_zero():
-        r = _pseudo_remainder(p, q, var)
-        if r.is_zero():
-            p, q = q, r
-            break
-        if r.degree(var) <= 0:
-            return Polynomial.constant(p.variables, 1)
-        _, r = content_primitive(r, var)
-        # scalar normalization caps the rational growth along the sequence
-        p, q = q, r.monic()
-    _, p = content_primitive(p, var)
-    return p.monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:

@@ -691,6 +691,10 @@ def delta_invariant(f: Polynomial, precision: int = 128) -> int:
 
 
 def _require_reduced_isolated(f: Polynomial):
+    # A reduced germ has an isolated critical point: a curve of critical
+    # points through 0 lies in {f = 0} and would be a repeated factor.
+    if len(f.variables) != 2:
+        raise PuiseuxError("expected a plane-curve germ in two variables")
     if f.is_zero():
         raise PuiseuxError("zero germ")
     if not f.constant_term().is_zero():
@@ -700,15 +704,3 @@ def _require_reduced_isolated(f: Polynomial):
         f.leading()[1]
     ):
         raise PuiseuxError("germ is not reduced (repeated factor)")
-    fx = f.partial_derivative(f.variables[0])
-    fy = f.partial_derivative(f.variables[1])
-    if fx.is_zero() and fy.is_zero():
-        raise PuiseuxError("constant germ")
-    if not fx.is_zero() and not fy.is_zero():
-        g = poly_gcd(fx, fy)
-        if not g.is_constant() and g.constant_term().is_zero():
-            raise PuiseuxError("non-isolated critical point at the origin")
-    else:
-        only = fy if fx.is_zero() else fx
-        if only.constant_term().is_zero():
-            raise PuiseuxError("non-isolated critical point at the origin")

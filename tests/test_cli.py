@@ -68,6 +68,14 @@ class TestAnalyze:
         assert out == ""
         assert "error" in err
 
+    def test_three_symbols_are_not_a_plane_curve(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--vars", "x,y,t", "--germ", "x^2 - t^3"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "[invariants] expected a plane-curve germ in two variables" in err
+
     def test_removed_knobs_are_argparse_errors(self, capsys):
         for flag, value in (
             ("--truncation", "8"),

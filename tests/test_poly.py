@@ -167,6 +167,31 @@ class TestSquarefree:
         assert rebuilt.monic() == p.monic()
 
 
+class TestGcd:
+    def test_unlucky_first_sample_points(self):
+        # the cofactors agree at y = 0, 1 and -1, so the images there have
+        # too high a degree and the interpolation must move past them
+        g = P("x^2 + x*y^2 - 3*y + 1")
+        d = poly_gcd(g * P("x + y^3 - y"), g * P("x - y^3 + y"))
+        assert d == g.monic()
+
+    def test_declared_but_unused_variable(self):
+        xyt = ("x", "y", "t")
+        p = P("(x - t)*(x + t)", xyt)
+        q = P("(x + t)^2", xyt)
+        assert poly_gcd(p, q) == P("x + t", xyt)
+        assert squarefree_part(p * q) == P("x^2 - t^2", xyt)
+        assert squarefree_decomposition(p * q) == [
+            (P("x - t", xyt), 1),
+            (P("x + t", xyt), 3),
+        ]
+
+    def test_three_variables_in_use_are_refused(self):
+        xyt = ("x", "y", "t")
+        with pytest.raises(PolynomialError, match="more than two variables"):
+            poly_gcd(P("x*y + t", xyt), P("x*t + y", xyt))
+
+
 class TestLinearChange:
     def test_identity_change(self):
         out = linear_change(P("x"), P("x"), P("y"))
@@ -229,10 +254,15 @@ class TestRingAxioms:
             if a.is_zero() or b.is_zero() or g.is_zero():
                 continue
             d = poly_gcd(a * g, b * g)
-            divexact(a * g, d)
-            divexact(b * g, d)
+            ca = divexact(a * g, d)
+            cb = divexact(b * g, d)
             if not g.is_constant():
                 assert not d.is_constant()
+            # greatest: a common factor of the cofactors would have positive
+            # degree in some variable and make that resultant vanish
+            for v in XY:
+                if ca.degree(v) > 0 and cb.degree(v) > 0:
+                    assert not resultant(ca, cb, v).is_zero()
 
 
 def _random_poly(rng, degree, terms):
