@@ -28,7 +28,7 @@ from .homology import (
     rotation_action,
 )
 from .poly import ParseError, PolynomialError, parse_polynomial
-from .report import StageError, analyze_germ, report_dict
+from .report import StageError, analyze_germ, ball_pair, report_dict
 from .svg import emit_svg
 
 
@@ -169,10 +169,10 @@ def cmd_family(args) -> int:
                 "t": str(record.t),
                 "points": [
                     {
-                        "x": [float(p.x.center.real), float(p.x.center.imag)],
-                        "y": [float(p.y.center.real), float(p.y.center.imag)],
+                        "x": ball_pair(p.x),
+                        "y": ball_pair(p.y),
                         "local_mu": p.local_mu,
-                        "value": [float(p.value.center.real), float(p.value.center.imag)],
+                        "value": ball_pair(p.value),
                         "on_zero_fiber": p.on_zero_fiber,
                         "inside": p.inside,
                     }

@@ -194,8 +194,8 @@ def analyze_germ(
     )
 
 
-def _ball_pair(ball):
-    # a component within the ball's radius of 0 is rounding noise
+def ball_pair(ball):
+    """[re, im] of the center as floats; a part within the radius of 0 prints 0.0."""
     return [
         0.0 if abs(part) <= ball.radius else float(part)
         for part in (ball.center.real, ball.center.imag)
@@ -236,7 +236,7 @@ def report_dict(result: AnalysisResult, include_timing: bool = True) -> dict:
             "precision": perm.precision_used,
             "rho": float(result.radii.rho),
             "eta": float(result.radii.eta),
-            "base_points": [_ball_pair(b) for b in perm.base_points],
+            "base_points": [ball_pair(b) for b in perm.base_points],
         }
     verdicts: dict = {"tangency": result.tangency.status}
     if result.fixed_point is not None:
