@@ -896,10 +896,17 @@ def _bareiss_determinant(rows: list, variables) -> Polynomial:
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
+            row = m[i]
+            skip_product = row[k].is_zero()
             for j in range(k + 1, n):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = divexact(num, prev)
-            m[i][k] = Polynomial.zero(variables)
+                if skip_product or m[k][j].is_zero():
+                    if row[j].is_zero():
+                        continue  # stays zero: no product and no division
+                    num = pivot * row[j]
+                else:
+                    num = pivot * row[j] - row[k] * m[k][j]
+                row[j] = divexact(num, prev)
+            row[k] = Polynomial.zero(variables)
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
