@@ -104,8 +104,10 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
     if t_value.is_zero():
         raise FamilyError("use a nonzero parameter value")
     f = family.slice(t_value)
+    fx, fy = f.partial_derivative("x"), f.partial_derivative("y")
     with mp.workprec(precision + 32):
-        raw = _system_roots(f, precision)
+        raw = _system_roots(f, fx, fy, precision)
+        numeric = [_numeric_terms(g) for g in (f, fx, fy)]
         radius = mpf(family.search_radius.numerator) / family.search_radius.denominator
         points = []
         outside = 0
@@ -113,7 +115,7 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
         for bx, by, mu in raw:
             modulus = mpmath.sqrt(abs(bx.center) ** 2 + abs(by.center) ** 2)
             inside = modulus < radius
-            value = _value_ball(f, bx, by, precision)
+            value = _value_ball(numeric, bx, by, precision)
             on_zero = abs(value.center) <= max(value.radius, mpf(2) ** (-(precision // 2)))
             points.append(
                 CriticalPoint(
@@ -138,28 +140,42 @@ def _point_key(point):
     return kx[:2] + ky[:2] + kx[2:] + ky[2:]
 
 
-def _value_ball(f, bx, by, precision):
-    x0, y0 = bx.center, by.center
-    center = _eval_numeric(f, x0, y0)
-    gx = abs(_eval_numeric(f.partial_derivative("x"), x0, y0))
-    gy = abs(_eval_numeric(f.partial_derivative("y"), x0, y0))
+def _value_ball(numeric, bx, by, precision):
+    """f at the point and a radius over the point's balls; `numeric` holds
+    the terms of f, f_x and f_y from `_numeric_terms`."""
+    f, fx, fy = numeric
+    xs = _powers(bx.center, max(i for i, _, _ in f))
+    ys = _powers(by.center, max(j for _, j, _ in f))
+    center = _eval_numeric(f, xs, ys)
+    gx = abs(_eval_numeric(fx, xs, ys))
+    gy = abs(_eval_numeric(fy, xs, ys))
     slack = 2 * (gx + gy + 1) * max(bx.radius, by.radius) + (abs(center) + 1) * mpf(2) ** (
         -(precision - 8)
     )
     return ComplexBall(center, slack, precision)
 
 
-def _eval_numeric(f, x0, y0):
+def _numeric_terms(f):
+    """The terms of f as (i, j, coefficient) at the working precision."""
+    return [(i, j, gaussian_to_mpc(c)) for (i, j), c in f.terms.items()]
+
+
+def _powers(z, top):
+    out = [mpc(1)]
+    for _ in range(top):
+        out.append(out[-1] * z)
+    return out
+
+
+def _eval_numeric(terms, xs, ys):
     acc = mpc(0)
-    for (i, j), c in f.terms.items():
-        acc += gaussian_to_mpc(c) * x0**i * y0**j
+    for i, j, c in terms:
+        acc += c * xs[i] * ys[j]
     return acc
 
 
-def _system_roots(f, precision):
-    """Common roots of (df/dx, df/dy) with exact multiplicities."""
-    p = f.partial_derivative("x")
-    q = f.partial_derivative("y")
+def _system_roots(f, p, q, precision):
+    """Common roots of (p, q) = (df/dx, df/dy) with exact multiplicities."""
     if p.is_zero() or q.is_zero():
         raise FamilyError("degenerate slice: a partial derivative vanishes identically")
     g = poly_gcd(p, q)
