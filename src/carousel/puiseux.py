@@ -447,8 +447,7 @@ def _segment_roots(psi, ring, prec):
                 xi = -(coeffs[0] / coeffs[1])
                 out.append((gaussian_to_mpc(xi), mult, xi))
             else:
-                numeric = [gaussian_to_mpc(c) for c in coeffs]
-                for ball in aberth_roots(numeric, prec):
+                for ball in aberth_roots(coeffs, prec):
                     out.append((ball.center, mult, None))
     else:
         coeffs = [mpc(c) for c in psi]

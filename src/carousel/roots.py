@@ -2,24 +2,32 @@
 
 Univariate polynomials with exact Gaussian-rational coefficients are
 split into squarefree factors exactly, then each factor is solved by
-Aberth-Ehrlich simultaneous iteration at a chosen bit precision, started
-from a pass of the same iteration in machine doubles.  The a-posteriori
-certificate is the Weierstrass-style bound: the disks around the
-approximations with radius n*(|p(z)| + e)/|prod(z - z_j)| cover the
-roots, where e bounds the rounding error of evaluating p(z), and
-pairwise disjoint disks isolate exactly one root each.
+Aberth-Ehrlich simultaneous iteration in machine doubles; only when the
+doubles cannot isolate the roots does the same iteration run in mpmath
+from a circle of start points.  The approximations are then polished
+and certified in Python integer arithmetic.  A numeric (mpc) coefficient
+is an exact dyadic number and a Q(i) coefficient clears to a Gaussian
+integer, so p and p' are evaluated exactly at dyadic points by
+homogeneous Horner.  Newton steps on Gaussian integers refine each root,
+and the certificate is Newton's inclusion disk: some root lies within
+n*|p(z)/p'(z)| of any z (Henrici, Applied and Computational Complex
+Analysis I, 1974).  Its radius is rounded up with `math.isqrt`, and n
+pairwise disjoint disks, compared exactly, hold one root each.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+from math import isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, round_ceiling,
+                          round_nearest)
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, PolynomialError
+from .poly import Polynomial, PolynomialError, _to_gaussian_int
 
 
 class PrecisionError(ArithmeticError):
@@ -34,24 +42,48 @@ _MAX_ITERATIONS = 400
 
 
 class ComplexBall:
-    """A complex disk `|z - center| <= radius` at a known bit precision."""
+    """A complex disk `|z - center| <= radius` at a known bit precision.
+
+    mpmath values are kept as given, never rounded to the working
+    precision, so a certified disk stays an enclosure.
+    """
 
     __slots__ = ("center", "radius", "precision")
 
     def __init__(self, center, radius, precision: int):
         if precision < 53:
             raise ValueError("ball precision must be at least 53 bits")
-        self.center = mpc(center)
-        self.radius = mpf(radius)
+        self.center = center if isinstance(center, mpc) else mpc(center)
+        self.radius = radius if isinstance(radius, mpf) else mpf(radius)
         if not mpmath.isfinite(self.radius) or self.radius < 0:
             raise ValueError("ball radius must be finite and non-negative")
         self.precision = precision
 
     def is_disjoint_from(self, other: "ComplexBall") -> bool:
-        return abs(self.center - other.center) > self.radius + other.radius
+        """|center - other.center| > radius + other.radius, decided exactly."""
+        (x, y, r, x2, y2, r2), _ = _dyadic_ints(
+            self.center._mpc_ + (self.radius._mpf_,)
+            + other.center._mpc_ + (other.radius._mpf_,)
+        )
+        dx, dy = x - x2, y - y2
+        return dx * dx + dy * dy > (r + r2) ** 2
 
     def __repr__(self):
         return f"ComplexBall({self.center}, r={mpmath.nstr(self.radius, 3)})"
+
+
+def _dyadic_ints(parts):
+    """Integers m_k and one exponent e with parts[k] == m_k * 2^e exactly.
+
+    `parts` are raw mpf tuples (sign, mantissa, exponent, bitcount).
+    """
+    values = []
+    for sign, man, exp, _ in parts:
+        if not man and exp:
+            raise ValueError("not a finite number")
+        values.append((-man if sign else man, exp))
+    e = min((exp for man, exp in values if man), default=0)
+    return [man << (exp - e) if man else 0 for man, exp in values], e
 
 
 def gaussian_to_mpc(value: GaussianRational) -> mpc:
@@ -67,24 +99,33 @@ def gaussian_to_mpc(value: GaussianRational) -> mpc:
     ))
 
 
-_ORDER_GRID = 1 << 40
-
-
 def ordering_key(z) -> tuple:
     """Sort key by (real, imaginary), quantized to a 2^-40 grid.
 
     The coarse leading components make the ordering stable across
     different working precisions (mathematically equal values quantize
     identically instead of being ranked by rounding noise); the exact
-    values break remaining ties deterministically within a run.
+    values break remaining ties deterministically within a run.  An mpc
+    value is read exactly, whatever the working precision.
     """
-    z = mpc(z)
-    return (
-        int(mpmath.nint(z.real * _ORDER_GRID)),
-        int(mpmath.nint(z.imag * _ORDER_GRID)),
-        z.real,
-        z.imag,
-    )
+    z = z if isinstance(z, mpc) else mpc(z)
+    re, im = z._mpc_
+    return (_grid_index(re), _grid_index(im), z.real, z.imag)
+
+
+def _grid_index(part):
+    """The integer nearest 2^40 times a raw mpf, ties to even, as mpmath.nint."""
+    sign, man, exp, _ = part
+    shift = exp + 40
+    if shift >= 0:
+        index = man << shift
+    else:
+        index = man >> -shift
+        rem = man - (index << -shift)
+        half = 1 << (-shift - 1)
+        if rem > half or (rem == half and index & 1):
+            index += 1
+    return -index if sign else index
 
 
 def _horner(coeffs, z):
@@ -186,85 +227,213 @@ def _aberth_iterate(monic, z, tol, nudge, gamma=None):
 
 
 # a few bits above the rounding floor of doubles: well-conditioned roots
-# get there, and one mpmath step then reaches full precision
+# get there, and the integer Newton polish takes them on from there
 _DOUBLE_TOL = 2.0 ** -44
 
 
-def _double_start(monic, start):
-    """`start` refined by Aberth in complex doubles, or None.
+def _double_start(coeffs, unit):
+    """Aberth approximations in complex doubles from the scaled `unit` circle, or None.
 
-    None unless every coefficient converts to a finite double without
-    underflow and the pass converges to finite approximations that the
-    Weierstrass radii, rounding error included, already isolate.  A
-    cluster that doubles cannot resolve keeps the circle start.
+    `coeffs` are Gaussian integers (re, im), low first.  None unless every
+    monic coefficient converts to a finite double without underflow and
+    the pass converges to finite approximations that the Weierstrass
+    radii, rounding error included, already isolate.  A cluster that
+    doubles cannot resolve is left to the mpmath start.
     """
-    coeffs = []
-    for c in monic:
-        d = complex(c)
-        if not cmath.isfinite(d) or (c != 0 and abs(d) < 2.0 ** -1000):
+    lr, li = coeffs[-1]
+    norm = lr * lr + li * li
+    monic = []
+    for cr, ci in coeffs:
+        try:
+            d = complex((cr * lr + ci * li) / norm, (ci * lr - cr * li) / norm)
+        except OverflowError:
             return None
-        coeffs.append(d)
-    z = [complex(w) for w in start]
-    if not _aberth_iterate(coeffs, z, _DOUBLE_TOL, 1e-6):
+        if not cmath.isfinite(d) or ((cr or ci) and abs(d) < 2.0 ** -1000):
+            return None
+        monic.append(d)
+    radius = 1 + max(abs(v) for v in monic[:-1])
+    z = [radius * w for w in unit]
+    if not _aberth_iterate(monic, z, _DOUBLE_TOL, 1e-6):
         return None
     if not all(cmath.isfinite(w) for w in z):
         return None
-    if _inclusion_radii(coeffs, z, 2.0 ** -53) is None:
+    if _inclusion_radii(monic, z) is None:
         return None
-    return [mpc(w) for w in z]
+    return z
 
 
-def aberth_roots(coeffs, precision: int):
-    """All roots of a squarefree numeric polynomial (dense mpc list, low first).
+def _mpmath_start(coeffs, unit, precision):
+    """Aberth approximations at precision + 32 bits from the scaled `unit` circle.
 
-    Returns certified ComplexBall list sorted by (re, im) of the centers.
-    Raises PrecisionError when the certificates fail to separate roots;
-    this is a single attempt, solve_numeric is the one that escalates.
+    The pass stops once every |p(z_i)| is within its rounding bound.
     """
+    n = len(coeffs) - 1
     with mp.workprec(precision + 32):
-        c = [mpc(v) for v in coeffs]
-        while c and abs(c[-1]) == 0:
-            c.pop()
-        if len(c) <= 1:
-            return []
-        n = len(c) - 1
-        lead = c[-1]
-        monic = [v / lead for v in c]
-        if n == 1:
-            z = -monic[0]
-            return [ComplexBall(z, mpf(2) ** (-precision) * (1 + abs(z)), precision)]
-        # initial guesses on a circle scaled by the Cauchy bound,
-        # slightly rotated to break symmetric stalls deterministically
+        lead = mpc(*coeffs[-1])
+        monic = [mpc(cr, ci) / lead for cr, ci in coeffs]
         radius = 1 + max(abs(v) for v in monic[:-1])
-        z = [
-            radius * mpmath.exp(2j * mpmath.pi * (mpf(k) / n) + 0.4j)
-            for k in range(n)
-        ]
-        z = _double_start(monic, z) or z
+        z = [radius * mpc(w) for w in unit]
         tol = mpf(2) ** (-(precision + 16))
         gamma = error_factor(4 * (n + 1), mpf(2) ** (-(precision + 32)))
         _aberth_iterate(monic, z, tol, mpf(10) ** (-6), gamma)
-        balls = _certify(monic, z, precision)
-        balls.sort(key=lambda b: ordering_key(b.center))
-        return balls
+    return z
 
 
-def _certify(monic, z, precision):
-    radii = _inclusion_radii(monic, z, mpf(2) ** (-(precision + 32)))
-    if radii is None:
+@functools.lru_cache(maxsize=None)
+def _unit_circle(n):
+    """Start directions exp(2 pi i k/n + 0.4 i), each rounded once to complex doubles.
+
+    Both starts scale them by the Cauchy bound; the rotation breaks
+    symmetric stalls deterministically.
+    """
+    with mp.workprec(113):
+        return tuple(
+            complex(mpmath.exp(2j * mpmath.pi * (mpf(k) / n) + 0.4j)) for k in range(n)
+        )
+
+
+def aberth_roots(coeffs, precision: int):
+    """All roots of a squarefree polynomial (dense list, low first).
+
+    The coefficients are Q(i) values or numbers that mpmath reads
+    exactly (mpc, mpf, int), and the balls enclose the roots of that
+    exact polynomial.  Returns certified ComplexBall list sorted by
+    (re, im) of the centers.  Raises PrecisionError when the integer
+    certificate fails after the mpmath start; this is a single attempt,
+    solve_numeric is the one that escalates.
+    """
+    c = _gaussian_integers(coeffs, precision)
+    while c and c[-1] == (0, 0):
+        c.pop()
+    n = len(c) - 1
+    if n < 1:
+        return []
+    unit = _unit_circle(n)
+    start = _double_start(c, unit)
+    balls = None if start is None else _newton_certificate(c, start, precision)
+    if balls is None:
+        balls = _newton_certificate(c, _mpmath_start(c, unit, precision), precision)
+    if balls is None:
         raise PrecisionError("root disks overlap; raise precision")
-    return [ComplexBall(w, r, precision) for w, r in zip(z, radii)]
+    balls.sort(key=lambda b: ordering_key(b.center))
+    return balls
 
 
-def _inclusion_radii(monic, z, unit):
-    """Weierstrass radii n*(|p(z_i)| + e_i)/|prod_j (z_i - z_j)|, or None.
+def _gaussian_integers(coeffs, precision):
+    """Gaussian integers (re, im) proportional to the exact coefficients."""
+    if all(type(v) is GaussianRational for v in coeffs):
+        return _to_gaussian_int(coeffs)[1]
+    parts = ()
+    with mp.workprec(precision + 32):
+        for v in coeffs:
+            parts += (v if isinstance(v, mpc) else mpc(v))._mpc_
+    ints, _ = _dyadic_ints(parts)
+    return list(zip(ints[::2], ints[1::2]))
 
-    e_i bounds the rounding error of p(z_i) at unit roundoff `unit`, so
-    the disks cover the roots; None unless they are pairwise disjoint.
+
+def _newton_certificate(coeffs, start, precision):
+    """Certified balls around the polished `start` points, or None.
+
+    Each point is polished by `_newton_polish`; the ball around it has
+    the inclusion radius n*|p(z)/p'(z)| rounded up, and None unless the n
+    balls are pairwise disjoint, when they hold one root each.
+    """
+    n = len(coeffs) - 1
+    balls = []
+    for w in start:
+        (x, y), e = _dyadic_ints((w if isinstance(w, mpc) else mpc(w))._mpc_)
+        if e > 0:
+            x, y, e = x << e, y << e, 0
+        polished = _newton_polish(coeffs, x, y, -e, precision)
+        if polished is None:
+            return None
+        x, y, s, p2, d2 = polished
+        wp = precision + 32
+        center = mp.make_mpc((
+            from_man_exp(x, -s, wp, round_nearest), from_man_exp(y, -s, wp, round_nearest)
+        ))
+        # two units of the working precision in |Re| + |Im|: one covers
+        # the rounding of the center, one any other rounding of the root
+        slack = from_man_exp(abs(x) + abs(y), -(s + wp - 1))
+        radius = mpf_add(_inclusion_radius(n, p2, d2, s), slack, 53, round_ceiling)
+        balls.append(ComplexBall(center, mp.make_mpf(radius), precision))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not balls[i].is_disjoint_from(balls[j]):
+                return None
+    return balls
+
+
+def _homogeneous_horner(coeffs, x, y, s):
+    """D^n p(z) and D^(n-1) p'(z) at z = (x + iy)/D, D = 2^s, as Gaussian integers."""
+    n = len(coeffs) - 1
+    pr, pi = coeffs[n]
+    dr = di = 0
+    for k in range(n - 1, -1, -1):
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        cr, ci = coeffs[k]
+        shift = s * (n - k)
+        pr, pi = pr * x - pi * y + (cr << shift), pr * y + pi * x + (ci << shift)
+    return pr, pi, dr, di
+
+
+def _newton_polish(coeffs, x, y, s, precision):
+    """Newton steps from z = (x + iy)/2^s until a step is below the grid of z.
+
+    The grid of z is 2^-(precision + 32 + max(0, -log2|z|)), so small
+    roots keep their relative accuracy, and each step is rounded to it.
+    Returns (x, y, s, |P|^2, |P'|^2) at the last point, with P = 2^(sn) p(z)
+    and P' = 2^(s(n-1)) p'(z), or None when p'(z) = 0 or the steps do not
+    settle within a few more than the quadratic convergence needs.
+    """
+    wp = precision + 32
+    for _ in range(wp.bit_length() + 2):
+        pr, pi, dr, di = _homogeneous_horner(coeffs, x, y, s)
+        d2 = dr * dr + di * di
+        if not d2:
+            return None
+        top = max(abs(x), abs(y)).bit_length()
+        grid = wp + (max(0, s + 1 - top) if top else 0)
+        p2 = pr * pr + pi * pi
+        # |p/p'| = |P|/(2^s |P'|) <= 2^-grid
+        if p2 << 2 * grid <= d2 << 2 * s:
+            return x, y, s, p2, d2
+        # z - p/p' = N/(2^s P') = N conj(P')/(2^s |P'|^2), N = Z P' - P
+        nr, ni = x * dr - y * di - pr, x * di + y * dr - pi
+        ar, ai = nr * dr + ni * di, ni * dr - nr * di
+        if grid >= s:
+            ar, ai, den = ar << (grid - s), ai << (grid - s), d2
+        else:
+            den = d2 << (s - grid)
+        x = (2 * ar + den) // (2 * den)
+        y = (2 * ai + den) // (2 * den)
+        s = grid
+    return None
+
+
+def _inclusion_radius(n, p2, d2, s):
+    """A raw mpf upper bound of n*sqrt(p2/d2)/2^s with a 31-bit mantissa."""
+    num = n * n * p2
+    if not num:
+        return fzero
+    t = 31 + s - (num.bit_length() - d2.bit_length()) // 2
+    shift = 2 * (t - s)
+    if shift >= 0:
+        q = -(-(num << shift) // d2)
+    else:
+        q = -(-num // (d2 << -shift))
+    return from_man_exp(isqrt(q - 1) + 1, -t)
+
+
+def _inclusion_radii(monic, z):
+    """Weierstrass radii n*(|p(z_i)| + e_i)/|prod_j (z_i - z_j)| in doubles, or None.
+
+    e_i bounds the rounding error of p(z_i) in doubles, so the disks
+    cover the roots; None unless they are pairwise disjoint.
     """
     n = len(z)
     # rounding of the monic coefficients and of Horner
-    gamma = error_factor(4 * (n + 1), unit)
+    gamma = error_factor(4 * (n + 1), 2.0 ** -53)
     majorants = [abs(c) for c in monic]
     radii = []
     for i in range(n):
@@ -322,16 +491,14 @@ def univariate_roots(p: Polynomial, precision: int) -> list:
     factors = squarefree_decomposition(p)
 
     def solve(prec):
-        with mp.workprec(prec + 32):
-            out = []
-            for factor, mult in factors:
-                if factor.degree(factor.variables[0]) < 1:
-                    continue
-                coeffs = [gaussian_to_mpc(c) for c in factor.dense_coefficients()]
-                for ball in aberth_roots(coeffs, prec):
-                    out.append((ball, mult))
-            _check_cross_factor(out)
-            return out
+        out = []
+        for factor, mult in factors:
+            if factor.degree(factor.variables[0]) < 1:
+                continue
+            for ball in aberth_roots(factor.dense_coefficients(), prec):
+                out.append((ball, mult))
+        _check_cross_factor(out)
+        return out
 
     out = _escalate(solve, precision)
     out.sort(key=lambda bm: ordering_key(bm[0].center))

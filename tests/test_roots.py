@@ -228,3 +228,119 @@ def test_gaussian_to_mpc_rounds_once():
             im = Fraction(-(rng.getrandbits(120) | 1 << 119), d)
             z = gaussian_to_mpc(GaussianRational(re, im))
             assert (float(z.real), float(z.imag)) == (float(re), float(im))
+
+
+def _fraction(x):
+    """An mpf value as an exact Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _holds(ball, root):
+    """Whether the Gaussian rational `root` lies in `ball`, decided in Fractions."""
+    dx = _fraction(ball.center.real) - root.re
+    dy = _fraction(ball.center.imag) - root.im
+    return dx * dx + dy * dy <= _fraction(ball.radius) ** 2
+
+
+def _product_coefficients(roots):
+    """Dense Q(i) coefficients of prod (u - r), low first."""
+    u = Polynomial.variable(("u",), "u")
+    p = Polynomial.constant(("u",), 1)
+    for r in roots:
+        p = p * (u - Polynomial.constant(("u",), r))
+    return p, p.dense_coefficients()
+
+
+def _distinct_roots(rng, degree, denominators):
+    roots = set()
+    while len(roots) < degree:
+        d = rng.choice(denominators)
+        roots.add(GaussianRational(Fraction(rng.randint(-2 * d, 2 * d), d),
+                                   Fraction(rng.randint(-2 * d, 2 * d), d)))
+    return sorted(roots, key=lambda r: (r.re, r.im))
+
+
+def test_balls_enclose_exact_roots():
+    # each root of prod (u - r_k) lies in exactly one ball, checked in
+    # Fractions; mpc coefficients are exact only for dyadic roots
+    rng = random.Random(5)
+    for trial in range(24):
+        dyadic = trial % 2 == 0
+        denominators = (1, 2, 4, 8) if dyadic else tuple(range(1, 9))
+        roots = _distinct_roots(rng, rng.randint(1, 8), denominators)
+        p, coeffs = _product_coefficients(roots)
+        solves = [
+            [ball for ball, _ in univariate_roots(p, 128)],
+            aberth_roots(coeffs, 128),
+        ]
+        if dyadic:
+            with mpmath.mp.workprec(256):
+                numeric = [mpmath.mpc(mpf(c.a) / c.d, mpf(c.b) / c.d) for c in coeffs]
+            assert [GaussianRational(_fraction(z.real), _fraction(z.imag))
+                    for z in numeric] == coeffs
+            solves.append(aberth_roots(numeric, 128))
+        for balls in solves:
+            assert len(balls) == len(roots)
+            for r in roots:
+                assert sum(_holds(ball, r) for ball in balls) == 1
+            assert all(ball.radius < mpf(2) ** -100 for ball in balls)
+
+
+def test_certificate_refuses_two_approximations_of_one_root(monkeypatch):
+    # u^2 - 1 from two starts near 1: Newton takes both to the same root,
+    # the two disks overlap, and no further start is left
+    coeffs = [GaussianRational(-1), GaussianRational(0), GaussianRational(1)]
+    near_one = [1 + 2.0 ** -20, 1 - 2.0 ** -20]
+    integers = roots_mod._gaussian_integers(coeffs, 128)
+    assert roots_mod._newton_certificate(integers, near_one, 128) is None
+    monkeypatch.setattr(roots_mod, "_double_start", lambda *args: near_one)
+    monkeypatch.setattr(roots_mod, "_mpmath_start", lambda *args: near_one)
+    with pytest.raises(PrecisionError):
+        aberth_roots(coeffs, 128)
+
+
+def test_aberth_roots_accepts_gaussian_rationals():
+    # 9u^2 + 1 has the roots -i/3 and i/3, which no binary ball center hits
+    coeffs = [GaussianRational(1), GaussianRational(0), GaussianRational(9)]
+    balls = aberth_roots(coeffs, 128)
+    for ball, sign in zip(balls, (-1, 1)):
+        assert _holds(ball, GaussianRational(0, Fraction(sign, 3)))
+        assert 0 < ball.radius < mpf(2) ** -120
+
+
+def test_exact_zero_root_is_certified_at_the_first_precision(monkeypatch):
+    # Newton steps toward a root at exactly 0 shrink z without end on a
+    # relative grid; the grid of the current point rounds z to 0
+    tried = []
+    real = roots_mod.aberth_roots
+
+    def spy(c, precision):
+        tried.append(precision)
+        return real(c, precision)
+
+    monkeypatch.setattr(roots_mod, "aberth_roots", spy)
+    with mpmath.mp.workprec(160):
+        coeffs = [mpmath.mpc(0), mpmath.mpc(0, 0.25), mpmath.mpc(0.96, 0.5)]
+    balls = solve_numeric(coeffs, 128)
+    assert tried == [128]
+    zero = [b for b in balls if b.center == 0]
+    assert len(zero) == 1 and zero[0].radius == 0
+
+
+def test_disjointness_is_decided_exactly():
+    with mpmath.mp.workprec(256):
+        a = ComplexBall(mpmath.mpc(0), mpf(1) / 2, 128)
+        touching = ComplexBall(mpmath.mpc(1), mpf(1) / 2, 128)
+        apart = ComplexBall(mpmath.mpc(1 + mpf(2) ** -200), mpf(1) / 2, 128)
+    # at 53 bits the distance 1 + 2^-200 rounds to 1
+    assert not a.is_disjoint_from(touching)
+    assert a.is_disjoint_from(apart) and apart.is_disjoint_from(a)
+
+
+def test_ordering_key_rounds_ties_to_even():
+    from carousel.roots import ordering_key
+
+    step = mpf(2) ** -40
+    keys = [ordering_key(mpmath.mpc(k * step / 2, -k * step / 2))[:2] for k in (1, 3, 5)]
+    assert keys == [(0, 0), (2, -2), (2, -2)]
