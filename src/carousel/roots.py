@@ -308,6 +308,9 @@ def aberth_roots(coeffs, precision: int):
     n = len(c) - 1
     if n < 1:
         return []
+    if n > 1 and c[0] == c[1] == (0, 0):
+        # no certificate separates the copies of a multiple root at 0
+        raise PrecisionError("0 is a multiple root; the polynomial is not squarefree")
     unit = _unit_circle(n)
     start = _double_start(c, unit)
     balls = None if start is None else _newton_certificate(c, start, precision)

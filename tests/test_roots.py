@@ -344,3 +344,11 @@ def test_ordering_key_rounds_ties_to_even():
     step = mpf(2) ** -40
     keys = [ordering_key(mpmath.mpc(k * step / 2, -k * step / 2))[:2] for k in (1, 3, 5)]
     assert keys == [(0, 0), (2, -2), (2, -2)]
+
+
+def test_multiple_root_at_zero_is_refused_at_once(monkeypatch):
+    # 4*u^3 cannot be certified at any precision: no start is tried
+    monkeypatch.setattr(roots_mod, "_double_start", None)
+    monkeypatch.setattr(roots_mod, "_mpmath_start", None)
+    with pytest.raises(PrecisionError):
+        aberth_roots([mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(4)], 128)
