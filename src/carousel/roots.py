@@ -279,7 +279,7 @@ def _mpmath_start(coeffs, unit, precision):
     return z
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _unit_circle(n):
     """Start directions exp(2 pi i k/n + 0.4 i), each rounded once to complex doubles.
 
@@ -295,9 +295,9 @@ def _unit_circle(n):
 def aberth_roots(coeffs, precision: int):
     """All roots of a squarefree polynomial (dense list, low first).
 
-    The coefficients are Q(i) values or numbers that mpmath reads
-    exactly (mpc, mpf, int), and the balls enclose the roots of that
-    exact polynomial.  Returns certified ComplexBall list sorted by
+    The coefficients are Q(i) values, or mpc values, which are read
+    exactly (other numbers are converted at precision + 32 bits); the
+    balls enclose the roots of that exact polynomial.  Returns certified ComplexBall list sorted by
     (re, im) of the centers.  Raises PrecisionError when the integer
     certificate fails after the mpmath start; this is a single attempt,
     solve_numeric is the one that escalates.
@@ -342,6 +342,7 @@ def _newton_certificate(coeffs, start, precision):
     balls are pairwise disjoint, when they hold one root each.
     """
     n = len(coeffs) - 1
+    wp = precision + 32
     balls = []
     for w in start:
         (x, y), e = _dyadic_ints((w if isinstance(w, mpc) else mpc(w))._mpc_)
@@ -351,7 +352,6 @@ def _newton_certificate(coeffs, start, precision):
         if polished is None:
             return None
         x, y, s, p2, d2 = polished
-        wp = precision + 32
         center = mp.make_mpc((
             from_man_exp(x, -s, wp, round_nearest), from_man_exp(y, -s, wp, round_nearest)
         ))
