@@ -299,8 +299,9 @@ def aberth_roots(coeffs, precision: int):
     exactly (other numbers are converted at precision + 32 bits); the
     balls enclose the roots of that exact polynomial.  Returns certified ComplexBall list sorted by
     (re, im) of the centers.  Raises PrecisionError when the integer
-    certificate fails after the mpmath start; this is a single attempt,
-    solve_numeric is the one that escalates.
+    certificate fails after the mpmath start, and at once for a multiple
+    root at 0; this is a single attempt, solve_numeric is the one that
+    escalates.
     """
     c = _gaussian_integers(coeffs, precision)
     while c and c[-1] == (0, 0):
