@@ -297,11 +297,11 @@ def aberth_roots(coeffs, precision: int):
 
     The coefficients are Q(i) values, or mpc values, which are read
     exactly (other numbers are converted at precision + 32 bits); the
-    balls enclose the roots of that exact polynomial.  Returns certified ComplexBall list sorted by
-    (re, im) of the centers.  Raises PrecisionError when the integer
-    certificate fails after the mpmath start, and at once for a multiple
-    root at 0; this is a single attempt, solve_numeric is the one that
-    escalates.
+    balls enclose the roots of that exact polynomial.  Returns certified
+    ComplexBall list sorted by (re, im) of the centers.  Raises
+    PrecisionError when the integer certificate fails after the mpmath
+    start, and at once for a multiple root at 0; this is a single
+    attempt, solve_numeric is the one that escalates.
     """
     c = _gaussian_integers(coeffs, precision)
     while c and c[-1] == (0, 0):
@@ -339,8 +339,9 @@ def _newton_certificate(coeffs, start, precision):
     """Certified balls around the polished `start` points, or None.
 
     Each point is polished by `_newton_polish`; the ball around it has
-    the inclusion radius n*|p(z)/p'(z)| rounded up, and None unless the n
-    balls are pairwise disjoint, when they hold one root each.
+    the inclusion radius n*|p(z)/p'(z)| rounded up, plus the rounding of
+    its center to precision + 32 bits.  None unless the n balls are
+    pairwise disjoint, when they hold one root each.
     """
     n = len(coeffs) - 1
     wp = precision + 32
