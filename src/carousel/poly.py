@@ -525,24 +525,34 @@ def parse_polynomial(text: str, variables) -> Polynomial:
 
 
 def divexact(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Exact division p / d; raises if the division leaves a remainder."""
+    """Exact division p / d; raises if the division leaves a remainder.
+
+    Each quotient term cancels the leading term of one remainder dict.
+    """
     p._check_same(d)
     if d.is_zero():
         raise PolynomialError("division by the zero polynomial")
     if d.is_constant():
         return p.scale(d.constant_value().inverse())
-    quotient_terms: dict = {}
-    rem = p
     d_lead_exps, d_lead_coeff = d.leading()
     inv = d_lead_coeff.inverse()
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
+    rest = [(e, c) for e, c in d.terms.items() if e != d_lead_exps]
+    quotient_terms: dict = {}
+    rem = dict(p.terms)
+    while rem:
+        r_exps = max(rem, key=_grlex_key)
         q_exps = tuple(a - b for a, b in zip(r_exps, d_lead_exps))
         if any(e < 0 for e in q_exps):
             raise PolynomialError("inexact polynomial division")
-        q_coeff = r_coeff * inv
+        q_coeff = rem.pop(r_exps) * inv
         quotient_terms[q_exps] = q_coeff
-        rem = rem - d * Polynomial(p.variables, {q_exps: q_coeff})
+        for e, c in rest:
+            exps = tuple(a + b for a, b in zip(e, q_exps))
+            s = rem.get(exps, ZERO) - c * q_coeff
+            if s.is_zero():
+                rem.pop(exps, None)
+            else:
+                rem[exps] = s
     return Polynomial(p.variables, quotient_terms)
 
 
@@ -554,22 +564,21 @@ def _poly_divides(d: Polynomial, p: Polynomial) -> bool:
         return False
 
 
-def _univar_gcd(a: list, b: list) -> list:
-    """Gcd of dense GaussianRational coefficient lists, monic.
+def _univar_gcd(A: list, B: list) -> list:
+    """Monic gcd, as GaussianRational list, of Gaussian-integer lists (re, im)
+    with nonzero last entries.
 
-    Runs a primitive pseudo-remainder sequence over Gaussian integers
-    (denominators cleared, integer content stripped per step) to keep the
-    coefficient sizes polynomial instead of exponential.
+    Runs a primitive pseudo-remainder sequence (integer content stripped
+    per step) to keep the coefficient sizes polynomial instead of
+    exponential.
     """
-    A = _strip_int(_to_gaussian_int(a)[1])
-    B = _strip_int(_to_gaussian_int(b)[1])
+    A = _int_content_strip(A)
+    B = _int_content_strip(B)
     if len(A) < len(B):
         A, B = B, A
     while B:
         R = _int_prem_primitive(A, B)
         A, B = B, R
-    if not A:
-        return []
     # divide by the leading Gaussian integer la + lb*i
     la, lb = A[-1]
     n = la * la + lb * lb
@@ -583,13 +592,6 @@ def _to_gaussian_int(coeffs):
     for c in coeffs:
         den = lcm(den, c.d)
     return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
-
-
-def _strip_int(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == (0, 0):
-        coeffs.pop()
-    return _int_content_strip(coeffs)
 
 
 def _int_content_strip(coeffs):
@@ -628,17 +630,29 @@ def _int_prem_primitive(A, B):
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Exact gcd over Q(i)[vars], normalized monic in graded lex order.
 
-    At most two variables may be in use: one goes to the Gaussian-integer
-    remainder sequence, two to Brown's evaluation/interpolation gcd
-    (`_bivariate_modular_gcd`).  Three or more raise PolynomialError.
+    If p or q is a single term, every divisor of it is a monomial, so the
+    gcd is the monomial whose exponent in each variable is the least over
+    all terms of both, in any number of variables.  Otherwise at most two
+    variables may be in use (three or more raise PolynomialError); one
+    goes to the Gaussian-integer remainder sequence.  In two, before any
+    content is taken, `_coprime_images` tries to prove gcd = 1.  Let r be
+    the first sample where neither leading coefficient in `main`
+    vanishes.  A common factor of positive degree in `main` keeps that
+    degree at other = r, since its leading coefficient divides theirs, so
+    it divides both images; coprime images exclude it.  The same test in
+    `other` at a sample of `main` excludes a common factor in `other`
+    alone, and both passing leave only units.  A failed test proves
+    nothing, and Brown's evaluation/interpolation gcd decides
+    (`_bivariate_modular_gcd`).
     """
     p._check_same(q)
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.is_constant() or q.is_constant():
-        return Polynomial.constant(p.variables, 1)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        exps = tuple(map(min, zip(*p.terms, *q.terms)))
+        return Polynomial(p.variables, {exps: ONE})
     active = [v for v in p.variables if p.degree(v) > 0 or q.degree(v) > 0]
     # pick the first variable occurring in both
     main = next((v for v in active if p.degree(v) > 0 and q.degree(v) > 0), None)
@@ -651,11 +665,49 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if len(active) > 2:
         raise PolynomialError(f"gcd in more than two variables: {active}")
     other = next(v for v in active if v != main)
+    if _coprime_images(p, q, main, other):
+        return Polynomial.constant(p.variables, 1)
     return _bivariate_modular_gcd(p, q, main, other)
 
 
+def _coprime_images(p, q, main, other) -> bool:
+    """True when one image in each variable proves gcd(p, q) = 1 (see poly_gcd)."""
+    for keep, drop in ((main, other), (other, main)):
+        rows_p, rows_q = _int_rows(p, keep, drop), _int_rows(q, keep, drop)
+        g = next(filter(None, (_image_gcd(rows_p, rows_q, r) for r in _sample_points())))
+        if len(g) > 1:
+            return False
+    return True
+
+
+def _int_rows(p, keep, drop):
+    """rows[k] lists (j, re, im) for the terms keep^k * drop^j of p, with
+    the Gaussian integers re + im*i of p times the lcm of its denominators."""
+    ik, jd = p._index(keep), p._index(drop)
+    _, ints = _to_gaussian_int(p.terms.values())
+    rows = [[] for _ in range(p.degree(keep) + 1)]
+    for exps, (re, im) in zip(p.terms, ints):
+        rows[exps[ik]].append((exps[jd], re, im))
+    return rows
+
+
+def _image_gcd(rows_p, rows_q, r):
+    """Monic gcd of the images at drop = r of `_int_rows` rows, or None when
+    a leading coefficient vanishes there."""
+    images = []
+    for rows in (rows_p, rows_q):
+        image = [
+            (sum(a * r**j for j, a, _ in row), sum(b * r**j for j, _, b in row))
+            for row in rows
+        ]
+        if image[-1] == (0, 0):
+            return None
+        images.append(image)
+    return _univar_gcd(*images)
+
+
 def _bivariate_modular_gcd(p, q, main, other):
-    """Brown's gcd: univariate gcds at the points 0, 1, -1, 2, -2, ...,
+    """Brown's gcd: univariate gcds at the points 1, -1, 2, -2, ...,
     interpolated in `other` and verified by exact division.
 
     The loop ends: only finitely many points make a leading coefficient
@@ -667,16 +719,15 @@ def _bivariate_modular_gcd(p, q, main, other):
     cont = poly_gcd(cp, cq)
     lc_p = pp.as_univariate(main)[-1]
     lc_q = pq.as_univariate(main)[-1]
-    gamma = poly_gcd(lc_p, lc_q)
-    dv_bound = gamma.degree(other) + min(pp.degree(other), pq.degree(other)) + 1
+    gamma = _dense_in(poly_gcd(lc_p, lc_q), other)
+    dv_bound = len(gamma) + min(pp.degree(other), pq.degree(other))
+    rows_p, rows_q = _int_rows(pp, main, other), _int_rows(pq, main, other)
     best_degree = None
     samples = []  # (point, scaled dense u-coefficient list)
     for r in _sample_points():
-        if any(lc.eliminate_variable(other, r).is_zero() for lc in (lc_p, lc_q)):
+        g = _image_gcd(rows_p, rows_q, r)
+        if g is None:
             continue
-        pu = pp.eliminate_variable(other, r)
-        qu = pq.eliminate_variable(other, r)
-        g = _univar_gcd(_dense_in(pu, main), _dense_in(qu, main))
         d = len(g) - 1
         if d == 0:
             return cont.monic()
@@ -685,8 +736,10 @@ def _bivariate_modular_gcd(p, q, main, other):
             samples = []
         if d > best_degree:
             continue
-        scale = gamma.eliminate_variable(other, r).constant_value()
-        samples.append((r, [c * scale for c in g]))
+        scale = ZERO
+        for c in reversed(gamma):
+            scale = scale * r + c
+        samples.append((GaussianRational(r), [c * scale for c in g]))
         if len(samples) >= dv_bound:
             candidate = _interpolate_bivariate(samples, best_degree, p.variables, main, other)
             _, candidate = content_primitive(candidate, main)
@@ -698,11 +751,12 @@ def _bivariate_modular_gcd(p, q, main, other):
 
 
 def _sample_points():
-    yield GaussianRational(0)
+    """The integers 1, -1, 2, -2, ...  Inputs derived from a germ vanish
+    at the origin, so their images at 0 share a factor and 0 is skipped."""
     k = 1
     while True:
-        yield GaussianRational(k)
-        yield GaussianRational(-k)
+        yield k
+        yield -k
         k += 1
 
 
@@ -760,15 +814,11 @@ def _interpolate_bivariate(samples, degree_u, variables, main, other):
 
 
 def _univar_gcd_single(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    g = _univar_gcd(_dense_in(p, var), _dense_in(q, var))
-    i = p._index(var)
-    terms = {}
-    for k, c in enumerate(g):
-        if not c.is_zero():
-            exps = [0] * len(p.variables)
-            exps[i] = k
-            terms[tuple(exps)] = c
-    return Polynomial(p.variables, terms)
+    g = _univar_gcd(*(_to_gaussian_int(_dense_in(f, var))[1] for f in (p, q)))
+    i, n = p._index(var), len(p.variables)
+    return Polynomial(
+        p.variables, {(0,) * i + (k,) + (0,) * (n - 1 - i): c for k, c in enumerate(g)}
+    )
 
 
 def content_primitive(p: Polynomial, var: str):
@@ -783,9 +833,8 @@ def content_primitive(p: Polynomial, var: str):
         if content.is_constant():
             break
         content = poly_gcd(content, c)
-    content = content.monic()
-    content_full = content.in_variables(p.variables)
-    return content_full, divexact(p, content_full)
+    content = content.monic().in_variables(p.variables)
+    return content, p if content.is_constant() else divexact(p, content)
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:

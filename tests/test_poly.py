@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import carousel.poly as poly_mod
 from carousel.gaussian import GaussianRational
 from carousel.poly import (
     MAX_DEGREE,
@@ -25,6 +28,31 @@ XY = ("x", "y")
 
 def P(text, variables=XY):
     return parse_polynomial(text, variables)
+
+
+_COEFFS = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(min_value=-2, max_value=2),
+)
+_MONOMIALS = st.builds(
+    lambda i, j, c: Polynomial(XY, {(i, j): c}),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    _COEFFS.filter(lambda c: not c.is_zero()),
+)
+
+
+def _polynomials(max_x=3, max_y=3, through_origin=False):
+    """Polynomials in x, y with degrees at most max_x and max_y and at most
+    four terms; through_origin drops the constant term."""
+    exps = st.tuples(
+        st.integers(min_value=0, max_value=max_x),
+        st.integers(min_value=0, max_value=max_y),
+    )
+    if through_origin:
+        exps = exps.filter(any)
+    return st.dictionaries(exps, _COEFFS, max_size=4).map(lambda t: Polynomial(XY, t))
 
 
 class TestParser:
@@ -190,6 +218,79 @@ class TestGcd:
         xyt = ("x", "y", "t")
         with pytest.raises(PolynomialError, match="more than two variables"):
             poly_gcd(P("x*y + t", xyt), P("x*t + y", xyt))
+
+    def test_monomial_argument(self):
+        assert poly_gcd(P("x^3*y + x^2*y^2"), P("x^2*y^5")) == P("x^2*y")
+        assert poly_gcd(P("3*x^2*y^5"), P("x^3*y + x^2*y^2")) == P("x^2*y")
+        assert poly_gcd(P("x^2*y^5"), P("x + y")) == P("1")
+        # every divisor of a monomial is a monomial, in any number of variables
+        xyt = ("x", "y", "t")
+        p = P("x^3*y*t + x^2*y^2*t^2 + x^4*y^3*t", xyt)
+        assert poly_gcd(p, P("x^2*y^5*t^3", xyt)) == P("x^2*y*t", xyt)
+        assert poly_gcd(P("2*t^2", xyt), P("x*t^3 + y*t^4", xyt)) == P("t^2", xyt)
+
+    def test_common_factor_in_one_variable_only(self):
+        # the images in x at any y are coprime; only the images in y at a
+        # fixed x see the common factor y^2 + 1
+        p = P("(y^2 + 1)*(x + y)")
+        q = P("(y^2 + 1)*(x - y)")
+        assert poly_gcd(p, q) == P("y^2 + 1")
+        assert poly_gcd(p * P("x - y"), q * P("x + y")) == P("x^2*y^2 + x^2 - y^4 - y^2")
+
+    def test_unlucky_image_at_one(self, monkeypatch):
+        # both vanish at the origin, and at y = 1 their images x^2 and x^3
+        # share x^2, so the certificate fails and Brown's loop decides
+        p = P("x^2 + y^2 - y")
+        q = P("x^3 + y^2 - y")
+        calls = []
+        real = poly_mod.content_primitive
+        monkeypatch.setattr(
+            poly_mod, "content_primitive", lambda *a: calls.append(a) or real(*a)
+        )
+        assert poly_gcd(p, q) == P("1")
+        assert calls
+        g = P("x + 2*y")
+        assert poly_gcd(g * p, g * q) == g.monic()
+
+    def test_leading_coefficient_vanishing_at_the_first_sample(self):
+        # both leading coefficients in x are multiples of y - 1, and at
+        # y = 1 the common factor drops to the constant 1 in both images
+        h = P("x*y - x + 1")
+        assert poly_gcd(h * P("x + 2"), h * P("x - 2")) == h.monic()
+        assert poly_gcd(h * P("x*y + 2"), h * P("x*y - 2")) == h.monic()
+
+    def test_coprime_germ_and_derivative_skip_brown(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Brown's gcd ran on a coprime pair")
+
+        monkeypatch.setattr(poly_mod, "content_primitive", refuse)
+        monkeypatch.setattr(poly_mod, "_interpolate_bivariate", refuse)
+        for germ in ("y^2 - x^3 - x^4", "x^4 + x^2*y^2 + y^4", "(y - x^2)^2 - x^5"):
+            f = P(germ)
+            assert poly_gcd(f, f.partial_derivative("x")) == P("1")
+            assert poly_gcd(f.partial_derivative("x"), f.partial_derivative("y")) == P("1")
+
+    @seed(10)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            _MONOMIALS,
+            _polynomials(max_x=0),
+            _polynomials(max_y=0),
+            _polynomials(through_origin=True),
+        ),
+        _polynomials(),
+        _polynomials(),
+    )
+    def test_gcd_of_multiples(self, g, a, b):
+        assert poly_gcd(g * a, g * b) == (g * poly_gcd(a, b)).monic()
+
+    def test_divexact_raises_on_a_remainder(self):
+        with pytest.raises(PolynomialError, match="inexact"):
+            divexact(P("x^2 + y"), P("x + y"))
+        with pytest.raises(PolynomialError, match="inexact"):
+            divexact(P("(x + y)*(x - y) + 1"), P("x - y"))
+        assert divexact(P("(x + y)*(x - y)"), P("x - y")) == P("x + y")
 
 
 class TestLinearChange:

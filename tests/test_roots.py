@@ -1,5 +1,6 @@
 """Certified univariate root solving."""
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from mpmath import mpf
 
 import carousel.roots as roots_mod
 from carousel.gaussian import GaussianRational
-from carousel.poly import Polynomial, PolynomialError, parse_polynomial
+from carousel.poly import Polynomial, PolynomialError, _to_gaussian_int, parse_polynomial
 from carousel.roots import (ComplexBall, PrecisionError, aberth_roots,
                             gaussian_to_mpc, solve_numeric, univariate_roots)
 
@@ -186,7 +187,9 @@ def test_clustered_solve_stops_at_the_rounding_floor(monkeypatch):
     # the base fiber of the diagram of -3*y^5 + 3*x^3*y - 3*x^2 over
     # v = 1/256: two clusters of four roots about 1.5e-5 apart, whose
     # mpmath pass used to run all its sweeps because tol lies below the
-    # rounding floor there
+    # rounding floor there.  The mpmath pass runs only because the double
+    # pass from this exact circle does not converge; the next test holds
+    # a cluster that no double start can isolate.
     delta = parse_polynomial(
         "u^15 - 3125/256*u^8 - 3125/192*u^6*v - 3125/384*u^4*v^2"
         " - 3125/1728*u^2*v^3 - 3125/20736*v^4",
@@ -214,6 +217,40 @@ def test_clustered_solve_stops_at_the_rounding_floor(monkeypatch):
     with mpmath.mp.workprec(544):
         for ball in balls:
             assert sum(abs(ball.center - r.center) <= ball.radius for r in reference) == 1
+
+
+def test_cluster_below_double_resolution_needs_the_mpmath_start(monkeypatch):
+    # roots 1 and 1 + 2^-70: the monic coefficients rounded to doubles
+    # have a double root at 1, so no start circle lets doubles isolate
+    # the pair, and only the mpmath pass can
+    roots = [Fraction(1), Fraction(1) + Fraction(1, 2**70), Fraction(-2)]
+    u = Polynomial.variable(("u",), "u")
+    p = U("u^2 + 1")
+    for r in roots:
+        p = p * (u - Polynomial.constant(("u",), r))
+    coeffs = p.dense_coefficients()
+    ints = _to_gaussian_int(coeffs)[1]
+    n = len(ints) - 1
+    for turn in (0, 0.1, 0.25, 0.4):
+        unit = [cmath.exp(2j * cmath.pi * (k / n + turn) + 0.4j) for k in range(n)]
+        assert roots_mod._double_start(ints, unit) is None
+    passes = []
+    real = roots_mod._aberth_iterate
+
+    def spy(monic, z, *args):
+        passes.append((type(z[0]), real(monic, z, *args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(roots_mod, "_aberth_iterate", spy)
+    balls = aberth_roots(coeffs, 128)
+    assert passes[-1] == (mpmath.mpc, True)
+    assert len(balls) == 5
+    with mpmath.mp.workprec(600):
+        exact = [mpmath.mpc(mpf(r.numerator) / r.denominator) for r in roots]
+        exact += [mpmath.mpc(0, 1), mpmath.mpc(0, -1)]
+        for ball in balls:
+            assert ball.radius < mpf(2) ** -100
+            assert sum(abs(ball.center - z) <= ball.radius for z in exact) == 1
 
 
 def test_gaussian_to_mpc_rounds_once():
