@@ -5,7 +5,10 @@ the Newton polygon is followed through a monomial substitution chosen by
 a Bezout identity, so each irreducible local component yields exactly one
 parametrization t -> (t^e, sum c_k t^(m_k)) with no conjugate duplicates.
 Exponents and ramification indices stay exact (they come from the polygon
-combinatorics); coefficients are numeric balls.
+combinatorics); coefficients are numeric: each is a ComplexBall whose
+radius is a heuristic (see `_finalize_branch`), not a proven enclosure.
+The series Newton step under every smooth tail runs on Gaussian
+integers at one binary scale (`_tail_series`).
 
 Local intersection multiplicities are computed exactly by the classical
 reduction on restrictions to {y = 0} (order bookkeeping plus row
@@ -19,6 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .gaussian import GaussianRational, ZERO, ONE
 from .poly import (
@@ -28,8 +32,8 @@ from .poly import (
     squarefree_decomposition,
     squarefree_part,
 )
-from .roots import (MAX_PRECISION, ComplexBall, PrecisionError, aberth_roots,
-                    gaussian_to_mpc)
+from .roots import (MAX_PRECISION, ComplexBall, PrecisionError, _dyadic_ints,
+                    aberth_roots, gaussian_to_mpc)
 
 
 class PuiseuxError(ValueError):
@@ -167,10 +171,6 @@ class _ExactRing:
     def is_zero(c):
         return c.is_zero()
 
-    @staticmethod
-    def power(base, k):
-        return base**k
-
 
 class _NumericRing:
     exact = False
@@ -181,10 +181,6 @@ class _NumericRing:
 
     def is_zero(self, c):
         return abs(c) <= self.threshold
-
-    @staticmethod
-    def power(base, k):
-        return base**k
 
 
 def _binomial_row(j):
@@ -201,7 +197,7 @@ def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, ring):
 
     def xp(k):
         if k not in xi_pows:
-            xi_pows[k] = ring.power(xi, k)
+            xi_pows[k] = xi**k
         return xi_pows[k]
 
     for (i, j), c in terms.items():
@@ -240,88 +236,146 @@ def _normalize_numeric(terms: dict, ring) -> dict:
     return out
 
 
-# truncated power series helpers (dense mpc lists, index = exponent).
-# Zero tests use mpc truthiness (mpc_is_nonzero), about ten times cheaper
-# than comparing against the int 0.
+# truncated power series on Gaussian integers at one binary scale 2^S:
+# a series is a pair (real parts, imaginary parts) of int lists, index =
+# exponent, and an int n stands for n / 2^S
 
 
-def _tps_mul(a, b, T):
-    out = [mpc(0)] * (T + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(T - i, len(b) - 1)
-        for j in range(top + 1):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
+def _mul_into(acc, a, b, n):
+    """acc += a * b mod x^n at full width (scale 2^2S), in place."""
+    accr, acci = acc
+    ar, ai = a
+    nz = [(j, br, bi) for j, (br, bi) in enumerate(zip(*b)) if j < n and (br or bi)]
+    for i in range(min(n, len(ar))):
+        xr, xi = ar[i], ai[i]
+        if xr or xi:
+            for j, br, bi in nz:
+                if i + j >= n:
+                    break
+                accr[i + j] += xr * br - xi * bi
+                acci[i + j] += xr * bi + xi * br
+    return acc
 
 
-def _tps_recip(a, T):
-    if not a[0]:
+def _shift_back(acc, S):
+    """A full-width series rounded back to scale 2^S: one shift per coefficient."""
+    half = 1 << (S - 1)
+    return tuple([(v + half) >> S for v in part] for part in acc)
+
+
+def _zeros(n):
+    return [0] * n, [0] * n
+
+
+def _recip(a, n, S):
+    """1/a mod x^n; the constant term is 2^2S conj(a_0)/|a_0|^2, rounded."""
+    ar, ai = a
+    norm = ar[0] * ar[0] + ai[0] * ai[0]
+    if not norm:
         raise PrecisionError("series reciprocal of a zero constant term")
-    out = [mpc(0)] * (T + 1)
-    inv0 = 1 / a[0]
-    out[0] = inv0
-    for k in range(1, T + 1):
-        acc = mpc(0)
-        for m in range(1, min(k, len(a) - 1) + 1):
-            if a[m]:
-                acc += a[m] * out[k - m]
-        out[k] = -acc * inv0
-    return out
+    r0r = ((ar[0] << (2 * S + 1)) + norm) // (2 * norm)
+    r0i = ((-ai[0] << (2 * S + 1)) + norm) // (2 * norm)
+    rr, ri = _zeros(n)
+    rr[0], ri[0] = r0r, r0i
+    half = 1 << (2 * S - 1)
+    for k in range(1, n):
+        sr = si = 0
+        for m in range(1, k + 1):
+            xr, xi = ar[m], ai[m]
+            if xr or xi:
+                sr += xr * rr[k - m] - xi * ri[k - m]
+                si += xr * ri[k - m] + xi * rr[k - m]
+        # r_k = -s * r_0 with s at scale 2^2S: one shift by 2S
+        rr[k] = -((sr * r0r - si * r0i + half) >> 2 * S)
+        ri[k] = -((sr * r0i + si * r0r + half) >> 2 * S)
+    return rr, ri
 
 
-def _tail_series(terms: dict, budget: int, ring) -> dict:
+def _fixed(n, k, d):
+    """The integer nearest n * 2^k / d, for d > 0."""
+    if d == 1:
+        return n << k if k >= 0 else (n + (1 << (-k - 1))) >> -k
+    if k >= 0:
+        n <<= k
+    else:
+        d <<= -k
+    return (2 * n + d) // (2 * d)
+
+
+def _tail_series(terms: dict, budget: int, thresh) -> dict:
     """Solve h(x, y(x)) = 0 with dh/dy(0,0) != 0 by series Newton iteration.
 
     The window doubles each round (y correct mod x^m gives y' correct mod
     x^2m), so the quadratic series cost concentrates in the final pass.
+    The series are Gaussian integers at one binary scale 2^S.  h is first
+    multiplied by a power of two so that its largest coefficient has
+    magnitude about 1, which is exact and leaves y(x) unchanged.  S is the
+    working precision plus 32 guard bits, widened by -log2|h_y(0,0)| when
+    that is small, so a tiny h_y(0,0) keeps its relative accuracy and
+    never rounds to 0.  Each coefficient of a product (and of h and h_y)
+    is summed at full width and shifted back once, so it carries one
+    rounding of 2^-S however many terms it sums.  A coefficient y_k is
+    kept when |y_k| > thresh * max(1, |y_j| for j < k): rounding noise
+    at order k scales with the coefficients seen so far, not with the
+    global maximum (the series may grow geometrically).  Only the kept
+    ones become mpc values, rounded once to the working precision.
     """
-    numeric = {}
+    exact = {}  # key -> (re, im, e, d): the value (re + i*im) * 2^e / d
     for key, c in terms.items():
-        numeric[key] = gaussian_to_mpc(c) if isinstance(c, GaussianRational) else mpc(c)
+        if type(c) is GaussianRational:
+            exact[key] = (c.a, c.b, 0, c.d)
+        else:
+            (re, im), e = _dyadic_ints(c._mpc_)
+            exact[key] = (re, im, e, 1)
+
+    def log2(re, im, e, d):  # floor(log2|value|) up to 1
+        return max(abs(re), abs(im)).bit_length() + e - d.bit_length()
+
+    sigma = -max(log2(*v) for v in exact.values())
+    S = mp.prec + 32 + max(0, -sigma - log2(*exact.get((0, 1), (0, 0, 0, 1))))
     T = budget
-    by_j: dict = {}
-    for (i, j), c in numeric.items():
-        by_j.setdefault(j, []).append((i, c))
-    maxj = max(by_j) if by_j else 0
-    y = [mpc(0)] * (T + 1)
+    # h_j(x) with h = sum_j h_j(x) y^j, and (j + 1) h_(j+1)(x) for h_y
+    cols: dict = {}
+    for (i, j), (re, im, e, d) in exact.items():
+        if i <= T:
+            col = cols.setdefault(j, _zeros(T + 1))
+            col[0][i], col[1][i] = _fixed(re, S + sigma + e, d), _fixed(im, S + sigma + e, d)
+    dcols = {j - 1: ([j * v for v in re], [j * v for v in im])
+             for j, (re, im) in cols.items() if j}
+    maxj = max(cols)
+    y = _zeros(T + 1)
     correct = 1  # y agrees with the true series mod x^correct
     while correct <= T:
         window = min(2 * correct, T)
-        pow_y = [mpc(0)] * (window + 1)
-        pow_y[0] = mpc(1)
-        h_val = [mpc(0)] * (window + 1)
-        h_der = [mpc(0)] * (window + 1)
+        n = window + 1
+        pow_y = _zeros(n)
+        pow_y[0][0] = 1 << S
+        h_val, h_der = _zeros(n), _zeros(n)
         for j in range(maxj + 1):
-            if j in by_j:
-                for i, c in by_j[j]:
-                    if i <= window:
-                        for k in range(window + 1 - i):
-                            if pow_y[k]:
-                                h_val[i + k] += c * pow_y[k]
-            if j + 1 in by_j:
-                for i, c in by_j[j + 1]:
-                    if i <= window:
-                        for k in range(window + 1 - i):
-                            if pow_y[k]:
-                                h_der[i + k] += (j + 1) * c * pow_y[k]
+            if j in cols:
+                _mul_into(h_val, cols[j], pow_y, n)
+            if j in dcols:
+                _mul_into(h_der, dcols[j], pow_y, n)
             if j < maxj:
-                pow_y = _tps_mul(pow_y, y[: window + 1], window)
-        delta = _tps_mul(h_val, _tps_recip(h_der, window), window)
-        for k in range(window + 1):
-            y[k] = y[k] - delta[k]
-        correct = min(2 * correct, window + 1)
-    thresh = ring.threshold if not ring.exact else mpf(2) ** (-mp.prec // 2)
-    # rounding noise at order k scales with the coefficients seen so far,
-    # not with the global maximum (the series may grow geometrically)
+                pow_y = _shift_back(_mul_into(_zeros(n), pow_y, y, n), S)
+        h_val, h_der = _shift_back(h_val, S), _shift_back(h_der, S)
+        delta = _shift_back(_mul_into(_zeros(n), h_val, _recip(h_der, n, S), n), S)
+        for part, step in zip(y, delta):
+            for k in range(n):
+                part[k] -= step[k]
+        correct = min(2 * correct, n)
+    (t,), e = _dyadic_ints((thresh._mpf_,))
+    # |y_k|^2 > thresh^2 running^2, all squares at scale 2^2S
+    t2 = t * t << max(0, 2 * e)
     out = {}
-    running = mpf(1)
+    running2 = 1 << 2 * S
     for k in range(1, T + 1):
-        if abs(y[k]) > thresh * running:
-            out[k] = y[k]
-        running = max(running, abs(y[k]))
+        yr, yi = y[0][k], y[1][k]
+        n2 = yr * yr + yi * yi
+        if n2 << max(0, -2 * e) > t2 * running2:
+            out[k] = mp.make_mpc((from_man_exp(yr, -S, mp.prec, round_nearest),
+                                  from_man_exp(yi, -S, mp.prec, round_nearest)))
+        running2 = max(running2, n2)
     return out
 
 
@@ -356,8 +410,8 @@ def _expand(terms: dict, ring, prec: int, budget: int, memo: dict, depth: int = 
         # Deeper down an empty tail is legitimate (y^2 = x^3).
         if depth == 0 and min(i for (i, j) in terms if j == 0) > budget:
             raise SeparationError("first exponent beyond the truncation")
-        tail_ring = ring if not ring.exact else _NumericRing(mpf(2) ** (-(prec // 2)))
-        branches.append((1, mpc(1), _tail_series(terms, budget, tail_ring)))
+        thresh = ring.threshold if not ring.exact else mpf(2) ** (-(prec // 2))
+        branches.append((1, mpc(1), _tail_series(terms, budget, thresh)))
         return branches
     for q, p, u, v, xi_val, sub, sub_ring in _segment_children(terms, ring, prec, memo):
         inner = _expand(sub, sub_ring, prec, budget, memo, depth + 1)
@@ -471,6 +525,14 @@ def _segment_roots(psi, ring, prec):
 
 
 def _finalize_branch(e, mu, shifted, prec, budget):
+    """The PuiseuxBranch of one raw expansion (e, mu, {m: c}).
+
+    Each coefficient c becomes a ComplexBall of radius (|c| + 1) *
+    2^-(prec - 10).  That radius is a heuristic, about a thousand units of
+    the requested precision: no error bound of the segment roots, the
+    transforms or the tail series stands behind it, so the ball is not
+    proven to hold the true coefficient.
+    """
     exps = sorted(m for m in shifted)
     if exps and mu != 1:
         nu = mu ** (mpf(-1) / e)

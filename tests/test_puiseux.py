@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+import carousel.puiseux as puiseux_mod
+from carousel.gaussian import ONE, ZERO, GaussianRational
 from carousel.poly import Polynomial, parse_polynomial
 from carousel.puiseux import (
     CommonComponentError,
@@ -17,6 +21,7 @@ from carousel.puiseux import (
     newton_polygon,
     puiseux_branches,
 )
+from carousel.roots import PrecisionError, gaussian_to_mpc
 
 XY = ("x", "y")
 
@@ -128,6 +133,176 @@ class TestBranches:
         dec = puiseux_branches(P("(y - x^2 - x^9)*(y - x^2 - 2*x^9)"))
         assert [b.exponents for b in dec.branches] == [(2, 9), (2, 9)]
         assert [b.truncation_order for b in dec.branches] == [16, 16]
+
+
+def _exact_tail(terms, order):
+    """y(x) mod x^(order + 1) with h(x, y(x)) = 0 and y(0) = 0, in Q(i).
+
+    h = sum c_ij x^i y^j with c_01 != 0; each sweep of
+    y <- -(h - c_01 y)(x, y) / c_01 fixes one more order.  Returns the
+    nonzero coefficients {k: y_k}.
+    """
+    c01 = terms[(0, 1)]
+    rest = {key: c for key, c in terms.items() if key != (0, 1)}
+    maxj = max(j for _, j in terms)
+    y = [ZERO] * (order + 1)
+    for _ in range(order):
+        powers = [[ONE] + [ZERO] * order]
+        for _ in range(maxj):
+            prev = powers[-1]
+            powers.append([
+                sum((prev[m] * y[k - m] for m in range(k) if not prev[m].is_zero()), ZERO)
+                for k in range(order + 1)
+            ])
+        val = [ZERO] * (order + 1)
+        for (i, j), c in rest.items():
+            for k in range(order + 1 - i):
+                val[i + k] += c * powers[j][k]
+        y = [-v / c01 for v in val]
+    return {k: v for k, v in enumerate(y) if not v.is_zero()}
+
+
+def _assert_tail_matches(got, want, precision):
+    assert sorted(got) == sorted(want)
+    with mp.workprec(precision + 200):
+        for k, v in want.items():
+            exact = gaussian_to_mpc(v)
+            assert abs(got[k] - exact) <= mpf(2) ** -precision * abs(exact), k
+
+
+@st.composite
+def _smooth_tails(draw):
+    """h with Q(i) coefficients, h_y(0,0) != 0 and h(0,0) = 0."""
+    c01 = draw(st.sampled_from([ONE, -ONE, GaussianRational(0, 1),
+                                GaussianRational(1, -1), GaussianRational(2)]))
+    terms = {(0, 1): c01}
+    keys = [(i, j) for i in range(5) for j in range(5 - i) if (i, j) not in ((0, 0), (0, 1))]
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=5, unique=True)):
+        re, im = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        c = GaussianRational(Fraction(re, draw(st.integers(1, 3))), im)
+        if not c.is_zero():
+            terms[key] = c
+    return terms
+
+
+class TestTailSeries:
+    """`_tail_series`, the series Newton step under every smooth branch tail."""
+
+    @seed(11)
+    @settings(max_examples=40, deadline=None)
+    @given(terms=_smooth_tails(), precision=st.sampled_from([128, 256]))
+    def test_matches_the_exact_series(self, terms, precision):
+        with mp.workprec(precision + 64):
+            got = puiseux_mod._tail_series(terms, 16, mpf(2) ** -(precision // 2))
+        _assert_tail_matches(got, _exact_tail(terms, 16), precision)
+
+    @pytest.mark.parametrize("tiny,scale", [
+        (GaussianRational(Fraction(1, 2**200)), 1),
+        (GaussianRational(0, Fraction(3, 2**300)), 1),
+        (GaussianRational(0, Fraction(3, 2**300)), 2**500),
+    ], ids=["2^-200", "3i*2^-300", "3i*2^-300,h*2^500"])
+    def test_badly_scaled_h(self, tiny, scale):
+        # h_y(0,0) = 2^-200 against a largest coefficient 1: at the
+        # unwidened scale h_y(0,0) would keep 24 bits, and 2^-300 would
+        # round to 0.  Scaling h by 2^500 leaves y(x) as it is.
+        terms = {(0, 1): tiny, (1, 0): -ONE, (0, 2): ONE, (1, 1): ONE}
+        want = _exact_tail(terms, 16)
+        terms = {key: c * scale for key, c in terms.items()}
+        with mp.workprec(128 + 64):
+            got = puiseux_mod._tail_series(terms, 16, mpf(2) ** -64)
+        _assert_tail_matches(got, want, 128)
+
+    def test_exact_zero_derivative_raises(self):
+        with mp.workprec(192), pytest.raises(PrecisionError):
+            puiseux_mod._tail_series({(1, 0): ONE, (1, 1): ONE, (0, 2): ONE}, 8,
+                                     mpf(2) ** -64)
+
+    @pytest.mark.parametrize("germ", ["y^2 - 2*x^2 - x^3", "(y^2 - 2*x^2)^2 - x^5",
+                                      "x^3 + y^3 + x^2*y^2"])
+    def test_numeric_terms_agree_with_the_mpmath_routine(self, germ, monkeypatch):
+        # tails under an irrational segment root get mpc terms
+        real = puiseux_mod._tail_series
+        calls = []
+
+        def spy(terms, budget, thresh):
+            out = real(terms, budget, thresh)
+            calls.append((terms, budget, thresh, mp.prec, out))
+            return out
+
+        monkeypatch.setattr(puiseux_mod, "_tail_series", spy)
+        puiseux_branches(P(germ), precision=128)
+        numeric = [c for c in calls if all(type(v) is mpc for v in c[0].values())]
+        assert numeric
+        for terms, budget, thresh, prec, out in numeric:
+            with mp.workprec(prec):
+                want = _mpmath_tail_series(terms, budget, thresh)
+            assert sorted(out) == sorted(want)
+            for k, v in want.items():
+                assert abs(out[k] - v) <= mpf(2) ** -128 * abs(v)
+
+
+# The mpmath routine that `_tail_series` replaced, kept as the reference
+# for numeric (mpc) terms.
+
+
+def _tps_mul(a, b, T):
+    out = [mpc(0)] * (T + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        top = min(T - i, len(b) - 1)
+        for j in range(top + 1):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _tps_recip(a, T):
+    out = [mpc(0)] * (T + 1)
+    inv0 = 1 / a[0]
+    out[0] = inv0
+    for k in range(1, T + 1):
+        acc = mpc(0)
+        for m in range(1, min(k, len(a) - 1) + 1):
+            if a[m]:
+                acc += a[m] * out[k - m]
+        out[k] = -acc * inv0
+    return out
+
+
+def _mpmath_tail_series(terms, T, thresh):
+    by_j = {}
+    for (i, j), c in terms.items():
+        by_j.setdefault(j, []).append((i, mpc(c)))
+    maxj = max(by_j)
+    y = [mpc(0)] * (T + 1)
+    correct = 1
+    while correct <= T:
+        window = min(2 * correct, T)
+        pow_y = [mpc(0)] * (window + 1)
+        pow_y[0] = mpc(1)
+        h_val = [mpc(0)] * (window + 1)
+        h_der = [mpc(0)] * (window + 1)
+        for j in range(maxj + 1):
+            for i, c in by_j.get(j, ()):
+                for k in range(window + 1 - i):
+                    h_val[i + k] += c * pow_y[k]
+            for i, c in by_j.get(j + 1, ()):
+                for k in range(window + 1 - i):
+                    h_der[i + k] += (j + 1) * c * pow_y[k]
+            if j < maxj:
+                pow_y = _tps_mul(pow_y, y[: window + 1], window)
+        delta = _tps_mul(h_val, _tps_recip(h_der, window), window)
+        for k in range(window + 1):
+            y[k] = y[k] - delta[k]
+        correct = min(2 * correct, window + 1)
+    out = {}
+    running = mpf(1)
+    for k in range(1, T + 1):
+        if abs(y[k]) > thresh * running:
+            out[k] = y[k]
+        running = max(running, abs(y[k]))
+    return out
 
 
 def _assert_small_residual(f, branch, order):
