@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial, poly_gcd, resultant
 from .puiseux import milnor_number
 from .roots import (ComplexBall, PrecisionError, aberth_roots, gaussian_to_mpc,
                     ordering_key, univariate_roots)
@@ -221,8 +221,6 @@ def _system_roots_plain(p, q, precision):
     if px == 0 and qy == 0:
         return _cross_product(q, p, precision)
     if py >= 1 and qy >= 1:
-        from .poly import resultant
-
         eliminant = resultant(p, q, "y")
         if eliminant.is_zero():
             raise FamilyError("elimination collapsed: common factor in the gradient")

@@ -23,6 +23,7 @@ from .poly import (
     divexact,
     linear_change,
     poly_gcd,
+    resultant,
     squarefree_part,
 )
 from .puiseux import (
@@ -179,8 +180,6 @@ def cerf_diagram_of_polar(
         )
     if F3.degree("w") < 1:
         raise CertificateFailure("germ depends only on the chosen line")
-    from .poly import resultant
-
     delta_raw = resultant(G3, F3 - v3, "w")
     if delta_raw.is_zero():
         raise CertificateFailure("elimination collapsed (shared component slipped through)")

@@ -191,15 +191,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise PolynomialError("negative polynomial power")
-        result = Polynomial.constant(self.variables, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return Polynomial.constant(self.variables, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -891,74 +891,58 @@ def _merge_sqf(factors: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# resultants (Sylvester determinant via Bareiss elimination)
+# resultants (subresultant remainder sequence)
 # ---------------------------------------------------------------------------
 
 
 def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Sylvester resultant eliminating `var`, exact.
+    """Resultant eliminating `var`, exact, with no sign left over:
+    resultant(p, q) = lc(q)^deg(p) * prod of p(beta) over the roots beta
+    of q with multiplicity, the determinant of the Sylvester matrix that
+    lists the deg(p) shifted rows of q first.
 
-    Convention: the Sylvester matrix lists the deg(p) shifted rows of q
-    first, so resultant(p, q) = lc(q)^deg(p) * prod p(roots of q) up to
-    the usual sign bookkeeping.
+    Runs the subresultant pseudo-remainder sequence of Collins and of Brown
+    and Traub (Cohen, Alg. 3.3.7) on (q, p).  By the subresultant theorem
+    every division is exact in Q(i)[rest], and `divexact` raises otherwise.
     """
     p._check_same(q)
     m, n = p.degree(var), q.degree(var)
     if m < 1 or n < 1:
         raise PolynomialError("resultant needs positive degree in the variable")
-    pc = [c for c in p.as_univariate(var)]
-    qc = [c for c in q.as_univariate(var)]
-    rest = pc[0].variables
-    size = m + n
-    zero = Polynomial.zero(rest)
-    rows = []
-    for i in range(m):  # q-rows first
-        row = [zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_determinant(rows, rest)
-
-
-def _bareiss_determinant(rows: list, variables) -> Polynomial:
-    n = len(rows)
-    if n == 0:
-        return Polynomial.constant(variables, 1)
-    m = [list(r) for r in rows]
+    A, B = q.as_univariate(var), p.as_univariate(var)
     sign = 1
-    prev = Polynomial.constant(variables, 1)
-    for k in range(n - 1):
-        pivot_row = None
-        for r in range(k, n):
-            if not m[r][k].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Polynomial.zero(variables)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row = m[i]
-            skip_product = row[k].is_zero()
-            for j in range(k + 1, n):
-                if skip_product or m[k][j].is_zero():
-                    if row[j].is_zero():
-                        continue  # stays zero: no product and no division
-                    num = pivot * row[j]
-                else:
-                    num = pivot * row[j] - row[k] * m[k][j]
-                row[j] = divexact(num, prev)
-            row[k] = Polynomial.zero(variables)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    if n < m:  # Res(q, p) = (-1)^(mn) Res(p, q)
+        A, B, sign = B, A, (-1) ** (m * n)
+    g = h = Polynomial.constant(A[0].variables, 1)
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
+        R = _prem(A, B)
+        if not R:
+            return Polynomial.zero(g.variables)
+        den = g * h**delta
+        A, B = B, [divexact(c, den) for c in R]
+        g = A[-1]
+        if delta:
+            h = divexact(g**delta, h ** (delta - 1))
+    d = len(A) - 1
+    return divexact(B[0] ** d, h ** (d - 1)).scale(sign)
+
+
+def _prem(A: list, B: list) -> list:
+    """Pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, on coefficient
+    lists (low to high) with nonzero last entries; trailing zeros dropped."""
+    R = list(A)
+    lc, rest = B[-1], B[:-1]
+    for _ in range(len(A) - len(B) + 1):
+        top = R.pop()
+        R = [c * lc for c in R]
+        shift = len(R) - len(rest)
+        for i, c in enumerate(rest):
+            R[shift + i] = R[shift + i] - top * c
+    while R and R[-1].is_zero():
+        R.pop()
+    return R
 
 
 # ---------------------------------------------------------------------------

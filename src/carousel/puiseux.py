@@ -33,7 +33,7 @@ from .poly import (
     squarefree_part,
 )
 from .roots import (MAX_PRECISION, ComplexBall, PrecisionError, _dyadic_ints,
-                    aberth_roots, gaussian_to_mpc)
+                    aberth_roots, gaussian_to_mpc, ordering_key)
 
 
 class PuiseuxError(ValueError):
@@ -559,8 +559,6 @@ def _finalize_branch(e, mu, shifted, prec, budget):
 
 
 def _branch_sort_key(branch: PuiseuxBranch):
-    from .roots import ordering_key
-
     if branch.is_axis:
         return (branch.ramification_index, 0, (0, 0))
     c0 = branch.coefficients[0].center

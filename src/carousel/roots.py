@@ -27,7 +27,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, round_cei
                           round_nearest)
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, PolynomialError, _to_gaussian_int
+from .poly import Polynomial, PolynomialError, _to_gaussian_int, squarefree_decomposition
 
 
 class PrecisionError(ArithmeticError):
@@ -485,8 +485,6 @@ def univariate_roots(p: Polynomial, precision: int) -> list:
     numeric stage only ever isolates simple roots.  The returned list of
     (ComplexBall, multiplicity) pairs is sorted by root center.
     """
-    from .poly import squarefree_decomposition
-
     if p.is_zero():
         raise PolynomialError("cannot solve the zero polynomial")
     if len(p.variables) != 1:

@@ -55,6 +55,66 @@ def _polynomials(max_x=3, max_y=3, through_origin=False):
     return st.dictionaries(exps, _COEFFS, max_size=4).map(lambda t: Polynomial(XY, t))
 
 
+def _sylvester(p, q, var):
+    """Test-only reference: the Sylvester determinant of p and q in `var`,
+    the deg(p) shifted rows of q first, by cofactor expansion down the
+    first column with zero entries skipped."""
+    m, n = p.degree(var), q.degree(var)
+    zero = Polynomial.zero(p.as_univariate(var)[0].variables)
+    qc, pc = q.as_univariate(var)[::-1], p.as_univariate(var)[::-1]
+    rows = [[zero] * i + qc + [zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zero] * i + pc + [zero] * (n - 1 - i) for i in range(n)]
+
+    def det(rows):
+        if not rows:
+            return zero + 1
+        total = zero
+        for i, row in enumerate(rows):
+            if not row[0].is_zero():
+                minor = det([r[1:] for k, r in enumerate(rows) if k != i])
+                total = total + (row[0] * minor).scale((-1) ** i)
+        return total
+
+    return det(rows)
+
+
+# cheaper to draw than _COEFFS (no st.fractions), which matters at 200 examples
+_SMALL_COEFFS = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), b),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(p, q) over ('y',), ('x', 'y') or ('u', 'v', 'y') with deg_y 1-4,
+    drawn so that equal degrees, deg p > deg q with both odd, and a
+    shared factor all occur."""
+    variables = draw(st.sampled_from([("y",), ("x", "y"), ("u", "v", "y")]))
+
+    def poly(deg_y):
+        rest = [st.integers(min_value=0, max_value=2)] * (len(variables) - 1)
+        exps = st.tuples(*rest, st.integers(min_value=0, max_value=deg_y))
+        terms = draw(st.dictionaries(exps, _SMALL_COEFFS, max_size=4))
+        lead = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in rest)
+        terms[lead + (deg_y,)] = draw(_SMALL_COEFFS.filter(lambda c: not c.is_zero()))
+        return Polynomial(variables, terms)
+
+    degrees = st.integers(min_value=1, max_value=4)
+    dp, dq = draw(
+        st.one_of(
+            st.tuples(degrees, degrees),
+            st.sampled_from([(1, 1), (2, 2), (3, 3), (4, 4), (3, 1)]),
+        )
+    )
+    if not draw(st.booleans()):
+        return poly(dp), poly(dq), False
+    shared = poly(1)
+    return poly(dp - 1) * shared, poly(dq - 1) * shared, True
+
+
 class TestParser:
     def test_two_term_reading(self):
         p = P("x^5 - y^2")
@@ -163,6 +223,15 @@ class TestResultant:
             rhs = resultant(q, p, "y")
             sign = (-1) ** (p.degree("y") * q.degree("y"))
             assert lhs == rhs.scale(sign)
+
+    @seed(12)
+    @settings(max_examples=200, deadline=None)
+    @given(_resultant_pairs())
+    def test_matches_sylvester_determinant(self, pair):
+        p, q, shared = pair
+        r = resultant(p, q, "y")
+        assert r == _sylvester(p, q, "y")
+        assert r.is_zero() or not shared
 
 
 class TestSquarefree:
