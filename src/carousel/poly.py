@@ -166,7 +166,10 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, value) -> "Polynomial":
+        """value * self; self itself when value is 1 (polynomials are immutable)."""
         value = GaussianRational.from_value(value)
+        if value.is_one():
+            return self
         if value.is_zero():
             return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {e: c * value for e, c in self.terms.items()})
@@ -221,21 +224,6 @@ class Polynomial:
             new = exps[:i] + (k - 1,) + exps[i + 1 :]
             terms[new] = terms.get(new, ZERO) + coeff * k
         return Polynomial(self.variables, terms)
-
-    def evaluate(self, values: dict) -> GaussianRational:
-        """Full exact evaluation; every variable must be assigned."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise PolynomialError(f"missing values for {missing}")
-        vals = [GaussianRational.from_value(values[v]) for v in self.variables]
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for base, k in zip(vals, exps):
-                if k:
-                    term = term * base**k
-            total = total + term
-        return total
 
     def substitute(self, mapping: dict) -> "Polynomial":
         """Replace variables by polynomials (all over the same target tuple).

@@ -9,14 +9,16 @@ a step is accepted only if every predicted point passes Smale's
 alpha-test against the new fiber, with pairwise disjoint 2*beta balls,
 and Newton's method then gives it a certified inclusion radius, the
 corrected points stay unambiguous and none moves more than a quarter of
-their separation.  The corrector runs in complex doubles under a
-running rounding-error bound; if a double-precision certificate still
-fails at the finest step, or after 2^20 steps, the whole loop is
-tracked again with the mpmath corrector at the precision of the radii.
-The mpmath work (steps, Newton iterations and alpha-test passes) is
-held to a constant budget.  The base fiber comes solved with the radii,
-and the polish of the end points and the final matching run at their
-precision.  The loop closes up to a permutation of the base fiber; it is
+their separation.  One corrector, `_refine`, runs in complex doubles
+under a running rounding-error bound; if a double-precision certificate
+still fails at the finest step, or after 2^20 steps, or the end points
+do not match, the whole loop is tracked again by the same corrector at
+the precision of the radii.  The mpmath work (steps, Newton iterations
+and alpha-test passes) is held to a constant budget.  The base fiber
+comes solved with the radii, and the loop ends on that same fiber over
+v = eta, so nothing is solved or polished again: each end point's
+inclusion disk is matched to the one base ball it meets, by exact disk
+tests.  The loop closes up to a permutation of the base fiber; it is
 checked against the exact cycle type predicted from the Puiseux
 branches of Delta.
 """
@@ -35,7 +37,7 @@ from mpmath import mp, mpc, mpf
 
 from .polar import CerfDiagram
 from .poly import Polynomial, resultant
-from .roots import (PrecisionError, error_factor, gaussian_to_mpc,
+from .roots import (ComplexBall, PrecisionError, error_factor, gaussian_to_mpc,
                     horner_bound, newton_radius, ordering_key, solve_numeric)
 
 
@@ -398,72 +400,38 @@ def _alpha_certified(coeffs, majorants, points, gamma, double) -> bool:
     )
 
 
-def _refine_points(fiber, v_from, v_to, points, rho, precision, work):
-    """Predict from v_from and correct over v_to in mpmath; (points, radii) or None.
+def _refine(fiber, v_from, v_to, points, rho, work=None):
+    """Predict from v_from and correct over v_to; (points, radii) or None.
 
-    With v_from == v_to (the polish of tracked end points) there is no
-    prediction to certify and the points are only corrected.  Every step,
-    Newton iteration and Horner pass of the alpha-test (n per point) is
-    charged to `work`.
+    Without `work` the step runs in complex doubles; with it, at the
+    working precision, charging the step, n alpha-test Horner passes per
+    point and every Newton iteration to `work`.  Newton stops once |p| is
+    within its rounding bound e.  The step is refused (None) unless every
+    point gets there within 40 iterations with |p'| > e', and in doubles
+    also with finite values and normal bounds (no underflow).
     """
-    coeffs, majorants = fiber.at_value(v_to)
-    n = len(coeffs) - 1
-    predicted = points
-    if v_from != v_to:
+    double = work is None
+    if double:
+        v_from, v_to = complex(v_from), complex(v_to)
+        coeffs, majorants = fiber.at_value_double(v_to)
+        gamma, half = fiber.gamma_d, float(rho) / 2
+    else:
+        coeffs, majorants = fiber.at_value(v_to)
+        gamma, half = fiber.gamma, rho / 2
         work.spend("steps")
-        predicted = fiber.predict(points, v_from, v_to, double=False)
-        work.spend("alpha_passes", len(points) * n)
-        if not _alpha_certified(coeffs, majorants, predicted, fiber.gamma, False):
-            return None
-    tol = mpf(2) ** (-(precision + 8))
-    new_pts = []
-    new_radii = []
-    for zz in predicted:
-        ok = False
-        for _ in range(40):
-            work.spend("newton_iterations")
-            p, dp, _, _ = horner_bound(coeffs, majorants, zz, fiber.gamma)
-            if dp == 0:
-                return None
-            step = p / dp
-            zz = zz - step
-            if abs(step) < tol * (1 + abs(zz)):
-                ok = True
-                break
-        radius = newton_radius(n, *horner_bound(coeffs, majorants, zz, fiber.gamma))
-        if radius is None:
-            return None
-        if not ok and radius > mpf(2) ** (-(precision // 2)):
-            return None
-        if abs(zz) >= rho / 2:
-            return None
-        new_pts.append(zz)
-        new_radii.append(radius)
-    return _checked_move(points, new_pts, new_radii)
-
-
-def _refine_double(fiber, v_from, v_to, points, rho):
-    """The predictor and corrector of `_refine_points` in complex doubles.
-
-    Newton stops once |p| is within its rounding bound e.  The step is
-    refused (None) unless every point gets there within 40 iterations
-    with finite values, normal bounds (no underflow) and |p'| > e'.
-    """
-    v_from, v_to = complex(v_from), complex(v_to)
-    coeffs, majorants = fiber.at_value_double(v_to)
-    gamma = fiber.gamma_d
-    predicted = fiber.predict(points, v_from, v_to, double=True)
-    if not _alpha_certified(coeffs, majorants, predicted, gamma, True):
-        return None
+        work.spend("alpha_passes", len(points) * (len(coeffs) - 1))
     n = len(coeffs) - 1
-    half = float(rho) / 2
-    new_pts = []
-    new_radii = []
+    predicted = fiber.predict(points, v_from, v_to, double)
+    if not _alpha_certified(coeffs, majorants, predicted, gamma, double):
+        return None
+    new_pts, new_radii = [], []
     for z in predicted:
         for _ in range(40):
+            if not double:
+                work.spend("newton_iterations")
             p, dp, e, de = horner_bound(coeffs, majorants, z, gamma)
-            if not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
-                    and cmath.isfinite(p) and cmath.isfinite(dp)):
+            if double and not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
+                               and cmath.isfinite(p) and cmath.isfinite(dp)):
                 return None
             if abs(p) <= e:
                 break
@@ -482,37 +450,34 @@ def _refine_double(fiber, v_from, v_to, points, rho):
 
 def _checked_move(points, new_pts, new_radii):
     """Accept corrected points only if unambiguous and continuous."""
+    pairs = list(itertools.combinations(range(len(new_pts)), 2))
     # pairwise separation with the 4x ambiguity margin
-    for i in range(len(new_pts)):
-        for j in range(i + 1, len(new_pts)):
-            if abs(new_pts[i] - new_pts[j]) <= 4 * (new_radii[i] + new_radii[j]):
-                return None
+    if any(abs(new_pts[i] - new_pts[j]) <= 4 * (new_radii[i] + new_radii[j]) for i, j in pairs):
+        return None
     # continuity: each point must move much less than the fiber separation
-    if len(new_pts) > 1:
-        min_sep = min(
-            abs(new_pts[i] - new_pts[j])
-            for i in range(len(new_pts))
-            for j in range(i + 1, len(new_pts))
-        )
-        max_move = max(abs(a - b) for a, b in zip(points, new_pts))
-        if max_move > min_sep / 4:
+    if pairs:
+        min_sep = min(abs(new_pts[i] - new_pts[j]) for i, j in pairs)
+        if max(abs(a - b) for a, b in zip(points, new_pts)) > min_sep / 4:
             return None
     return new_pts, new_radii
 
 
-def _track(refine, points, eta, direction):
-    """Follow `points` once around |v| = eta with the corrector `refine`.
+def _track(radii, points, direction, work=None):
+    """Follow `points` once around |v| = eta with `_refine`.
 
-    `refine(v_from, v_to, points)` returns (points, radii) or None.  The
+    `work` is None in doubles and the mpmath budget otherwise.  The
     first step is 1/64 turn; an accepted step doubles the next one, up
     to 1/16 turn, and a refusal halves it, down to 2^-50 turn, failing
-    hard beyond _MAX_STEPS steps.  Returns the end points, the orbit
+    hard beyond _MAX_STEPS steps.  The last step ends on v = eta exactly
+    (expjpi(+-2) is 1), so the end points come certified on the base
+    fiber.  Returns the end points, their inclusion radii, the orbit
     traces and the number of steps tried.
     """
     traces = [[(float(z.real), float(z.imag))] for z in points]
     used = 0
     theta = 0
     length = _TURN >> _FIRST_STEP
+    eta = radii.eta
     v_from = mpc(eta)
     while theta < _TURN:
         step = min(length, _TURN - theta)
@@ -520,7 +485,7 @@ def _track(refine, points, eta, direction):
             raise TrackingError("step budget exhausted (matching stayed ambiguous)")
         v_to = eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN)
         used += 1
-        result = refine(v_from, v_to, points)
+        result = _refine(radii.fiber, v_from, v_to, points, radii.rho, work)
         if result is None:
             if step == 1:
                 raise TrackingError("matching ambiguity at maximal resolution")
@@ -529,10 +494,10 @@ def _track(refine, points, eta, direction):
         theta += step
         v_from = v_to
         length = min(2 * length, _TURN >> _LONGEST_STEP)
-        points = result[0]
+        points, end_radii = result
         for trace, z in zip(traces, points):
             trace.append((float(z.real), float(z.imag)))
-    return points, traces, used
+    return points, end_radii, traces, used
 
 
 def carousel_permutation(
@@ -543,51 +508,35 @@ def carousel_permutation(
     """Monodromy permutation of the fiber points over one loop in v.
 
     Works at the precision of `radii`, from the base fiber solved with
-    them.  Deterministic: the steps are dyadic fractions of a turn chosen
-    by the rule of `_track`.  A loop that needs more than WORK_BUDGET
-    units of mpmath corrector work raises WorkBudgetError.
-    `direction=-1` traverses the loop clockwise and yields the inverse
-    permutation.
+    them.  The loop is tracked in doubles; if that fails, tracking or
+    matching, it is tracked again at the working precision.
+    Deterministic: the steps are dyadic fractions of a turn chosen by
+    the rule of `_track`.  A loop that needs more than WORK_BUDGET units
+    of mpmath corrector work raises WorkBudgetError.  `direction=-1`
+    traverses the loop clockwise and yields the inverse permutation.
     """
     if diagram.is_empty:
         raise TrackingError("empty diagram has no carousel")
     if direction not in (1, -1):
         raise TrackingError("direction must be +1 or -1")
     work = _Work()
-    precision, fiber, base = radii.precision, radii.fiber, radii.base_points
+    precision, base = radii.precision, radii.base_points
     with mp.workprec(precision + 32):
         m = diagram.contact_count
         if len(base) != m:
             raise TrackingError(
                 f"base fiber carries {len(base)} points, expected {m}"
             )
-        rho = radii.rho
-        end_v = radii.eta * mpmath.expjpi(2 * direction)
         try:
-            points, traces, used = _track(
-                lambda v_from, v_to, pts: _refine_double(fiber, v_from, v_to, pts, rho),
-                [complex(b.center) for b in base],
-                radii.eta,
-                direction,
+            points, end_radii, traces, used = _track(
+                radii, [complex(b.center) for b in base], direction
             )
-            polished = _refine_points(
-                fiber, end_v, end_v, [mpc(z) for z in points], rho, precision, work
-            )
-            if polished is None:
-                raise TrackingError("end points do not polish at full precision")
-            sigma = _match_to_base(polished[0], base, precision)
-        except WorkBudgetError:
-            raise
+            sigma = _match_to_base(points, end_radii, base)
         except TrackingError:
-            points, traces, used = _track(
-                lambda v_from, v_to, pts: _refine_points(
-                    fiber, v_from, v_to, pts, rho, precision, work
-                ),
-                [b.center for b in base],
-                radii.eta,
-                direction,
+            points, end_radii, traces, used = _track(
+                radii, [b.center for b in base], direction, work
             )
-            sigma = _match_to_base(points, base, precision)
+            sigma = _match_to_base(points, end_radii, base)
         fixed = tuple(i for i, j in enumerate(sigma) if i == j)
         cycle_type = _cycle_type(sigma)
         return CarouselPermutation(
@@ -602,24 +551,34 @@ def carousel_permutation(
         )
 
 
-def _match_to_base(points, base, precision):
-    m = len(points)
-    sigma = [-1] * m
-    taken = [False] * m
-    for i, z in enumerate(points):
-        dists = sorted(
-            (abs(z - base[j].center), j) for j in range(m)
-        )
-        best_d, best_j = dists[0]
-        margin = 4 * (base[best_j].radius + mpf(2) ** (-(precision // 2)))
-        if best_d > max(margin, mpf(2) ** (-(precision // 4))):
-            raise TrackingError("final point does not land on a base point")
-        if len(dists) > 1 and dists[1][0] <= 4 * best_d + margin:
-            raise TrackingError("final matching is ambiguous")
-        if taken[best_j]:
-            raise TrackingError("two tracked points collided (diagram not squarefree?)")
-        taken[best_j] = True
-        sigma[i] = best_j
+def _match_to_base(points, radii, base):
+    """sigma: each end disk to the one base ball that it meets.
+
+    The disks come from the last step of `_track`, over v = eta, the
+    value of the base fiber, and every test is exact
+    (`ComplexBall.is_disjoint_from`).  Each end disk D(z, r) holds a
+    root of Delta(u, eta), by Newton's inclusion disk.  The corrector
+    kept |z| < rho/2 and, for m >= 2, r below a quarter of the distance
+    to the nearest other end point (the 4-radii margin of
+    `_checked_move`), so r < rho/4 and the disk lies in |u| < 2*rho.
+    By the Rouche certificate of `choose_radii` no root lies in
+    rho/2 <= |u| <= 2*rho, so the root is one of the m base roots, and
+    it lies in its own base ball; a disk that meets only that ball is
+    matched to it.  Disjoint end disks hold distinct roots, so sigma is
+    a permutation.  For m = 1 nothing bounds r, but a permutation of one
+    point is the identity anyway.
+    Raises TrackingError unless each disk meets exactly one base ball
+    and no two disks meet the same one.
+    """
+    sigma = []
+    for z, r in zip(points, radii):
+        disk = ComplexBall(z, r, 53)
+        hits = [j for j, ball in enumerate(base) if not disk.is_disjoint_from(ball)]
+        if len(hits) != 1:
+            raise TrackingError(f"an end point meets {len(hits)} base balls, not one")
+        sigma.append(hits[0])
+    if len(set(sigma)) != len(sigma):
+        raise TrackingError("two tracked points end in one base ball")
     return sigma
 
 

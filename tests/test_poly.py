@@ -361,6 +361,13 @@ class TestGcd:
             divexact(P("(x + y)*(x - y) + 1"), P("x - y"))
         assert divexact(P("(x + y)*(x - y)"), P("x - y")) == P("x + y")
 
+    def test_unit_scale_and_division_return_the_operand(self):
+        # polynomials are immutable, so a factor of 1 rebuilds nothing
+        p = P("x^2 + 3*x*y")
+        assert p.scale(1) is p
+        assert divexact(p, P("1")) is p
+        assert p.scale(-1) == -p
+
 
 class TestLinearChange:
     def test_identity_change(self):

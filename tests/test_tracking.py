@@ -16,7 +16,7 @@ from carousel.gaussian import GaussianRational
 from carousel.polar import diagram_from_defining, select_generic_line
 from carousel.poly import Polynomial, parse_polynomial, poly_gcd, squarefree_part
 from carousel.report import StageError, analyze_germ
-from carousel.roots import aberth_roots, error_factor, solve_numeric
+from carousel.roots import ComplexBall, aberth_roots, error_factor, solve_numeric
 from carousel.tracking import (
     RadiiError,
     TrackingError,
@@ -33,6 +33,34 @@ DIAGRAMS = ("v - u^5", "v + u", "v - u^2", "(v - u^2)*(v - u^3)", "v^2 - u^3",
 
 def D(text):
     return diagram_from_defining(parse_polynomial(text, ("u", "v")))
+
+
+def _record_budgets(monkeypatch):
+    """Collect every `_Work` budget that `carousel_permutation` creates."""
+    budgets = []
+    real = tracking_mod._Work
+
+    def recorded():
+        budgets.append(real())
+        return budgets[-1]
+
+    monkeypatch.setattr(tracking_mod, "_Work", recorded)
+    return budgets
+
+
+def _refuse_doubles(monkeypatch):
+    """Make `_refine` refuse every double step; returns its mpmath call count."""
+    calls = [0]
+    real = tracking_mod._refine
+
+    def mpmath_only(fiber, v_from, v_to, points, rho, work=None):
+        if work is None:
+            return None
+        calls[0] += 1
+        return real(fiber, v_from, v_to, points, rho, work)
+
+    monkeypatch.setattr(tracking_mod, "_refine", mpmath_only)
+    return calls
 
 
 class TestChooseRadii:
@@ -217,21 +245,14 @@ class TestCarouselPermutation:
     def test_work_budget_raises_with_counters(self, monkeypatch):
         d = D("v - u^5")
         radii = choose_radii(d, 128)
-        budgets = []
-        real = tracking_mod._Work
-
-        def recorded():
-            budgets.append(real())
-            return budgets[-1]
-
-        monkeypatch.setattr(tracking_mod, "_Work", recorded)
+        budgets = _record_budgets(monkeypatch)
         carousel_permutation(d, radii)
-        # the double tracker is not charged, only the mpmath polish of its end
-        assert budgets[0].counters["steps"] == 0
-        assert 0 < budgets[0].used <= 40
+        # the double tracker is not charged, and its end points are matched
+        # to the base fiber as they are
+        assert budgets[0].used == 0
         # in mpmath the first step charges itself and 5 alpha passes per point
         monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
-        monkeypatch.setattr(tracking_mod, "_refine_double", lambda *args: None)
+        _refuse_doubles(monkeypatch)
         with pytest.raises(WorkBudgetError) as info:
             carousel_permutation(d, radii)
         assert info.value.counters == {"steps": 1, "newton_iterations": 0, "alpha_passes": 25}
@@ -249,7 +270,7 @@ class TestCarouselPermutation:
 
     def test_budget_is_a_carousel_stage_error(self, monkeypatch):
         monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
-        monkeypatch.setattr(tracking_mod, "_refine_double", lambda *args: None)
+        _refuse_doubles(monkeypatch)
         with pytest.raises(StageError) as info:
             analyze_germ("x^5 - y^2")
         assert info.value.stage == "carousel"
@@ -320,30 +341,20 @@ class TestAlphaTest:
 
 
 class TestDoubleKernel:
-    @staticmethod
-    def _count_mpmath_steps(monkeypatch):
-        calls = [0]
-        real = tracking_mod._refine_points
-
-        def counted(*args):
-            calls[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(tracking_mod, "_refine_points", counted)
-        return calls
-
     @pytest.mark.parametrize("text", DIAGRAMS)
     def test_double_and_mpmath_kernels_agree(self, text, monkeypatch):
         d = D(text)
         radii = choose_radii(d, 128)
-        calls = self._count_mpmath_steps(monkeypatch)
+        budgets = _record_budgets(monkeypatch)
         fast = carousel_permutation(d, radii)
-        # only the end-point polish ran in mpmath
-        assert calls[0] == 1
-        # a double kernel that refuses every step falls back to mpmath
-        monkeypatch.setattr(tracking_mod, "_refine_double", lambda *args: None)
+        # nothing ran in mpmath
+        assert budgets[0].used == 0
+        # a kernel that refuses every double step falls back to mpmath,
+        # one call per step tried, with no polish after the loop
+        calls = _refuse_doubles(monkeypatch)
         slow = carousel_permutation(d, radii)
-        assert calls[0] > fast.steps_used
+        assert calls[0] == slow.steps_used
+        assert budgets[1].counters["steps"] == slow.steps_used
         assert slow.sigma == fast.sigma
         assert slow.steps_used == fast.steps_used
         assert [str(b.center) for b in slow.base_points] == [
@@ -352,6 +363,28 @@ class TestDoubleKernel:
         assert [len(t) for t in slow.orbit_traces] == [
             len(t) for t in fast.orbit_traces
         ]
+
+    def test_unmatched_double_end_falls_back_to_mpmath(self, monkeypatch):
+        # a TrackingError from the matching of the double end points starts
+        # the mpmath pass, as one from the double steps does
+        d = D("v - u^5")
+        radii = choose_radii(d, 128)
+        fast = carousel_permutation(d, radii)
+        budgets = _record_budgets(monkeypatch)
+        real = tracking_mod._match_to_base
+        calls = []
+
+        def first_fails(points, end_radii, base):
+            calls.append(points)
+            if len(calls) == 1:
+                raise TrackingError("unmatched")
+            return real(points, end_radii, base)
+
+        monkeypatch.setattr(tracking_mod, "_match_to_base", first_fails)
+        slow = carousel_permutation(d, radii)
+        assert len(calls) == 2
+        assert slow.sigma == fast.sigma
+        assert budgets[0].counters["steps"] == slow.steps_used
 
     def test_double_balls_enclose_the_roots(self):
         rng = random.Random(11)
@@ -369,10 +402,36 @@ class TestDoubleKernel:
                 roots = aberth_roots(fiber.at_value(v)[0], 256)
                 rho = 4 * (1 + max(abs(b.center) for b in roots))
                 starts = [complex(b.center) * (1 + 1e-9j) for b in roots]
-                result = tracking_mod._refine_double(fiber, v, v, starts, rho)
+                result = tracking_mod._refine(fiber, v, v, starts, rho)
                 assert result is not None
                 for ball, z, radius in zip(roots, *result):
                     assert abs(ball.center - z) <= radius
+
+
+class TestMatchToBase:
+    # base balls of radius 1/8 at -1 and 1
+    BASE = (ComplexBall(-1, 0.125, 53), ComplexBall(1, 0.125, 53))
+
+    def test_each_disk_meets_one_ball(self):
+        assert tracking_mod._match_to_base([0.95, -1.0], [0.1, 0.01], self.BASE) == [1, 0]
+        assert tracking_mod._match_to_base([1j], [1.5], self.BASE[:1]) == [0]
+
+    def test_disk_meeting_two_balls(self):
+        with pytest.raises(TrackingError, match="meets 2 base balls"):
+            tracking_mod._match_to_base([0.0, 1.0], [0.9, 0.01], self.BASE)
+
+    def test_disk_meeting_none(self):
+        # 1 + 0.25 + 0.125 + 2^-40: just clear of the ball at 1
+        with pytest.raises(TrackingError, match="meets 0 base balls"):
+            tracking_mod._match_to_base([-1.0, 1.375 + 2.0 ** -40], [0.01, 0.25], self.BASE)
+
+    def test_touching_disks_meet(self):
+        # |z - 1| = r + 1/8 exactly: closed disks that touch are not disjoint
+        assert tracking_mod._match_to_base([-1.0, 1.375], [0.01, 0.25], self.BASE) == [0, 1]
+
+    def test_two_disks_on_one_ball(self):
+        with pytest.raises(TrackingError, match="one base ball"):
+            tracking_mod._match_to_base([1.0, 1.01], [0.001, 0.001], self.BASE)
 
 
 class TestPredictedCycleType:
@@ -442,6 +501,17 @@ def test_steps_used_on_the_corpus():
     for germ in CORPUS + NON_M2:
         steps = analyze_germ(germ).permutation.steps_used
         assert steps <= STEP_BOUNDS.get(germ, 18), (germ, steps)
+
+
+def test_no_mpmath_work_on_the_corpus(monkeypatch):
+    # the double corrector carries every corpus loop, and nothing is polished
+    from carousel.corpus import CORPUS, NON_M2
+
+    budgets = _record_budgets(monkeypatch)
+    for germ in CORPUS + NON_M2:
+        analyze_germ(germ)
+    assert len(budgets) == len(CORPUS + NON_M2)
+    assert [b.used for b in budgets] == [0] * len(budgets)
 
 
 def test_one_base_solve_per_analysis(monkeypatch):
