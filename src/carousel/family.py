@@ -3,9 +3,13 @@
 For each parameter sample the critical points of f_t near the origin are
 located by exact elimination (resultants plus certified univariate
 solving); local Milnor numbers are read off the exact multiplicity
-structure of the eliminant.  The conservation report compares the total
-against mu(f_0); the coalescing verdict restricts to the zero fiber and
-applies the uniqueness statement only when its hypothesis holds exactly.
+structure of the eliminant.  Ball centers are dyadic, so f, its gradient
+and the fiber coefficients are exact Gaussian integers over one known
+denominator there (homogeneous Horner), rounded once where a ball is
+built; a y ball also carries the x radius to first order.  The
+conservation report compares the total against mu(f_0); the coalescing
+verdict restricts to the zero fiber and applies the uniqueness statement
+only when its hypothesis holds exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, mpf_add, mpf_shift, round_ceiling, round_nearest
 
-from .gaussian import GaussianRational
-from .poly import Polynomial, poly_gcd, resultant
+from .gaussian import GaussianRational, from_integers
+from .poly import Polynomial, _to_gaussian_int, poly_gcd, resultant
 from .puiseux import milnor_number
-from .roots import (ComplexBall, PrecisionError, aberth_roots, gaussian_to_mpc,
-                    ordering_key, univariate_roots)
+from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _homogeneous_horner,
+                    aberth_roots, ordering_key, univariate_roots)
 
 
 class FamilyError(ValueError):
@@ -107,29 +112,21 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
     fx, fy = f.partial_derivative("x"), f.partial_derivative("y")
     with mp.workprec(precision + 32):
         raw = _system_roots(f, fx, fy, precision)
-        numeric = [_numeric_terms(g) for g in (f, fx, fy)]
-        radius = mpf(family.search_radius.numerator) / family.search_radius.denominator
+        rows = _xy_rows(f)
         points = []
-        outside = 0
-        total = 0
         for bx, by, mu in raw:
-            modulus = mpmath.sqrt(abs(bx.center) ** 2 + abs(by.center) ** 2)
-            inside = modulus < radius
-            value = _value_ball(numeric, bx, by, precision)
+            x, y = _dyadic(bx.center), _dyadic(by.center)
+            value = _value_ball(rows, x, y, max(bx.radius, by.radius), precision)
             on_zero = abs(value.center) <= max(value.radius, mpf(2) ** (-(precision // 2)))
-            points.append(
-                CriticalPoint(
-                    x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=on_zero,
-                    inside=inside,
-                )
-            )
-            if inside:
-                total += mu
-            else:
-                outside += 1
+            points.append(CriticalPoint(
+                x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=on_zero,
+                inside=_inside(x, y, family.search_radius),
+            ))
         points.sort(key=_point_key)
         return CriticalRecord(
-            t=t_value, points=tuple(points), total_mu=total, points_outside=outside
+            t=t_value, points=tuple(points),
+            total_mu=sum(p.local_mu for p in points if p.inside),
+            points_outside=sum(not p.inside for p in points),
         )
 
 
@@ -140,38 +137,75 @@ def _point_key(point):
     return kx[:2] + ky[:2] + kx[2:] + ky[2:]
 
 
-def _value_ball(numeric, bx, by, precision):
-    """f at the point and a radius over the point's balls; `numeric` holds
-    the terms of f, f_x and f_y from `_numeric_terms`."""
-    f, fx, fy = numeric
-    xs = _powers(bx.center, max(i for i, _, _ in f))
-    ys = _powers(by.center, max(j for _, j, _ in f))
-    center = _eval_numeric(f, xs, ys)
-    gx = abs(_eval_numeric(fx, xs, ys))
-    gy = abs(_eval_numeric(fy, xs, ys))
-    slack = 2 * (gx + gy + 1) * max(bx.radius, by.radius) + (abs(center) + 1) * mpf(2) ** (
-        -(precision - 8)
-    )
-    return ComplexBall(center, slack, precision)
+def _dyadic(z):
+    """(a, b, s) with z == (a + bi)/2^s exactly and s >= 0."""
+    (a, b), e = _dyadic_ints(z._mpc_)
+    return (a << e, b << e, 0) if e > 0 else (a, b, -e)
 
 
-def _numeric_terms(f):
-    """The terms of f as (i, j, coefficient) at the working precision."""
-    return [(i, j, gaussian_to_mpc(c)) for (i, j), c in f.terms.items()]
+def _inside(x, y, radius):
+    """|x|^2 + |y|^2 < radius^2 for `_dyadic` points, decided on integers."""
+    (a, b, s), (c, d, u) = x, y
+    m = max(s, u)
+    n2 = (a * a + b * b << 2 * (m - s)) + (c * c + d * d << 2 * (m - u))
+    return n2 * radius.denominator**2 < radius.numerator**2 << 2 * m
 
 
-def _powers(z, top):
-    out = [mpc(1)]
-    for _ in range(top):
-        out.append(out[-1] * z)
-    return out
+def _xy_rows(poly):
+    """(den, dx, rows): rows[j][i] is den times the coefficient of x^i y^j as
+    a Gaussian integer (re, im), den the common denominator, dx the degree in x."""
+    den, ints = _to_gaussian_int(poly.terms.values())
+    rows = [[(0, 0)] for _ in range(poly.degree("y") + 1)]
+    for (i, j), c in zip(poly.terms, ints):
+        rows[j] += [(0, 0)] * (i + 1 - len(rows[j]))
+        rows[j][i] = c
+    return den, poly.degree("x"), rows
 
 
-def _eval_numeric(terms, xs, ys):
-    acc = mpc(0)
-    for i, j, c in terms:
-        acc += c * xs[i] * ys[j]
-    return acc
+def _at_x(poly_rows, a, b, s):
+    """The y-coefficients of p(x_c, y) and p_x(x_c, y) at x_c = (a + bi)/2^s,
+    as Gaussian integers: unit = den 2^(s dx) times the exact values.
+    Each row is shifted from 2^(s deg row) to that one power of two."""
+    den, dx, rows = poly_rows
+    values, ders = [], []
+    for row in rows:
+        shift = s * (dx + 1 - len(row))
+        pr, pi, dr, di = _homogeneous_horner(row, a, b, s)
+        values.append((pr << shift, pi << shift))
+        ders.append((dr << shift + s, di << shift + s))
+    return values, ders, den << s * dx
+
+
+def _at_y(values, ders, c, d, u):
+    """p, p_x and p_y at y_c = (c + di)/2^u from the rows of `_at_x`, as
+    Gaussian integers: the rows' unit times 2^(u n), n = len(values) - 1."""
+    pr, pi, dr, di = _homogeneous_horner(values, c, d, u)
+    xr, xi = _homogeneous_horner(ders, c, d, u)[:2]
+    return (pr, pi), (xr, xi), (dr << u, di << u)
+
+
+def _rounded(re, im, unit, prec):
+    """(re + im i)/unit, each part rounded once to `prec` bits.
+
+    Powers of two go into the exponent, so only the odd part of unit, that
+    of the coefficient denominator, divides; mpmath is slow to strip the
+    long runs of trailing zero bits that the shifts leave."""
+    e = (unit & -unit).bit_length() - 1
+    parts = []
+    for v in (re, im):
+        z = (v & -v).bit_length() - 1 if v else 0
+        parts.append(mpf_shift(from_rational(v >> z, unit >> e, prec, round_nearest), z - e))
+    return mp.make_mpc(tuple(parts))
+
+
+def _value_ball(f, x, y, r, precision):
+    """f at the `_dyadic` centers x, y, rounded once from its exact value,
+    with a radius over balls of radius r; `f` is `_xy_rows` of f."""
+    values, ders, unit = _at_x(f, *x)
+    unit <<= y[2] * (len(values) - 1)
+    v, vx, vy = (_rounded(*g, unit, precision + 32) for g in _at_y(values, ders, *y))
+    slack = 2 * (abs(vx) + abs(vy) + 1) * r + (abs(v) + 1) * mpf(2) ** (-(precision - 8))
+    return ComplexBall(v, slack, precision)
 
 
 def _system_roots(f, p, q, precision):
@@ -187,9 +221,7 @@ def _system_roots(f, p, q, precision):
                 return _system_roots_plain(p, q, precision)
             sheared = _shear(f, lam)
             roots = _system_roots_plain(
-                sheared.partial_derivative("x"),
-                sheared.partial_derivative("y"),
-                precision,
+                sheared.partial_derivative("x"), sheared.partial_derivative("y"), precision
             )
             out = []
             for bx, by, mu in roots:
@@ -231,19 +263,12 @@ def _system_roots_plain(p, q, precision):
 def _cross_product(p, q, precision):
     xroots = _exact_univariate_roots(p, "x", precision)
     yroots = _exact_univariate_roots(q, "y", precision)
-    out = []
-    for bx, mx in xroots:
-        for by, my in yroots:
-            out.append((bx, by, mx * my))
-    return out
+    return [(bx, by, mx * my) for bx, mx in xroots for by, my in yroots]
 
 
 def _exact_univariate_roots(p, var, precision):
-    terms = {}
     idx = 0 if var == "x" else 1
-    for exps, c in p.terms.items():
-        terms[(exps[idx],)] = c
-    uni = Polynomial((var,), terms)
+    uni = Polynomial((var,), {(exps[idx],): c for exps, c in p.terms.items()})
     if uni.degree(var) < 1:
         return []
     return univariate_roots(uni, precision)
@@ -251,57 +276,66 @@ def _exact_univariate_roots(p, var, precision):
 
 def _points_from_eliminant(p, q, eliminant, precision):
     out = []
+    rows = _xy_rows(p), _xy_rows(q)
     for ball, mult in _exact_univariate_roots(eliminant, "x", precision):
-        ys = _fiber_point(p, q, ball, precision)
-        if len(ys) == 1:
-            out.append((ball, ys[0], mult))
-        elif len(ys) == 0:
-            continue  # spurious eliminant root (leading-coefficient artifact)
-        else:
+        ys = _fiber_point(*rows, ball, precision)
+        if len(ys) > 1:
             raise _Ambiguous  # several points share this x: shear separates
+        # no y: a spurious eliminant root (leading-coefficient artifact)
+        out.extend((ball, y, mult) for y in ys)
     return out
 
 
 def _fiber_point(p, q, xball, precision):
-    """Common y-roots above a fixed x, as certified balls."""
-    x0 = xball.center
+    """Common y-roots above the x center, as certified balls.
+
+    `p` and `q` are `_xy_rows` triples.  The fiber coefficients at the
+    center are exact Gaussian integers, so each ball encloses a root of
+    q(x_c, y) itself; it is widened by |q_x/q_y| times the x radius, the
+    first-order move of that root over the x ball.
+    """
+    x = _dyadic(xball.center)
     tol = mpf(2) ** (-(precision // 3))
-
-    def at_x(poly):
-        coeffs = {}
-        for (i, j), c in poly.terms.items():
-            coeffs[j] = coeffs.get(j, mpc(0)) + gaussian_to_mpc(c) * x0**i
-        top = max(coeffs) if coeffs else 0
-        return [coeffs.get(k, mpc(0)) for k in range(top + 1)]
-
-    pc = at_x(p)
-    qc = at_x(q)
+    pc, qc = _at_x(p, *x), _at_x(q, *x)
     candidates = []
-    for coeffs, other in ((qc, pc), (pc, qc)):
-        scale = max([abs(c) for c in coeffs] + [mpf(1)])
+    for (coeffs, ders, unit), (other, _, other_unit) in ((qc, pc), (pc, qc)):
+        # |c| <= scale 2^-(precision/2), scale = max(|c_j|, 1), on squared integers
+        scale = max(max(map(_norm, coeffs)), unit * unit)
         trimmed = list(coeffs)
-        while len(trimmed) > 1 and abs(trimmed[-1]) <= scale * mpf(2) ** (-(precision // 2)):
+        while len(trimmed) > 1 and _norm(trimmed[-1]) << 2 * (precision // 2) <= scale:
             trimmed.pop()
         if len(trimmed) <= 1:
             continue
         try:
-            roots = aberth_roots(trimmed, precision)
+            roots = aberth_roots([from_integers(re, im) for re, im in trimmed], precision)
         except PrecisionError:
             # a cluster is left to the shear retry, not to more bits
             raise _Ambiguous
-        other_scale = max([abs(c) for c in other] + [mpf(1)])
+        scale = max(max(map(_norm, other)), other_unit * other_unit)
         for b in roots:
-            val = mpc(0)
-            for c in reversed(other):
-                val = val * b.center + c
-            if abs(val) <= tol * other_scale:
-                candidates.append(b)
+            c, d, u = _dyadic(b.center)
+            # |other(y)| <= 2^-(precision/3) max(|other_j|, 1), likewise
+            h = _norm(_homogeneous_horner(other, c, d, u))
+            if h << 2 * (precision // 3) <= scale << 2 * u * (len(other) - 1):
+                _, qx, qy = _at_y(coeffs, ders, c, d, u)
+                if not _norm(qy):
+                    raise _Ambiguous
+                # |q_x/q_y| r_x, rounded up by the factor 1 + 2^-20
+                widen = mpmath.sqrt(mpf(_norm(qx)) / _norm(qy)) * xball.radius
+                widen *= 1 + mpf(2) ** -20
+                radius = mpf_add(b.radius._mpf_, widen._mpf_, 53, round_ceiling)
+                candidates.append(ComplexBall(b.center, mp.make_mpf(radius), precision))
         break
     merged = []
     for b in candidates:
         if all(abs(b.center - m.center) > tol for m in merged):
             merged.append(b)
     return merged
+
+
+def _norm(c):
+    """|c|^2 of a Gaussian integer (re, im, ...)."""
+    return c[0] * c[0] + c[1] * c[1]
 
 
 class ConservationReport(NamedTuple):

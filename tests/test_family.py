@@ -4,17 +4,27 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from carousel.family import (
     DEFAULT_SAMPLES,
     FamilyError,
     FamilyGerm,
+    _at_x,
+    _at_y,
+    _dyadic,
+    _value_ball,
+    _xy_rows,
     coalescing_verdict,
     conservation_check,
     critical_points,
 )
-from carousel.gaussian import GaussianRational
-from carousel.poly import parse_polynomial
+from carousel.gaussian import GaussianRational, from_integers
+from carousel.poly import Polynomial, parse_polynomial
+from carousel.roots import ComplexBall, gaussian_to_mpc
 
 XYT = ("x", "y", "t")
 
@@ -199,3 +209,86 @@ class TestSingleAttemptSolves:
         record = critical_points(fam, GaussianRational(Fraction(-1, 64), Fraction(1, 64)))
         assert tried and set(tried) == {128}
         assert record.total_mu == 5
+
+
+# the six families of the benchmark and of the CI family grid
+BENCH_FAMILIES = (
+    "x^3 - y^2 + t*x",
+    "x^5 - y^2 + t*x^3",
+    "x^3 + y^3",
+    "x^4 + y^2 + t*x^2",
+    "x^5 - x*y^3 + t*(x^2 + y^2)",
+    "x^2*y + y^4 + t*x*y",
+)
+# every 10th of the 80 samples t = (a + b*i)/64, |a|, |b| <= 4, t != 0
+GRID = [
+    GaussianRational(Fraction(a, 64), Fraction(b, 64))
+    for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)
+][::10]
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("text", BENCH_FAMILIES)
+    def test_balls_hold_the_512_bit_points(self, text):
+        fam = F(text)
+        for t in GRID:
+            points = critical_points(fam, t).points
+            fine = critical_points(fam, t, precision=512).points
+            assert len(points) == len(fine)
+            for point, ref in zip(points, fine):
+                assert point.local_mu == ref.local_mu
+                for ball, center in ((point.x, ref.x.center), (point.y, ref.y.center)):
+                    # |center - ball.center| <= ball.radius, decided exactly
+                    assert not ball.is_disjoint_from(ComplexBall(center, 0, 53))
+
+
+_PART = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+
+
+def _dyadic_point(draw):
+    """(a + bi) 2^e as an exact mpc and as a Q(i) value; zero parts and
+    exponents of both signs included."""
+    a, b, e = draw(_PART), draw(_PART), draw(st.integers(-90, 12))
+    z = mp.make_mpc((from_man_exp(a, e), from_man_exp(b, e)))  # exact, not rounded
+    exact = GaussianRational(Fraction(a) * Fraction(2) ** e, Fraction(b) * Fraction(2) ** e)
+    return z, exact
+
+
+_COEFF = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.sampled_from([0, 0, Fraction(1, 3), -2, Fraction(5, 8)]),
+)
+
+
+@st.composite
+def _polynomial_and_point(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFF, min_size=1, max_size=8
+    ))
+    f = Polynomial(("x", "y"), terms)
+    if f.is_zero():
+        f = Polynomial(("x", "y"), {(1, 2): 3})
+    return f, _dyadic_point(draw), _dyadic_point(draw)
+
+
+def _exact_at(g, x, y):
+    return g.eliminate_variable("x", x).eliminate_variable("y", y).constant_term()
+
+
+@seed(14)
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_and_point())
+def test_integer_evaluator_is_exact(case):
+    f, (zx, x), (zy, y) = case
+    rows = _xy_rows(f)
+    values, ders, unit = _at_x(rows, *_dyadic(zx))
+    c, d, u = _dyadic(zy)
+    unit <<= u * (len(values) - 1)
+    v, vx, vy = _at_y(values, ders, c, d, u)
+    assert from_integers(*v, unit) == _exact_at(f, x, y)
+    assert from_integers(*vx, unit) == _exact_at(f.partial_derivative("x"), x, y)
+    assert from_integers(*vy, unit) == _exact_at(f.partial_derivative("y"), x, y)
+    with mp.workprec(160):
+        ball = _value_ball(rows, _dyadic(zx), _dyadic(zy), mpmath.mpf(0), 128)
+        assert ball.center._mpc_ == gaussian_to_mpc(_exact_at(f, x, y))._mpc_
