@@ -9,18 +9,16 @@ a step is accepted only if every predicted point passes Smale's
 alpha-test against the new fiber, with pairwise disjoint 2*beta balls,
 and Newton's method then gives it a certified inclusion radius, the
 corrected points stay unambiguous and none moves more than a quarter of
-their separation.  One corrector, `_refine`, runs in complex doubles
-under a running rounding-error bound; if a double-precision certificate
-still fails at the finest step, or after 2^20 steps, or the end points
-do not match, the whole loop is tracked again by the same corrector at
-the precision of the radii.  The mpmath work (steps, Newton iterations
-and alpha-test passes) is held to a constant budget.  The base fiber
-comes solved with the radii, and the loop ends on that same fiber over
-v = eta, so nothing is solved or polished again: each end point's
-inclusion disk is matched to the one base ball it meets, by exact disk
-tests.  The loop closes up to a permutation of the base fiber; it is
-checked against the exact cycle type predicted from the Puiseux
-branches of Delta.
+their separation.  The one corrector, `_refine`, runs in complex
+doubles under a running rounding-error bound, and a loop it cannot carry
+fails: a step refused at 2^-50 turn, or more than 2^16 steps, raises
+TrackingError.  The base fiber comes solved with the radii, from the
+exact coefficients of Delta(u, eta), and the loop ends on that same
+fiber over v = eta, so nothing is solved or polished again: each end
+point's inclusion disk is matched to the one base ball it meets, by
+exact disk tests.  The loop closes up to a permutation of the base
+fiber; it is checked against the exact cycle type predicted from the
+Puiseux branches of Delta.
 """
 
 from __future__ import annotations
@@ -33,12 +31,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .polar import CerfDiagram
 from .poly import Polynomial, resultant
-from .roots import (ComplexBall, PrecisionError, error_factor, gaussian_to_mpc,
-                    horner_bound, newton_radius, ordering_key, solve_numeric)
+from .roots import (ComplexBall, PrecisionError, error_factor, horner_bound,
+                    newton_radius, ordering_key, solve_numeric)
 
 
 # unit roundoff and the normal range of IEEE doubles
@@ -57,12 +55,8 @@ _FIRST_STEP = 6
 _LONGEST_STEP = 4
 _TURN = 1 << _DEPTH
 
-# tracker steps per loop, in either precision
-_MAX_STEPS = 1 << 20
-
-# mpmath corrector work per carousel: its steps, Newton iterations and
-# alpha-test Horner passes; the double corrector is not charged
-WORK_BUDGET = 50000
+# tracker steps per loop
+_MAX_STEPS = 1 << 16
 
 
 class TrackingError(RuntimeError):
@@ -73,40 +67,12 @@ class RadiiError(TrackingError):
     """No validated disc pair was found while shrinking."""
 
 
-class WorkBudgetError(TrackingError):
-    """The mpmath corrector used up WORK_BUDGET; `counters` says on what."""
-
-    def __init__(self, counters: dict):
-        super().__init__(
-            f"work budget of {WORK_BUDGET} exhausted ("
-            + ", ".join(f"{k} {v}" for k, v in counters.items())
-            + ")"
-        )
-        self.counters = dict(counters)
-
-
-class _Work:
-    """Counts mpmath corrector work against WORK_BUDGET."""
-
-    def __init__(self):
-        self.counters = {"steps": 0, "newton_iterations": 0, "alpha_passes": 0}
-
-    @property
-    def used(self) -> int:
-        return sum(self.counters.values())
-
-    def spend(self, key: str, amount: int = 1):
-        self.counters[key] += amount
-        if self.used > WORK_BUDGET:
-            raise WorkBudgetError(self.counters)
-
-
 class CarouselRadii(NamedTuple):
     """Validated disc radii: fiber disc |u| < rho, value circle |v| = eta.
 
     `base_points` are the certified fiber points below rho/2 over v = eta,
-    solved at `precision`, and `fiber` is Delta ready for evaluation; the
-    tracker works at that precision and solves nothing again.
+    solved at `precision`, and `fiber` is Delta in complex doubles for
+    the tracker, which solves nothing again.
     """
 
     rho: mpf
@@ -138,49 +104,49 @@ class FixedPointVerdict(NamedTuple):
 class _FiberPolynomial:
     """Delta as a polynomial in u whose coefficients are evaluated at v.
 
-    The coefficient rows are kept at the working precision and in complex
-    doubles, each with its absolute values as the majorants that bound
-    the rounding error of `horner_bound`.
+    The coefficient rows are the exact Q(i) coefficients of Delta, each
+    part rounded once to a double, with their absolute values as the
+    majorants that bound the rounding error of `horner_bound`.
     """
 
     def __init__(self, delta: Polynomial, precision: int):
-        self.precision = precision
-        with mp.workprec(precision + 32):
-            coeff_polys = delta.as_univariate("u")
-            self.coeffs_v = []
-            for cp in coeff_polys:
-                dense = [mpc(0)] * (cp.degree("v") + 1 if not cp.is_zero() else 1)
-                for exps, c in cp.terms.items():
-                    dense[exps[0]] = gaussian_to_mpc(c)
-                self.coeffs_v.append(dense)
-            self.majorants_v = [[abs(c) for c in row] for row in self.coeffs_v]
-            self.trim = mpf(2) ** (-(precision // 2))
-            # rounding steps behind p and p' and the Taylor coefficients:
-            # conversion, Horner in v, then at most 2(n + 1) steps in u
-            ops = 4 * (2 * len(self.coeffs_v) + max(map(len, self.coeffs_v)))
-            self.gamma = error_factor(ops, mpf(2) ** (-(precision + 32)))
-        self.degree = len(self.coeffs_v) - 1
-        self.coeffs_d = [[complex(c) for c in row] for row in self.coeffs_v]
+        self.coeffs_d = [
+            [complex(c.a / c.d, c.b / c.d) for c in cp.dense_coefficients()] or [0j]
+            for cp in delta.as_univariate("u")
+        ]
         self.majorants_d = [[abs(c) for c in row] for row in self.coeffs_d]
         self.trim_d = math.ldexp(1.0, -(precision // 2))
+        # rounding steps behind p and p' and the Taylor coefficients:
+        # conversion, Horner in v, then at most 2(n + 1) steps in u
+        ops = 4 * (2 * len(self.coeffs_d) + max(map(len, self.coeffs_d)))
         self.gamma_d = error_factor(ops, _UNIT)
-
-    def at_value(self, v):
-        """Coefficients in u at v and their majorants, at working precision."""
-        return _evaluate(self.coeffs_v, self.majorants_v, v, self.trim)
 
     def at_value_double(self, v: complex):
         """Coefficients in u at v and their majorants, in complex doubles."""
-        return _evaluate(self.coeffs_d, self.majorants_d, v, self.trim_d)
+        av = abs(v)
+        coeffs = []
+        majorants = []
+        for row, mrow in zip(self.coeffs_d, self.majorants_d):
+            acc = m = 0
+            for c, a in zip(reversed(row), reversed(mrow)):
+                acc = acc * v + c
+                m = m * av + a
+            coeffs.append(acc)
+            majorants.append(m)
+        # drop a numerically vanished leading coefficient (root at infinity)
+        tol = max([abs(c) for c in coeffs] + [1]) * self.trim_d
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= tol:
+            coeffs.pop()
+            majorants.pop()
+        return coeffs, majorants
 
-    def predict(self, points, v_from, v_to, double: bool):
+    def predict(self, points, v_from, v_to):
         """Each point moved along the tangent du/dv = -Delta_v/Delta_u at v_from.
 
         A prediction only: the corrector certifies what it is given.
         """
-        rows = self.coeffs_d if double else self.coeffs_v
         coeffs, dcoeffs = [], []
-        for row in rows:
+        for row in self.coeffs_d:
             c = dc = 0
             for a in reversed(row):
                 dc = dc * v_from + c
@@ -199,25 +165,6 @@ class _FiberPolynomial:
         return out
 
 
-def _evaluate(rows, majorant_rows, v, trim):
-    av = abs(v)
-    coeffs = []
-    majorants = []
-    for row, mrow in zip(rows, majorant_rows):
-        acc = m = 0
-        for c, a in zip(reversed(row), reversed(mrow)):
-            acc = acc * v + c
-            m = m * av + a
-        coeffs.append(acc)
-        majorants.append(m)
-    # drop a numerically vanished leading coefficient (root at infinity)
-    tol = max([abs(c) for c in coeffs] + [1]) * trim
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= tol:
-        coeffs.pop()
-        majorants.pop()
-    return coeffs, majorants
-
-
 def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     """Shrink (rho, eta) geometrically until an exact Rouche certificate holds.
 
@@ -233,9 +180,10 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     over |v| <= eta then has exactly m roots in |u| < rho/2 and none in
     rho/2 <= |u| <= 2*rho.  eta must also pass the separation certificate
     of `_separation_bound`: no two points of a fiber over 0 < |v| <= eta
-    coincide.  The base fiber over v = eta is solved once: its m roots
-    must be pairwise separated relative to 2^(-precision/4), and they are
-    kept with the radii for the tracker.
+    coincide.  The base fiber over v = eta is solved once, from the exact
+    coefficients of Delta(u, eta), so its balls enclose the roots of that
+    polynomial itself: its m roots must be pairwise separated relative to
+    2^(-precision/4), and they are kept with the radii for the tracker.
     """
     if diagram.is_empty:
         raise RadiiError("empty diagram has no carousel")
@@ -256,7 +204,6 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
     rho = Fraction(1, 4 ** k)
     separation_sq = _separation_bound(diagram.defining)
     with mp.workprec(precision + 32):
-        fiber = _FiberPolynomial(diagram.defining, precision)
         sep_floor = mpf(2) ** (-(precision // 4))
         for j in range(1, 41):
             eta = rho / 4 ** j
@@ -267,8 +214,9 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
             if separation >= 1:
                 continue
             rho_mp, eta_mp = mpf(4) ** (-k), mpf(4) ** (-k - j)
+            exact = diagram.defining.eliminate_variable("v", eta)
             try:
-                roots = solve_numeric(fiber.at_value(eta_mp)[0], precision)
+                roots = solve_numeric(exact.dense_coefficients(), precision)
             except PrecisionError:
                 continue
             base = sorted(
@@ -295,7 +243,7 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
                 validation=validation,
                 precision=precision,
                 base_points=tuple(base),
-                fiber=fiber,
+                fiber=_FiberPolynomial(diagram.defining, precision),
             )
     raise RadiiError(
         "could not validate a value-circle radius (degenerate diagram "
@@ -347,15 +295,15 @@ def _modulus_bound(c) -> Fraction:
     return Fraction(root + (root * root < scaled), den << 32)
 
 
-def _alpha_radius(coeffs, majorants, z, gamma, double):
+def _alpha_radius(coeffs, majorants, z, gamma):
     """2*beta at z if z passes Smale's alpha-test for p, else None.
 
     The Taylor coefficients t_k = p^(k)(z)/k! come from Horner's Taylor
     shift, and the same passes on the majorants at |z| give M_k, so
     |t_k| <= |computed t_k| + gamma*M_k as in `horner_bound`.  With
     d = |t_1| - gamma*M_1 > 0 these bound beta = |t_0/t_1| and
-    gamma_S = max_{k>=2} |t_k/t_1|^(1/(k-1)) from above.  In doubles
-    every error bound must be a normal number.
+    gamma_S = max_{k>=2} |t_k/t_1|^(1/(k-1)) from above.  Every error
+    bound must be a normal double and every coefficient finite.
     """
     n = len(coeffs) - 1
     if n < 1:
@@ -369,7 +317,7 @@ def _alpha_radius(coeffs, majorants, z, gamma, double):
     bounds = []
     for c, a in zip(t, mt):
         err = gamma * a
-        if double and not (_TINY <= err <= _HUGE and cmath.isfinite(c)):
+        if not (_TINY <= err <= _HUGE and cmath.isfinite(c)):
             return None
         bounds.append((abs(c), err))
     (t0, e0), (t1, e1) = bounds[:2]
@@ -386,11 +334,11 @@ def _alpha_radius(coeffs, majorants, z, gamma, double):
     return 2 * beta
 
 
-def _alpha_certified(coeffs, majorants, points, gamma, double) -> bool:
+def _alpha_certified(coeffs, majorants, points, gamma) -> bool:
     """Every point passes the alpha-test and the 2*beta balls are disjoint."""
     radii = []
     for z in points:
-        radius = _alpha_radius(coeffs, majorants, z, gamma, double)
+        radius = _alpha_radius(coeffs, majorants, z, gamma)
         if radius is None:
             return False
         radii.append(radius)
@@ -400,38 +348,26 @@ def _alpha_certified(coeffs, majorants, points, gamma, double) -> bool:
     )
 
 
-def _refine(fiber, v_from, v_to, points, rho, work=None):
+def _refine(fiber, v_from, v_to, points, rho):
     """Predict from v_from and correct over v_to; (points, radii) or None.
 
-    Without `work` the step runs in complex doubles; with it, at the
-    working precision, charging the step, n alpha-test Horner passes per
-    point and every Newton iteration to `work`.  Newton stops once |p| is
-    within its rounding bound e.  The step is refused (None) unless every
-    point gets there within 40 iterations with |p'| > e', and in doubles
-    also with finite values and normal bounds (no underflow).
+    The step runs in complex doubles, v_from and v_to included.  Newton
+    stops once |p| is within its rounding bound e.  The step is refused
+    (None) unless every point gets there within 40 iterations with
+    |p'| > e', finite values and normal bounds (no underflow).
     """
-    double = work is None
-    if double:
-        v_from, v_to = complex(v_from), complex(v_to)
-        coeffs, majorants = fiber.at_value_double(v_to)
-        gamma, half = fiber.gamma_d, float(rho) / 2
-    else:
-        coeffs, majorants = fiber.at_value(v_to)
-        gamma, half = fiber.gamma, rho / 2
-        work.spend("steps")
-        work.spend("alpha_passes", len(points) * (len(coeffs) - 1))
+    coeffs, majorants = fiber.at_value_double(v_to)
+    gamma, half = fiber.gamma_d, float(rho) / 2
     n = len(coeffs) - 1
-    predicted = fiber.predict(points, v_from, v_to, double)
-    if not _alpha_certified(coeffs, majorants, predicted, gamma, double):
+    predicted = fiber.predict(points, v_from, v_to)
+    if not _alpha_certified(coeffs, majorants, predicted, gamma):
         return None
     new_pts, new_radii = [], []
     for z in predicted:
         for _ in range(40):
-            if not double:
-                work.spend("newton_iterations")
             p, dp, e, de = horner_bound(coeffs, majorants, z, gamma)
-            if double and not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
-                               and cmath.isfinite(p) and cmath.isfinite(dp)):
+            if not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
+                    and cmath.isfinite(p) and cmath.isfinite(dp)):
                 return None
             if abs(p) <= e:
                 break
@@ -462,30 +398,31 @@ def _checked_move(points, new_pts, new_radii):
     return new_pts, new_radii
 
 
-def _track(radii, points, direction, work=None):
+def _track(radii, points, direction):
     """Follow `points` once around |v| = eta with `_refine`.
 
-    `work` is None in doubles and the mpmath budget otherwise.  The
-    first step is 1/64 turn; an accepted step doubles the next one, up
-    to 1/16 turn, and a refusal halves it, down to 2^-50 turn, failing
-    hard beyond _MAX_STEPS steps.  The last step ends on v = eta exactly
-    (expjpi(+-2) is 1), so the end points come certified on the base
-    fiber.  Returns the end points, their inclusion radii, the orbit
+    The first step is 1/64 turn; an accepted step doubles the next one,
+    up to 1/16 turn, and a refusal halves it, down to 2^-50 turn, failing
+    hard beyond _MAX_STEPS steps.  Each v is computed at the precision of
+    the radii and rounded to doubles once; the last step ends on v = eta
+    exactly (expjpi(+-2) is 1), so the end points come certified on the
+    base fiber.  Returns the end points, their inclusion radii, the orbit
     traces and the number of steps tried.
     """
-    traces = [[(float(z.real), float(z.imag))] for z in points]
+    traces = [[(z.real, z.imag)] for z in points]
     used = 0
     theta = 0
     length = _TURN >> _FIRST_STEP
     eta = radii.eta
-    v_from = mpc(eta)
+    v_from = complex(eta)
     while theta < _TURN:
         step = min(length, _TURN - theta)
         if used >= _MAX_STEPS:
             raise TrackingError("step budget exhausted (matching stayed ambiguous)")
-        v_to = eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN)
+        with mp.workprec(radii.precision + 32):
+            v_to = complex(eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN))
         used += 1
-        result = _refine(radii.fiber, v_from, v_to, points, radii.rho, work)
+        result = _refine(radii.fiber, v_from, v_to, points, radii.rho)
         if result is None:
             if step == 1:
                 raise TrackingError("matching ambiguity at maximal resolution")
@@ -496,7 +433,7 @@ def _track(radii, points, direction, work=None):
         length = min(2 * length, _TURN >> _LONGEST_STEP)
         points, end_radii = result
         for trace, z in zip(traces, points):
-            trace.append((float(z.real), float(z.imag)))
+            trace.append((z.real, z.imag))
     return points, end_radii, traces, used
 
 
@@ -507,48 +444,36 @@ def carousel_permutation(
 ) -> CarouselPermutation:
     """Monodromy permutation of the fiber points over one loop in v.
 
-    Works at the precision of `radii`, from the base fiber solved with
-    them.  The loop is tracked in doubles; if that fails, tracking or
-    matching, it is tracked again at the working precision.
-    Deterministic: the steps are dyadic fractions of a turn chosen by
-    the rule of `_track`.  A loop that needs more than WORK_BUDGET units
-    of mpmath corrector work raises WorkBudgetError.  `direction=-1`
-    traverses the loop clockwise and yields the inverse permutation.
+    Starts from the base fiber solved with `radii` and tracks the loop in
+    complex doubles only.  Deterministic: the steps are dyadic fractions
+    of a turn chosen by the rule of `_track`.  A loop the doubles cannot
+    certify, by a step refused at 2^-50 turn, by more than _MAX_STEPS
+    steps or by end points that do not match the base fiber, raises
+    TrackingError.  `direction=-1` traverses the loop clockwise and
+    yields the inverse permutation.
     """
     if diagram.is_empty:
         raise TrackingError("empty diagram has no carousel")
     if direction not in (1, -1):
         raise TrackingError("direction must be +1 or -1")
-    work = _Work()
-    precision, base = radii.precision, radii.base_points
-    with mp.workprec(precision + 32):
-        m = diagram.contact_count
-        if len(base) != m:
-            raise TrackingError(
-                f"base fiber carries {len(base)} points, expected {m}"
-            )
-        try:
-            points, end_radii, traces, used = _track(
-                radii, [complex(b.center) for b in base], direction
-            )
-            sigma = _match_to_base(points, end_radii, base)
-        except TrackingError:
-            points, end_radii, traces, used = _track(
-                radii, [b.center for b in base], direction, work
-            )
-            sigma = _match_to_base(points, end_radii, base)
-        fixed = tuple(i for i, j in enumerate(sigma) if i == j)
-        cycle_type = _cycle_type(sigma)
-        return CarouselPermutation(
-            m=m,
-            base_points=tuple(base),
-            sigma=tuple(sigma),
-            cycle_type=cycle_type,
-            fixed_points=fixed,
-            orbit_traces=tuple(tuple(t) for t in traces),
-            steps_used=used,
-            precision_used=precision,
-        )
+    base = radii.base_points
+    m = diagram.contact_count
+    if len(base) != m:
+        raise TrackingError(f"base fiber carries {len(base)} points, expected {m}")
+    points, end_radii, traces, used = _track(
+        radii, [complex(b.center) for b in base], direction
+    )
+    sigma = _match_to_base(points, end_radii, base)
+    return CarouselPermutation(
+        m=m,
+        base_points=tuple(base),
+        sigma=tuple(sigma),
+        cycle_type=_cycle_type(sigma),
+        fixed_points=tuple(i for i, j in enumerate(sigma) if i == j),
+        orbit_traces=tuple(tuple(t) for t in traces),
+        steps_used=used,
+        precision_used=radii.precision,
+    )
 
 
 def _match_to_base(points, radii, base):

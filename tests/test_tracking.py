@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -16,11 +17,10 @@ from carousel.gaussian import GaussianRational
 from carousel.polar import diagram_from_defining, select_generic_line
 from carousel.poly import Polynomial, parse_polynomial, poly_gcd, squarefree_part
 from carousel.report import StageError, analyze_germ
-from carousel.roots import ComplexBall, aberth_roots, error_factor, solve_numeric
+from carousel.roots import ComplexBall, _dyadic_ints, aberth_roots, error_factor, solve_numeric
 from carousel.tracking import (
     RadiiError,
     TrackingError,
-    WorkBudgetError,
     carousel_permutation,
     choose_radii,
     fixed_point_verdict,
@@ -35,32 +35,24 @@ def D(text):
     return diagram_from_defining(parse_polynomial(text, ("u", "v")))
 
 
-def _record_budgets(monkeypatch):
-    """Collect every `_Work` budget that `carousel_permutation` creates."""
-    budgets = []
-    real = tracking_mod._Work
-
-    def recorded():
-        budgets.append(real())
-        return budgets[-1]
-
-    monkeypatch.setattr(tracking_mod, "_Work", recorded)
-    return budgets
+def _fiber_at(delta, v):
+    """Coefficients of Delta(u, v) in u, low first, by Horner in v at mpmath precision."""
+    out = []
+    for row in delta.as_univariate("u"):
+        acc = mpc(0)
+        for c in reversed(row.dense_coefficients()):
+            acc = acc * v + mpc(mpf(c.a) / c.d, mpf(c.b) / c.d)
+        out.append(acc)
+    return out
 
 
-def _refuse_doubles(monkeypatch):
-    """Make `_refine` refuse every double step; returns its mpmath call count."""
-    calls = [0]
-    real = tracking_mod._refine
-
-    def mpmath_only(fiber, v_from, v_to, points, rho, work=None):
-        if work is None:
-            return None
-        calls[0] += 1
-        return real(fiber, v_from, v_to, points, rho, work)
-
-    monkeypatch.setattr(tracking_mod, "_refine", mpmath_only)
-    return calls
+def _ball_inside(inner, outer):
+    """|inner.center - outer.center| + inner.radius <= outer.radius, decided exactly."""
+    (x, y, r, x2, y2, r2), _ = _dyadic_ints(
+        inner.center._mpc_ + (inner.radius._mpf_,) + outer.center._mpc_ + (outer.radius._mpf_,)
+    )
+    dx, dy = x - x2, y - y2
+    return r <= r2 and dx * dx + dy * dy <= (r2 - r) ** 2
 
 
 class TestChooseRadii:
@@ -99,12 +91,11 @@ class TestRoucheCertificate:
         d = D(text)
         radii = choose_radii(d, 128)
         rho, m = radii.rho, d.contact_count
-        fiber = tracking_mod._FiberPolynomial(d.defining, 128)
         with mp.workprec(160):
             for scale in (1, mpf(1) / 2):
                 for s in range(256):
                     v = scale * radii.eta * mpmath.expjpi(mpf(s) / 128)
-                    balls = solve_numeric(fiber.at_value(v)[0], 128)
+                    balls = solve_numeric(_fiber_at(d.defining, v), 128)
                     inside = [b for b in balls if abs(b.center) + b.radius < rho / 2]
                     outside = [b for b in balls if abs(b.center) - b.radius > 2 * rho]
                     assert len(inside) == m, (text, scale, s)
@@ -151,6 +142,32 @@ class TestRoucheCertificate:
         spy(roots, "univariate_roots")
         choose_radii(diagram, 128)
         assert calls == {"solve_numeric": 1, "univariate_roots": 0}
+
+    @pytest.mark.parametrize("text", CERTIFIED)
+    def test_base_fiber_is_solved_exactly(self, text, monkeypatch):
+        # the solver gets the exact Q(i) coefficients of Delta(u, eta), so the
+        # base balls enclose its roots: each holds one 512-bit ball of them
+        d = D(text)
+        solved = []
+        real = tracking_mod.solve_numeric
+
+        def spy(coeffs, precision):
+            solved.append(list(coeffs))
+            return real(coeffs, precision)
+
+        monkeypatch.setattr(tracking_mod, "solve_numeric", spy)
+        radii = choose_radii(d, 128)
+        assert all(type(c) is GaussianRational for coeffs in solved for c in coeffs)
+        # eta = 4^-(k + j), and the last solve is the accepted one
+        exact = d.defining.eliminate_variable("v", Fraction(1, int(1 / radii.eta)))
+        assert solved[-1] == exact.dense_coefficients()
+        fine = solve_numeric(exact.dense_coefficients(), 512)
+        matched = []
+        for ball in radii.base_points:
+            inside = [i for i, b in enumerate(fine) if _ball_inside(b, ball)]
+            assert len(inside) == 1, (text, ball)
+            matched += inside
+        assert len(set(matched)) == len(radii.base_points) == d.contact_count
 
     def test_triangle_bound_shrinks_rho(self):
         # Delta(u, 0) = -u^2 (1 - u)^4 has its far root at u = 1, which
@@ -242,24 +259,9 @@ class TestCarouselPermutation:
         with pytest.raises(TypeError):
             carousel_permutation(d, radii, steps=512)
 
-    def test_work_budget_raises_with_counters(self, monkeypatch):
-        d = D("v - u^5")
-        radii = choose_radii(d, 128)
-        budgets = _record_budgets(monkeypatch)
-        carousel_permutation(d, radii)
-        # the double tracker is not charged, and its end points are matched
-        # to the base fiber as they are
-        assert budgets[0].used == 0
-        # in mpmath the first step charges itself and 5 alpha passes per point
-        monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
-        _refuse_doubles(monkeypatch)
-        with pytest.raises(WorkBudgetError) as info:
-            carousel_permutation(d, radii)
-        assert info.value.counters == {"steps": 1, "newton_iterations": 0, "alpha_passes": 25}
-        assert "work budget of 10 exhausted" in str(info.value)
-
     def test_step_cap(self, monkeypatch):
-        # the cap on steps per loop holds in doubles and in the mpmath fallback
+        # the cap on steps per loop (2^16) bounds the time of every loop
+        assert tracking_mod._MAX_STEPS == 1 << 16
         d = D("v + u")
         radii = choose_radii(d, 128)
         monkeypatch.setattr(tracking_mod, "_MAX_STEPS", 18)
@@ -268,30 +270,21 @@ class TestCarouselPermutation:
         with pytest.raises(TrackingError, match="step budget exhausted"):
             carousel_permutation(d, radii)
 
-    def test_budget_is_a_carousel_stage_error(self, monkeypatch):
-        monkeypatch.setattr(tracking_mod, "WORK_BUDGET", 10)
-        _refuse_doubles(monkeypatch)
-        with pytest.raises(StageError) as info:
-            analyze_germ("x^5 - y^2")
-        assert info.value.stage == "carousel"
-        assert isinstance(info.value.error, WorkBudgetError)
-
-    def test_clustered_fiber_ends_within_budget(self):
-        # two clusters of four fiber points about 1.5e-5 apart: the double
-        # corrector cannot separate them, and the mpmath fallback either
-        # finishes or stops at the work budget
+    def test_clustered_fiber_fails_fast(self):
+        # two clusters of four fiber points about 1.5e-5 apart on the
+        # default line l = x, which is not transverse: the double corrector
+        # cannot separate them, and nothing tracks the loop again
         start = time.perf_counter()
-        try:
-            result = analyze_germ("-3*y^5 + 3*x^3*y - 3*x^2")
-        except StageError as exc:
-            assert exc.stage == "carousel"
-            assert isinstance(exc.error, WorkBudgetError)
-        else:
-            assert result.permutation.cycle_type == result.predicted_cycles
-        assert time.perf_counter() - start < 60
+        with pytest.raises(StageError) as info:
+            analyze_germ("-3*y^5 + 3*x^3*y - 3*x^2")
+        assert time.perf_counter() - start < 5
+        assert info.value.stage == "carousel"
+        assert type(info.value.error) is TrackingError
 
 
 class TestAlphaTest:
+    # the test runs on complex doubles, as the tracker does, and also on
+    # mpmath values, with error bounds that stay in the double range
     @staticmethod
     def _radius(coeffs, z, double):
         if double:
@@ -301,7 +294,7 @@ class TestAlphaTest:
             coeffs = [mpc(c) for c in coeffs]
             gamma = error_factor(4 * len(coeffs), mpf(2) ** -160)
         majorants = [abs(c) for c in coeffs]
-        return tracking_mod._alpha_radius(coeffs, majorants, z, gamma, double)
+        return tracking_mod._alpha_radius(coeffs, majorants, z, gamma)
 
     @pytest.mark.parametrize("double", (True, False))
     def test_accepts_at_a_simple_root(self, double):
@@ -334,57 +327,28 @@ class TestAlphaTest:
         for turn, accepted in ((1 / 4, False), (1 / 64, True)):
             v_to = eta * cmath.exp(2j * math.pi * turn)
             coeffs, majorants = fiber.at_value_double(v_to)
-            predicted = fiber.predict([complex(z) for z in start], eta, v_to, double=True)
+            predicted = fiber.predict([complex(z) for z in start], eta, v_to)
             assert tracking_mod._alpha_certified(
-                coeffs, majorants, predicted, fiber.gamma_d, True
+                coeffs, majorants, predicted, fiber.gamma_d
             ) is accepted
 
 
 class TestDoubleKernel:
-    @pytest.mark.parametrize("text", DIAGRAMS)
-    def test_double_and_mpmath_kernels_agree(self, text, monkeypatch):
-        d = D(text)
-        radii = choose_radii(d, 128)
-        budgets = _record_budgets(monkeypatch)
-        fast = carousel_permutation(d, radii)
-        # nothing ran in mpmath
-        assert budgets[0].used == 0
-        # a kernel that refuses every double step falls back to mpmath,
-        # one call per step tried, with no polish after the loop
-        calls = _refuse_doubles(monkeypatch)
-        slow = carousel_permutation(d, radii)
-        assert calls[0] == slow.steps_used
-        assert budgets[1].counters["steps"] == slow.steps_used
-        assert slow.sigma == fast.sigma
-        assert slow.steps_used == fast.steps_used
-        assert [str(b.center) for b in slow.base_points] == [
-            str(b.center) for b in fast.base_points
-        ]
-        assert [len(t) for t in slow.orbit_traces] == [
-            len(t) for t in fast.orbit_traces
-        ]
-
-    def test_unmatched_double_end_falls_back_to_mpmath(self, monkeypatch):
-        # a TrackingError from the matching of the double end points starts
-        # the mpmath pass, as one from the double steps does
+    def test_unmatched_end_point_is_an_error(self, monkeypatch):
+        # a TrackingError from the matching of the end points leaves
+        # carousel_permutation at once: the loop is not tracked again
         d = D("v - u^5")
         radii = choose_radii(d, 128)
-        fast = carousel_permutation(d, radii)
-        budgets = _record_budgets(monkeypatch)
-        real = tracking_mod._match_to_base
         calls = []
 
-        def first_fails(points, end_radii, base):
+        def fails(points, end_radii, base):
             calls.append(points)
-            if len(calls) == 1:
-                raise TrackingError("unmatched")
-            return real(points, end_radii, base)
+            raise TrackingError("unmatched")
 
-        monkeypatch.setattr(tracking_mod, "_match_to_base", first_fails)
-        slow = carousel_permutation(d, radii)
-        assert len(calls) == 2
-        assert slow.sigma == fast.sigma
-        assert budgets[0].counters["steps"] == slow.steps_used
+        monkeypatch.setattr(tracking_mod, "_match_to_base", fails)
+        with pytest.raises(TrackingError, match="unmatched"):
+            carousel_permutation(d, radii)
+        assert len(calls) == 1
 
     def test_double_balls_enclose_the_roots(self):
         rng = random.Random(11)
@@ -396,13 +360,14 @@ class TestDoubleKernel:
                 for j in range(3)
             }
             terms[(degree, 0)] = GaussianRational(rng.randint(1, 4))
-            fiber = tracking_mod._FiberPolynomial(Polynomial(("u", "v"), terms), 256)
+            delta = Polynomial(("u", "v"), terms)
+            fiber = tracking_mod._FiberPolynomial(delta, 256)
             with mp.workprec(288):
                 v = mpmath.expjpi(mpf(rng.randint(0, 63)) / 32) / 16
-                roots = aberth_roots(fiber.at_value(v)[0], 256)
+                roots = aberth_roots(_fiber_at(delta, v), 256)
                 rho = 4 * (1 + max(abs(b.center) for b in roots))
                 starts = [complex(b.center) * (1 + 1e-9j) for b in roots]
-                result = tracking_mod._refine(fiber, v, v, starts, rho)
+                result = tracking_mod._refine(fiber, complex(v), complex(v), starts, rho)
                 assert result is not None
                 for ball, z, radius in zip(roots, *result):
                     assert abs(ball.center - z) <= radius
@@ -501,17 +466,6 @@ def test_steps_used_on_the_corpus():
     for germ in CORPUS + NON_M2:
         steps = analyze_germ(germ).permutation.steps_used
         assert steps <= STEP_BOUNDS.get(germ, 18), (germ, steps)
-
-
-def test_no_mpmath_work_on_the_corpus(monkeypatch):
-    # the double corrector carries every corpus loop, and nothing is polished
-    from carousel.corpus import CORPUS, NON_M2
-
-    budgets = _record_budgets(monkeypatch)
-    for germ in CORPUS + NON_M2:
-        analyze_germ(germ)
-    assert len(budgets) == len(CORPUS + NON_M2)
-    assert [b.used for b in budgets] == [0] * len(budgets)
 
 
 def test_one_base_solve_per_analysis(monkeypatch):
