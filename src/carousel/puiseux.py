@@ -4,11 +4,15 @@ Branches are computed in rational-parametrization style: every edge of
 the Newton polygon is followed through a monomial substitution chosen by
 a Bezout identity, so each irreducible local component yields exactly one
 parametrization t -> (t^e, sum c_k t^(m_k)) with no conjugate duplicates.
-Exponents and ramification indices stay exact (they come from the polygon
-combinatorics); coefficients are numeric: each is a ComplexBall whose
-radius is a heuristic (see `_finalize_branch`), not a proven enclosure.
-The series Newton step under every smooth tail runs on Gaussian
-integers at one binary scale (`_tail_series`).
+The branch structure (which branches, their ramification, exponents of
+the Newton steps, multiplicity and order) is decided in one exact
+recursion over Q(i), and below an irrational segment root of multiplicity
+>= 2 over K = Q(i)[z]/(psi), splitting psi by a gcd whenever a zero divisor
+turns up (Duval, Compositio Math. 70, 1989; D5, EUROCAL 1985).  Below a
+simple root the branch is smooth, and only there do numbers enter: the
+exact terms are evaluated at the certified roots and the tail series is
+solved once on Gaussian integers (`_tail_series`).  The coefficients are
+for display only, ComplexBalls of heuristic radius (`_finalize_branch`).
 
 Local intersection multiplicities are computed exactly by the classical
 reduction on restrictions to {y = 0} (order bookkeeping plus row
@@ -29,11 +33,12 @@ from .poly import (
     Polynomial,
     divexact,
     poly_gcd,
+    resultant,
     squarefree_decomposition,
     squarefree_part,
 )
-from .roots import (MAX_PRECISION, ComplexBall, PrecisionError, _dyadic_ints,
-                    aberth_roots, gaussian_to_mpc, ordering_key)
+from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _horner, gaussian_to_mpc,
+                    ordering_key, solve_numeric)
 
 
 class PuiseuxError(ValueError):
@@ -42,11 +47,6 @@ class PuiseuxError(ValueError):
 
 class CommonComponentError(PuiseuxError):
     """The two curves share a component through the origin."""
-
-
-class SeparationError(PuiseuxError):
-    """Truncation too small to reach a branch's first exponent or to tell
-    two branches apart; retry larger."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,77 +163,70 @@ class BranchDecomposition(NamedTuple):
 # -- internal expansion machinery -------------------------------------------
 
 
-class _ExactRing:
-    exact = True
-    zero = ZERO
-
-    @staticmethod
-    def is_zero(c):
-        return c.is_zero()
+class _Split(Exception):
+    """A zero divisor of K = Q(i)[z]/(psi) turned up; args[0] is its gcd
+    with psi, a proper factor, and the expansion is redone over each part."""
 
 
-class _NumericRing:
-    exact = False
-    zero = mpc(0)
-
-    def __init__(self, threshold):
-        self.threshold = threshold
-
-    def is_zero(self, c):
-        return abs(c) <= self.threshold
+# an element of K is its remainder mod psi, a Polynomial in z
+_Z = ("z",)
+_ZVAR = Polynomial.variable(_Z, "z")
 
 
-def _binomial_row(j):
-    row = [1] * (j + 1)
-    for k in range(1, j + 1):
-        row[k] = row[k - 1] * (j - k + 1) // k
-    return row
+def _divmod_z(a, b):
+    """Quotient and remainder of the polynomials a, b in z."""
+    quo, n, lc = Polynomial.zero(_Z), b.degree("z"), b.leading()[1]
+    while a.degree("z") >= n:
+        t = Polynomial(_Z, {(a.degree("z") - n,): a.leading()[1] / lc})
+        quo, a = quo + t, a - t * b
+    return quo, a
 
 
-def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, ring):
-    """Substitute x -> xi^v x1^q, y -> x1^p (xi^u + y1) and divide by x1^L."""
+def _cut(c, psi):
+    """c reduced into K = Q(i)[z]/(psi); c itself when psi is None."""
+    return c if psi is None else _divmod_z(c, psi)[1]
+
+
+def _inv(c, psi):
+    """1/c in K for c != 0, by the extended Euclidean algorithm; raises
+    _Split when c is a zero divisor."""
+    r0, r1, s0, s1 = psi, c, Polynomial.zero(_Z), Polynomial.constant(_Z, 1)
+    while r1.degree("z") > 0:
+        quo, rem = _divmod_z(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+    if r1.is_zero():
+        raise _Split(r0.monic())
+    return s1.scale(r1.constant_value().inverse())
+
+
+def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, psi=None):
+    """Substitute x -> xi^v x1^q, y -> x1^p (xi^u + y1) and divide by x1^L.
+
+    Exact over Q(i) or over K (psi given), where zero terms are dropped,
+    or on mpc values.  The (0, 0) term is dropped too: xi is a root of
+    the segment polynomial, so it cancels (numerically only noise).
+    """
     out: dict = {}
     xi_pows: dict = {}
 
     def xp(k):
         if k not in xi_pows:
-            xi_pows[k] = xi**k
+            base = xi if psi is None or k >= 0 else _inv(xi, psi)
+            xi_pows[k] = _cut(base ** (k if psi is None else abs(k)), psi)
         return xi_pows[k]
 
     for (i, j), c in terms.items():
         base = q * i + p * j - L
-        binom = _binomial_row(j)
         for k in range(j + 1):
-            coeff = c * binom[k] * xp(u * (j - k) + v * i)
+            coeff = xp(u * (j - k) + v * i) * (c * math.comb(j, k))
             key = (base, k)
             prev = out.get(key)
             out[key] = coeff if prev is None else prev + coeff
-    cleaned = {key: c for key, c in out.items() if not ring.is_zero(c)}
-    cleaned.pop((0, 0), None)  # cancels exactly; numerically only noise remains
-    return cleaned
-
-
-def _to_numeric_terms(terms: dict, ring) -> dict:
-    out = {}
-    for key, c in terms.items():
-        val = gaussian_to_mpc(c) if isinstance(c, GaussianRational) else mpc(c)
-        if not ring.is_zero(val):
-            out[key] = val
-    return out
-
-
-def _normalize_numeric(terms: dict, ring) -> dict:
-    if not terms:
-        return terms
-    scale = max(abs(c) for c in terms.values())
-    if scale == 0:
-        return {}
-    out = {}
-    for key, c in terms.items():
-        c = c / scale
-        if not ring.is_zero(c):
-            out[key] = c
-    return out
+    out.pop((0, 0), None)
+    if isinstance(xi, mpc):
+        return out
+    out = {key: _cut(c, psi) for key, c in out.items()}
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 # truncated power series on Gaussian integers at one binary scale 2^S:
@@ -320,6 +313,8 @@ def _tail_series(terms: dict, budget: int, thresh) -> dict:
     global maximum (the series may grow geometrically).  Only the kept
     ones become mpc values, rounded once to the working precision.
     """
+    if all(j for _, j in terms):
+        return {}  # h(x, 0) has no term, so y = 0 exactly
     exact = {}  # key -> (re, im, e, d): the value (re + i*im) * 2^e / d
     for key, c in terms.items():
         if type(c) is GaussianRational:
@@ -379,93 +374,99 @@ def _tail_series(terms: dict, budget: int, thresh) -> dict:
     return out
 
 
-def _y_order_at_zero(terms: dict) -> int | None:
-    orders = [j for (i, j) in terms if i == 0]
-    return min(orders) if orders else None
+def _expand(terms: dict, psi=None, depth: int = 0) -> list:
+    """The exact recursion, over Q(i) or over K = Q(i)[z]/(psi).
 
-
-def _expand(terms: dict, ring, prec: int, budget: int, memo: dict, depth: int = 0) -> list:
-    """Recursive expansion; returns raw branches (e, mu, {m: coeff})."""
+    Returns leaves (steps, tail, psi).  `steps` are the Newton steps from
+    this node down, each (q, p, L, u, v, xi, key): the edge data, the
+    segment root xi in Q(i) or K, and a `key` that tells sibling steps
+    apart.  `tail` is the last polynomial, of y-order 1 (a smooth tail),
+    or {} when the branch ends in y1 = 0.  When the last step's xi is a
+    list, it is a segment polynomial with simple roots, left to
+    `_realize`, and `tail` holds the terms that step transforms.  The
+    leaf's `psi` is the factor of the modulus it holds over.
+    """
     if depth > 32:
         raise PuiseuxError("expansion recursion too deep")
     if not terms:
         raise PuiseuxError("expansion of the zero polynomial")
-    branches = []
+    if psi is not None:
+        for c in terms.values():
+            _inv(c, psi)  # every coefficient is a unit of K, or psi splits
+    leaves = []
     # split y-powers: the terminating series lives here
     b = min(j for (_, j) in terms)
     if b > 0:
-        if b > 1 and ring.exact:
+        if b > 1:
             raise PuiseuxError("repeated axis factor in a squarefree germ")
-        branches.append((1, mpc(1), {}))
+        leaves.append(((), {}, psi))
         terms = {(i, j - b): c for (i, j), c in terms.items()}
     # split x-powers: no y-solutions in them
     a = min(i for (i, _) in terms)
     if a > 0:
         terms = {(i - a, j): c for (i, j), c in terms.items()}
     if (0, 0) in terms:
-        return branches  # unit germ: nothing further through the origin
-    if _y_order_at_zero(terms) == 1:
-        # the first exponent of y(x) is the order of h(x, 0); past the
-        # budget the tail would come back empty and read as the axis.
-        # Deeper down an empty tail is legitimate (y^2 = x^3).
-        if depth == 0 and min(i for (i, j) in terms if j == 0) > budget:
-            raise SeparationError("first exponent beyond the truncation")
-        thresh = ring.threshold if not ring.exact else mpf(2) ** (-(prec // 2))
-        branches.append((1, mpc(1), _tail_series(terms, budget, thresh)))
-        return branches
-    for q, p, u, v, xi_val, sub, sub_ring in _segment_children(terms, ring, prec, memo):
-        inner = _expand(sub, sub_ring, prec, budget, memo, depth + 1)
-        for e1, mu1, terms1 in inner:
-            e = q * e1
-            mu = xi_val**v * mu1**q
-            lead = mu1**p * xi_val**u
-            shifted = {p * e1: lead}
-            for m, c in terms1.items():
-                shifted[p * e1 + m] = mu1**p * c
-            branches.append((e, mu, shifted))
-    return branches
+        return leaves  # unit germ: nothing further through the origin
+    if min(j for (i, j) in terms if i == 0) == 1:
+        return leaves + [((), terms, psi)]
+    for key, (edge, xi, field) in enumerate(_segment_children(terms, psi)):
+        if type(xi) is list:
+            below = [((), terms, field)]
+        elif field is psi:
+            below = _expand(_transform(terms, *edge, xi, psi), psi, depth + 1)
+        else:
+            below = _over(terms, edge, field, depth + 1)
+        leaves += [((edge + (xi, key),) + steps, tail, part) for steps, tail, part in below]
+    return leaves
 
 
-def _segment_children(terms: dict, ring, prec: int, memo: dict) -> list:
-    """One Newton-polygon step: (q, p, u, v, xi, transformed terms, their
-    ring) per lower edge and root xi of its segment polynomial.
+def _over(terms: dict, edge: tuple, psi, depth: int) -> list:
+    """The leaves below the root z of psi, over K = Q(i)[z]/(psi); when a
+    zero divisor splits psi, over each factor instead (D5)."""
+    try:
+        return _expand(_transform(terms, *edge, _ZVAR, psi), psi, depth)
+    except _Split as split:
+        g = split.args[0]
+        return _over(terms, edge, g, depth) + _over(terms, edge, divexact(psi, g), depth)
 
-    None of it depends on the series truncation, so `memo`, which lives
-    for one `puiseux_branches` call, keeps it by the terms and the
-    precision: a retry at a longer truncation reuses the exact
-    transforms and segment solves.
+
+def _segment_children(terms: dict, psi) -> list:
+    """One exact Newton-polygon step: (edge, xi, field) per lower edge and
+    root of its segment polynomial, edge = (q, p, L, u, v).
+
+    Over Q(i) the segment polynomial splits by its squarefree
+    decomposition: a linear factor gives its root xi in Q(i), a factor
+    psi of multiplicity >= 2 gives xi = z over K = Q(i)[z]/(psi), and one
+    of multiplicity 1, with simple roots, is kept as its coefficient list.
+    Over K it must be linear (xi in K) or squarefree at every root of psi
+    (kept as a list); anything else, a tower, raises PuiseuxError.
     """
-    key = (ring.exact, prec, frozenset(terms.items()))
-    if key in memo:
-        return memo[key]
+    zero = ZERO if psi is None else Polynomial.zero(_Z)
     children = []
     for (i0, j0), (i1, j1) in _lower_edges(terms.keys()):
         w, h = i1 - i0, j0 - j1
         g = math.gcd(w, h)
         q, p = h // g, w // g
-        L = q * i0 + p * j0
-        psi = []
-        for k in range(g + 1):
-            pt = (i1 - k * p, j1 + k * q)
-            psi.append(terms.get(pt, ring.zero))
         alpha, beta = _bezout(q, p)
-        u, v = alpha, -beta
-        for xi, mult, xi_exact in _segment_roots(psi, ring, prec):
-            if xi_exact is not None and ring.exact:
-                sub_ring = ring
-                sub = _transform(terms, q, p, L, u, v, xi_exact, sub_ring)
-            else:
-                sub_ring = ring if not ring.exact else _NumericRing(
-                    mpf(2) ** (-(prec // 2))
-                )
-                numeric_terms = (
-                    terms if not ring.exact else _to_numeric_terms(terms, sub_ring)
-                )
-                sub = _transform(numeric_terms, q, p, L, u, v, mpc(xi), sub_ring)
-                sub = _normalize_numeric(sub, sub_ring)
-            xi_val = gaussian_to_mpc(xi_exact) if xi_exact is not None else mpc(xi)
-            children.append((q, p, u, v, xi_val, sub, sub_ring))
-    memo[key] = children
+        edge = (q, p, q * i0 + p * j0, alpha, -beta)
+        seg = [terms.get((i1 - k * p, j1 + k * q), zero) for k in range(g + 1)]
+        if psi is None:
+            poly = Polynomial(_Z, {(k,): c for k, c in enumerate(seg)})
+            for factor, mult in squarefree_decomposition(poly):
+                c = factor.dense_coefficients()
+                xi = -(c[0] / c[1]) if len(c) == 2 else c if mult == 1 else _ZVAR
+                children.append((edge, xi, factor if xi is _ZVAR else None))
+        elif g == 1:
+            children.append((edge, _cut(-seg[0] * _inv(seg[1], psi), psi), psi))
+        else:
+            s = Polynomial(("w", "z"), {(k, e): c for k, sk in enumerate(seg)
+                                        for (e,), c in sk.terms.items()})
+            disc = _cut(resultant(s, s.partial_derivative("w"), "w"), psi)
+            if disc.is_zero():
+                raise PuiseuxError("segment polynomial over Q(i)[z]/(psi) is neither "
+                                   "linear nor squarefree: a tower of extensions")
+            _inv(disc, psi)  # squarefree at every root of psi, or psi splits
+            children.append((edge, seg, psi))
     return children
 
 
@@ -484,70 +485,108 @@ def _bezout(q: int, p: int):
     return old_s, old_t
 
 
-def _segment_roots(psi, ring, prec):
-    """Roots of the segment polynomial: (value, multiplicity, exact-or-None)."""
-    # one solve per call: on PrecisionError puiseux_branches doubles prec
-    out = []
-    if ring.exact:
-        # build an exact univariate polynomial in a scratch variable
-        terms = {(k,): c for k, c in enumerate(psi) if not c.is_zero()}
-        poly = Polynomial(("z",), terms)
-        for factor, mult in squarefree_decomposition(poly):
-            d = factor.degree("z")
-            if d < 1:
-                continue
-            coeffs = factor.dense_coefficients()
-            if d == 1:
-                xi = -(coeffs[0] / coeffs[1])
-                out.append((gaussian_to_mpc(xi), mult, xi))
-            else:
-                for ball in aberth_roots(coeffs, prec):
-                    out.append((ball.center, mult, None))
-    else:
-        coeffs = [mpc(c) for c in psi]
-        balls = aberth_roots(coeffs, prec)
-        used = [False] * len(balls)
-        tol = mpf(2) ** (-(prec // 4))
-        scale = max([abs(b.center) for b in balls] + [mpf(1)])
-        for i, bi in enumerate(balls):
-            if used[i]:
-                continue
-            cluster = [bi.center]
-            used[i] = True
-            for j in range(i + 1, len(balls)):
-                if not used[j] and abs(balls[j].center - bi.center) < tol * scale:
-                    cluster.append(balls[j].center)
-                    used[j] = True
-            center = sum(cluster) / len(cluster)
-            out.append((center, len(cluster), None))
-    # drop the root z = 0 (it corresponds to points off this segment)
-    return [(xi, m, xe) for xi, m, xe in out if abs(mpc(xi)) != 0]
+def _realize(leaf: tuple, prec: int):
+    """The branches of one leaf as (steps, tail terms, first tail exponent).
+
+    Only values enter here: xi and the terms are evaluated at each
+    certified root of the leaf's modulus and of a last list xi; a tail
+    over Q(i) stays exact.  A step (q, p, u, v, xi, tag) is tagged by its
+    key and, at a simple root, by that root.
+    """
+    steps, tail, part = leaf
+    zetas = [None] if part is None else [
+        mpc(b.center) for b in solve_numeric(part.dense_coefficients(), prec)]
+    # the roots of psi need no tag: each has multiplicity >= 2, so below
+    # it lies a ramified step or a parting, later than the root's own step
+    for zeta in zetas:
+        at = (lambda c: c) if zeta is None else (lambda c: _num(c, zeta))
+        head = [(q, p, u, v, _num(xi, zeta), key) for q, p, _, u, v, xi, key in steps]
+        if steps and type(steps[-1][5]) is list:
+            q, p, L, u, v, seg, key = steps[-1]
+            terms = {k: _num(c, zeta) for k, c in tail.items()}
+            for kw, ball in enumerate(solve_numeric([at(c) for c in seg], prec)):
+                w = mpc(ball.center)
+                yield (head[:-1] + [(q, p, u, v, w, (key, kw))],
+                       _transform(terms, q, p, L, u, v, w), None)
+        else:
+            first = min((i for (i, j) in tail if j == 0), default=None)
+            yield head, {k: at(c) for k, c in tail.items()}, first
+
+
+def _realized(g: Polynomial, prec: int) -> list:
+    return [r for leaf in _expand(dict(g.terms)) for r in _realize(leaf, prec)]
+
+
+def _num(c, zeta):
+    """An exact value as an mpc: a Q(i) number, or an element of K at zeta."""
+    if isinstance(c, Polynomial):
+        return _horner([gaussian_to_mpc(a) for a in c.dense_coefficients()], zeta)
+    return gaussian_to_mpc(c) if type(c) is GaussianRational else c
+
+
+def _truncation(realized: list) -> int:
+    """The series truncation: the least 8 * 2^k that reaches each branch's
+    first exponent, its last characteristic exponent (the lead of its last
+    ramified step, so that the parametrization is primitive) and, for two
+    branches of one ramification, the exponent where they part.
+
+    All of these are exact: each branch is read as its path of (lead
+    exponent in t, step tag, q), with the first exponent of an exact tail
+    last.
+    """
+    skeleton = []
+    for steps, _, first in realized:
+        e, path = 1, [] if first is None else [(first, "tail", 1)]
+        for q, p, _, _, _, tag in reversed(steps):
+            path = [(p * e, tag, q)] + [(p * e + m, t, r) for m, t, r in path]
+            e *= q
+        skeleton.append((e, path))
+    need = 0
+    for n, (e, path) in enumerate(skeleton):
+        need = max([need] + [s[0] for s in path[:1]] + [m for m, _, q in path if q > 1])
+        for f, other in skeleton[:n]:
+            if f == e:
+                need = max(need, _parting(path, other))
+    trunc = 8
+    while trunc < need:
+        trunc *= 2
+    return trunc
+
+
+def _parting(a: list, b: list) -> int:
+    """The exponent where two branch paths part: at the first step they
+    take differently, or at the first one only the longer takes."""
+    for (m, s, _), (n, t, _) in zip(a, b):
+        if s != t:
+            return min(m, n)
+    return max(a, b, key=len)[min(len(a), len(b))][0] if len(a) != len(b) else 0
+
+
+def _fold(steps: list, series: dict) -> tuple:
+    """(e, mu, {m: c}) with x = mu t^e, y = sum c t^m, from the steps (top
+    first) and the tail series below the last one."""
+    e, mu, shifted = 1, mpc(1), series
+    for q, p, u, v, xi, _ in reversed(steps):
+        lead = mu**p * xi**u
+        shifted = {p * e: lead, **{p * e + m: mu**p * c for m, c in shifted.items()}}
+        e, mu = q * e, xi**v * mu**q
+    return e, mu, shifted
 
 
 def _finalize_branch(e, mu, shifted, prec, budget):
-    """The PuiseuxBranch of one raw expansion (e, mu, {m: c}).
+    """The PuiseuxBranch of x = mu t^e, y = sum c t^m, made x = t^e and cut
+    at `budget`.
 
-    Each coefficient c becomes a ComplexBall of radius (|c| + 1) *
-    2^-(prec - 10).  That radius is a heuristic, about a thousand units of
-    the requested precision: no error bound of the segment roots, the
-    transforms or the tail series stands behind it, so the ball is not
-    proven to hold the true coefficient.
+    e and the exponents of the Newton steps are exact; the tail's other
+    exponents and every coefficient are for display only.  A coefficient
+    c becomes a ComplexBall of radius (|c| + 1) * 2^-(prec - 10), a
+    heuristic: no error bound of the roots, the transforms or the tail
+    series stands behind it, so the ball is not proven to hold c.
     """
-    exps = sorted(m for m in shifted)
-    if exps and mu != 1:
+    if shifted and mu != 1:
         nu = mu ** (mpf(-1) / e)
         shifted = {m: c * nu**m for m, c in shifted.items()}
-    if exps and exps[0] > budget:
-        raise SeparationError("first exponent beyond the truncation")
-    exps = [m for m in exps if m <= budget]
-    if exps:
-        g = e
-        for m in exps:
-            g = math.gcd(g, m)
-        if g != 1:
-            raise SeparationError(
-                "parametrization looks imprimitive at this truncation"
-            )
+    exps = sorted(m for m in shifted if m <= budget)
     radius = lambda c: (abs(c) + 1) * mpf(2) ** (-(prec - 10))
     balls = tuple(ComplexBall(shifted[m], radius(shifted[m]), prec) for m in exps)
     return PuiseuxBranch(
@@ -565,35 +604,16 @@ def _branch_sort_key(branch: PuiseuxBranch):
     return (branch.ramification_index, branch.exponents[0], ordering_key(c0)[:2])
 
 
-def _check_separation(branches, prec):
-    tol = mpf(2) ** (-(prec // 4))
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            b1, b2 = branches[i], branches[j]
-            if b1.ramification_index != b2.ramification_index:
-                continue
-            if b1.exponents != b2.exponents:
-                continue
-            if b1.is_axis and b2.is_axis:
-                raise SeparationError("duplicate axis branch")
-            separated = False
-            for c1, c2 in zip(b1.coefficients, b2.coefficients):
-                scale = max(abs(c1.center), abs(c2.center), mpf(1))
-                if abs(c1.center - c2.center) > tol * scale:
-                    separated = True
-                    break
-            if not separated:
-                raise SeparationError("branches agree to the computed truncation")
-
-
 def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition:
     """All local branches of f at the origin.
 
     x-power factors are split off into `x_axis_multiplicity`; a y-power
     factor becomes an explicit axis branch.  Branch multiplicities come
     from the exact squarefree decomposition (all 1 for squarefree f).
-    The series start at 8 terms and double, up to 512, until every
-    branch keeps its first exponent and the branches separate.
+    The structure of every branch is exact (`_expand`).  The series are
+    cut at one truncation fixed from the exact exponents (`_truncation`),
+    read off the factors' product, so that branches of distinct factors
+    part there too; their coefficients are for display only.
     """
     if f.is_zero():
         raise PuiseuxError("zero germ")
@@ -601,55 +621,35 @@ def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition
         raise PuiseuxError("puiseux_branches expects a bivariate germ")
     if not f.constant_term().is_zero():
         raise PuiseuxError("unit germ: f(0,0) != 0")
-    xvar = f.variables[0]
     x_mult = min(e[0] for e in f.terms)
-    h = f
-    if x_mult:
-        xpoly = Polynomial.variable(f.variables, xvar)
-        for _ in range(x_mult):
-            h = divexact(h, xpoly)
-    factors = (
-        [(h, 1)]
-        if h.is_constant()
-        else squarefree_decomposition(h)
+    h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
+    # a factor that is a unit at the origin has no local branches
+    factors = [(g, k) for g, k in squarefree_decomposition(h) if g.constant_term().is_zero()]
+    thresh = mpf(2) ** (-(precision // 2))
+    branches = []
+    mults = []
+    with mp.workprec(precision + 64):
+        realized = [(_realized(factor, precision), k) for factor, k in factors]
+        if len(factors) == 1:
+            trunc = _truncation(realized[0][0])
+        else:
+            one = Polynomial.constant(f.variables, 1)
+            product = math.prod((g for g, _ in factors), start=one)
+            trunc = _truncation(_realized(product, precision))
+        for rows, k in realized:
+            for steps, tail, _ in rows:
+                series = _tail_series(tail, trunc, thresh) if tail else {}
+                branches.append(_finalize_branch(*_fold(steps, series), precision, trunc))
+                mults.append(k)
+    order = sorted(range(len(branches)), key=lambda i: _branch_sort_key(branches[i]))
+    decomposition = BranchDecomposition(
+        germ=f,
+        branches=tuple(branches[i] for i in order),
+        multiplicities=tuple(mults[i] for i in order),
+        x_axis_multiplicity=x_mult,
     )
-    trunc = 8
-    prec = precision
-    memo: dict = {}  # exact expansion steps, shared by the retries below
-    while True:
-        try:
-            with mp.workprec(prec + 64):
-                branches = []
-                mults = []
-                for factor, k in factors:
-                    if factor.is_constant():
-                        continue
-                    if not factor.constant_term().is_zero():
-                        continue  # unit at the origin: no local branches
-                    raw = _expand(dict(factor.terms), _ExactRing(), prec, trunc, memo)
-                    for e, mu, shifted in raw:
-                        branches.append(_finalize_branch(e, mu, shifted, prec, trunc))
-                        mults.append(k)
-                order = sorted(range(len(branches)), key=lambda i: _branch_sort_key(branches[i]))
-                branches = [branches[i] for i in order]
-                mults = [mults[i] for i in order]
-                _check_separation(branches, prec)
-                decomposition = BranchDecomposition(
-                    germ=f,
-                    branches=tuple(branches),
-                    multiplicities=tuple(mults),
-                    x_axis_multiplicity=x_mult,
-                )
-                _check_degree_accounting(f, x_mult, decomposition)
-                return decomposition
-        except SeparationError:
-            if trunc >= 512:
-                raise
-            trunc *= 2
-        except PrecisionError:
-            if prec >= MAX_PRECISION:
-                raise
-            prec = min(MAX_PRECISION, 2 * prec)
+    _check_degree_accounting(f, x_mult, decomposition)
+    return decomposition
 
 
 def _check_degree_accounting(f, x_mult, decomposition):

@@ -114,7 +114,8 @@ class TestBranches:
 
     def test_resubstitution(self):
         # every branch must satisfy its curve to its truncation order; the
-        # last germ separates only past order 16, so it is checked to 24
+        # two branches of the last germ part at t^17, so its truncation is
+        # 32 and it is checked to order 24
         for text in ("x^5 - y^2", "x^3 - x*y^2", "(y - x^2)^2 - x^5",
                      "(y^2 - 2*x^2)^2 - x^5", "x^2*y + y^4",
                      "(y^2 - x^3)*(y^2 - x^3 - x^10)"):
@@ -129,10 +130,102 @@ class TestBranches:
         with pytest.raises(PuiseuxError):
             puiseux_branches(P("1 + x + y"))
 
-    def test_truncation_doubles_until_branches_separate(self):
+    def test_truncation_doubles_until_branches_separate(self, monkeypatch):
+        # the branches part at x^9, so the one truncation is 16; the tail
+        # series are solved once, at that length, never at 8 first
+        real = puiseux_mod._tail_series
+        budgets = []
+
+        def spy(terms, budget, thresh):
+            budgets.append(budget)
+            return real(terms, budget, thresh)
+
+        monkeypatch.setattr(puiseux_mod, "_tail_series", spy)
         dec = puiseux_branches(P("(y - x^2 - x^9)*(y - x^2 - 2*x^9)"))
         assert [b.exponents for b in dec.branches] == [(2, 9), (2, 9)]
         assert [b.truncation_order for b in dec.branches] == [16, 16]
+        assert budgets == [16, 16]
+
+
+# (ramification, first exponent, multiplicity) per branch in order, and the
+# truncation, of germs whose branches pass through irrational segment roots
+# or whose truncation is set past 8
+PINNED_STRUCTURE = {
+    "(y^2 - 2*x^2)^2 - x^5": ([(2, 2, 1)] * 2, 8),
+    # psi = z^3 - 2, then a linear step over K
+    "(y^3 - 2*x^3)^2 - x^7": ([(2, 2, 1)] * 3, 8),
+    # a squarefree quadratic segment polynomial over K
+    "(y^2 - 3*x^2)^2 + x^5*y": ([(1, 1, 1)] * 4, 8),
+    # psi = (z^2 - 2)(z^2 - 3) splits
+    "((y^2 - 2*x^2)^2 - x^5)*((y^2 - 3*x^2)^2 - x^7)": ([(2, 2, 1)] * 4, 8),
+    "x^3 + y^3 + x^2*y^2": ([(1, 1, 1)] * 3, 8),
+    "y^2 - 2*x^2 - x^3": ([(1, 1, 1)] * 2, 8),
+    # x = t^4, y = t^8 + t^15: the last characteristic exponent sets 16
+    "(y - x^2)^4 - x^15": ([(4, 8, 1)], 16),
+    # y = t^3 ends; its sibling's tail starts at t^17, where they part
+    "(y^2 - x^3)*(y^2 - x^3 - x^10)": ([(2, 3, 1)] * 2, 32),
+}
+
+
+class TestExactStructure:
+    @pytest.mark.parametrize("germ", list(PINNED_STRUCTURE))
+    def test_pinned_structure(self, germ):
+        dec = puiseux_branches(P(germ))
+        structure, truncation = PINNED_STRUCTURE[germ]
+        got = [(b.ramification_index, b.exponents[0], m)
+               for b, m in zip(dec.branches, dec.multiplicities)]
+        assert got == structure
+        assert dec.x_axis_multiplicity == 0
+        assert [b.truncation_order for b in dec.branches] == [truncation] * len(got)
+
+    def test_zero_divisor_splits_the_modulus(self, monkeypatch):
+        # over Q(i)[z]/((z^2 - 2)(z^2 - 3)) some coefficients vanish at
+        # the roots of one factor only: the K-level expansion is redone
+        # over each factor, and the branches keep their own exponents
+        real = puiseux_mod._over
+        degrees = []
+
+        def spy(terms, edge, psi, depth):
+            degrees.append(psi.degree("z"))
+            return real(terms, edge, psi, depth)
+
+        monkeypatch.setattr(puiseux_mod, "_over", spy)
+        dec = puiseux_branches(P("((y^2 - 2*x^2)^2 - x^5)*((y^2 - 3*x^2)^2 - x^7)"))
+        assert degrees == [4, 2, 2]
+        leads = [float(b.coefficients[0].center.real) for b in dec.branches]
+        assert [round(c * c) for c in leads] == [3, 2, 2, 3]
+        assert [b.exponents[:3] for b in dec.branches] == [
+            (2, 5, 8), (2, 3, 4), (2, 3, 4), (2, 5, 8)]
+
+    def test_zero_divisor_at_the_end_of_an_edge_splits(self):
+        # below psi = (z^2 - 2)(z^2 - 3) the x^5 term vanishes at +-sqrt 3
+        # only, where the last edge of the polygon ends at x^7 instead;
+        # no inverse is taken on that edge, so only the test of every
+        # coefficient at the node splits psi there
+        dec = puiseux_branches(P("((y^2 - 2*x^2)^2 + x^4*(y^2 - 2*x^2) + x^9)"
+                                 "*((y^2 - 3*x^2)^2 + x^4*(y^2 - 3*x^2) + x^11)"))
+        assert [b.exponents[:3] for b in dec.branches] == [
+            (1, 3, 5), (1, 6), (1, 3, 4), (1, 4, 5), (1, 3, 4), (1, 4, 5), (1, 3, 5), (1, 6)]
+
+    def test_tower_raises(self):
+        # over K = Q(sqrt 2) the next segment polynomial is (8w^2 - 3)^2:
+        # its roots +-sqrt(6)/4 would need a second extension
+        with pytest.raises(PuiseuxError, match="tower"):
+            puiseux_branches(P("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13"))
+
+    @pytest.mark.parametrize("germ,want", [
+        ("(y^2 - 5*x^2)^2 - x^9", [(2, (2, 7))] * 2),
+        ("((y^2 - 2*x^2)^2 + x^4*(y^2 - 2*x^2) + x^9)*((y^2 - 3*x^2)^2 - x^9)",
+         [(1, (1, 3, 4)), (1, (1, 4, 5))] * 2 + [(2, (2, 7))] * 2),
+    ])
+    def test_double_irrational_root_with_a_late_tail(self, germ, want):
+        # the double roots +-sqrt 5 and +-sqrt 3 each carry a branch with
+        # e = 2 whose tail starts only at t^7; all of them must be found
+        f = P(germ)
+        dec = puiseux_branches(f)
+        assert [(b.ramification_index, b.exponents[:3]) for b in dec.branches] == want
+        for b in dec.branches:
+            _assert_small_residual(f, b, order=8)
 
 
 def _exact_tail(terms, order):
