@@ -44,8 +44,10 @@ from .poly import (
 )
 from .puiseux import (
     BranchDecomposition,
+    ExactBranch,
     NewtonSegment,
     PuiseuxBranch,
+    branch_structure,
     delta_invariant,
     intersection_multiplicity,
     milnor_number,

@@ -28,7 +28,9 @@ from .homology import (
     rotation_action,
 )
 from .poly import ParseError, PolynomialError, parse_polynomial
+from .puiseux import PuiseuxError
 from .report import StageError, analyze_germ, ball_pair, report_dict
+from .roots import PrecisionError
 from .svg import emit_svg
 
 
@@ -92,6 +94,15 @@ def cmd_analyze(args) -> int:
                 forced_line=forced,
                 progress=_progress,
             )
+            if args.svg:
+                path = args.svg if len(germs) == 1 else _indexed_path(args.svg, index)
+                try:
+                    emit_svg(result, path)
+                except (PuiseuxError, PrecisionError) as exc:
+                    # the figure solves the series of Delta, the one
+                    # numeric step the analysis itself does not take
+                    raise StageError("svg", exc) from exc
+                print(f"  .. wrote {path}", file=sys.stderr)
         except StageError as exc:
             print(f"error {exc}", file=sys.stderr)
             if not batch:
@@ -104,11 +115,7 @@ def cmd_analyze(args) -> int:
         reports.append(report_dict(result))
         if result.inconsistent:
             worst = 2
-        if args.svg:
-            path = args.svg if len(germs) == 1 else _indexed_path(args.svg, index)
-            emit_svg(result, path)
-            print(f"  .. wrote {path}", file=sys.stderr)
-    payload = reports[0] if len(reports) == 1 else reports
+    payload = reports if batch else reports[0]
     sys.stdout.write(_dump(payload, args.json_compact))
     return worst
 

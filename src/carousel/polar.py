@@ -29,8 +29,8 @@ from .poly import (
 from .puiseux import (
     BranchDecomposition,
     PuiseuxError,
+    branch_structure,
     intersection_multiplicity,
-    puiseux_branches,
 )
 
 
@@ -85,10 +85,13 @@ class PolarCurve(NamedTuple):
 class CerfDiagram(NamedTuple):
     """Squarefree image curve Delta(u, v) with its branch data.
 
-    `leading_exponents` lists, per branch, the rational a with
-    v ~ c * u^a; tangency to the first axis {v = 0} reads as a > 1 for
-    every branch.  `contact_count` is the intersection number of Delta
-    with {v = 0} at the origin.
+    `branches` is the exact branch structure of Delta
+    (`puiseux.branch_structure`): ramification, first exponent and
+    skeleton per branch, no series.  `leading_exponents` lists, per
+    branch, the rational a with v ~ c * u^a; tangency to the first axis
+    {v = 0} reads as a > 1 for every branch.  `contact_count` is the
+    intersection number of Delta with {v = 0} at the origin.  A reader
+    of the series' coefficients calls `puiseux_branches(defining)`.
     """
 
     defining: Polynomial
@@ -197,13 +200,17 @@ def cerf_diagram_of_polar(
 
 
 def diagram_from_defining(delta: Polynomial, precision: int = 128) -> CerfDiagram:
-    """Branch data, exponents and contact count for Delta(u, v), made squarefree."""
+    """Branch data, exponents and contact count for Delta(u, v), made squarefree.
+
+    Exact throughout: the branches are `branch_structure(delta)`, so
+    `precision` is not read.
+    """
     if delta.variables != ("u", "v"):
         delta = delta.in_variables(("u", "v"))
     delta = squarefree_part(delta)
     if delta.is_constant():
         raise PuiseuxError("diagram polynomial is constant")
-    branches = puiseux_branches(delta, precision=precision)
+    branches = branch_structure(delta)
     if branches.x_axis_multiplicity or any(b.is_axis for b in branches.branches):
         raise CertificateFailure("diagram has an axis branch")
     exponents = tuple(b.leading_exponent for b in branches.branches)

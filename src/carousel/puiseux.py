@@ -8,11 +8,14 @@ The branch structure (which branches, their ramification, exponents of
 the Newton steps, multiplicity and order) is decided in one exact
 recursion over Q(i), and below an irrational segment root of multiplicity
 >= 2 over K = Q(i)[z]/(psi), splitting psi by a gcd whenever a zero divisor
-turns up (Duval, Compositio Math. 70, 1989; D5, EUROCAL 1985).  Below a
-simple root the branch is smooth, and only there do numbers enter: the
-exact terms are evaluated at the certified roots and the tail series is
-solved once on Gaussian integers (`_tail_series`).  The coefficients are
-for display only, ComplexBalls of heuristic radius (`_finalize_branch`).
+turns up (Duval, Compositio Math. 70, 1989; D5, EUROCAL 1985).
+`branch_structure` returns that structure alone, and it is all that the
+invariants (mu, delta, r) and the Cerf diagram read.  `puiseux_branches`
+realizes numbers on top of it: below a simple root the branch is smooth,
+and only there do numbers enter, the exact terms evaluated at the
+certified roots and the tail series solved once on Gaussian integers
+(`_tail_series`).  The coefficients are for display only, ComplexBalls
+of heuristic radius (`_finalize_branch`).
 
 Local intersection multiplicities are computed exactly by the classical
 reduction on restrictions to {y = 0} (order bookkeeping plus row
@@ -148,7 +151,35 @@ class PuiseuxBranch(NamedTuple):
         return Fraction(self.y_order, self.ramification_index)
 
 
+class ExactBranch(NamedTuple):
+    """The exact structure of one branch, x = t^e, y = c t^y_order + ...
+
+    `skeleton` is the branch's path of (exponent in t, step tag, q): the
+    lead of each Newton step, top first, then the first exponent of an
+    exact tail.  Tags tell sibling steps apart.  An empty skeleton
+    encodes the axis branch y = 0.
+    """
+
+    ramification_index: int
+    skeleton: tuple
+
+    @property
+    def is_axis(self) -> bool:
+        return not self.skeleton
+
+    @property
+    def y_order(self) -> int:
+        if self.is_axis:
+            raise PuiseuxError("axis branch has no finite y-order")
+        return self.skeleton[0][0]
+
+    leading_exponent = PuiseuxBranch.leading_exponent
+
+
 class BranchDecomposition(NamedTuple):
+    """The local branches of `germ`: `PuiseuxBranch`es with their series
+    (`puiseux_branches`), or `ExactBranch`es (`branch_structure`)."""
+
     germ: Polynomial
     branches: tuple
     multiplicities: tuple
@@ -204,21 +235,26 @@ def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, psi=None
 
     Exact over Q(i) or over K (psi given), where zero terms are dropped,
     or on mpc values.  The (0, 0) term is dropped too: xi is a root of
-    the segment polynomial, so it cancels (numerically only noise).
+    the segment polynomial, so it cancels (numerically only noise).  The
+    powers of xi are built one from the last, the negative ones from one
+    inverse, each reduced mod psi over K.
     """
+    lo = min(v * i + min(0, u * j) for i, j in terms)
+    hi = max(v * i + max(0, u * j) for i, j in terms)
+    up = [xi ** 0]
+    for _ in range(hi):
+        up.append(_cut(up[-1] * xi, psi))
+    down = up[:1]
+    if lo < 0:
+        inverse = 1 / xi if psi is None else _inv(xi, psi)
+        for _ in range(-lo):
+            down.append(_cut(down[-1] * inverse, psi))
     out: dict = {}
-    xi_pows: dict = {}
-
-    def xp(k):
-        if k not in xi_pows:
-            base = xi if psi is None or k >= 0 else _inv(xi, psi)
-            xi_pows[k] = _cut(base ** (k if psi is None else abs(k)), psi)
-        return xi_pows[k]
-
     for (i, j), c in terms.items():
         base = q * i + p * j - L
         for k in range(j + 1):
-            coeff = xp(u * (j - k) + v * i) * (c * math.comb(j, k))
+            e = u * (j - k) + v * i
+            coeff = (up[e] if e >= 0 else down[-e]) * (c * math.comb(j, k))
             key = (base, k)
             prev = out.get(key)
             out[key] = coeff if prev is None else prev + coeff
@@ -486,35 +522,26 @@ def _bezout(q: int, p: int):
 
 
 def _realize(leaf: tuple, prec: int):
-    """The branches of one leaf as (steps, tail terms, first tail exponent).
+    """The branches of one leaf as (steps, tail terms).
 
     Only values enter here: xi and the terms are evaluated at each
     certified root of the leaf's modulus and of a last list xi; a tail
-    over Q(i) stays exact.  A step (q, p, u, v, xi, tag) is tagged by its
-    key and, at a simple root, by that root.
+    over Q(i) stays exact.  A step is (q, p, u, v, xi).
     """
     steps, tail, part = leaf
     zetas = [None] if part is None else [
         mpc(b.center) for b in solve_numeric(part.dense_coefficients(), prec)]
-    # the roots of psi need no tag: each has multiplicity >= 2, so below
-    # it lies a ramified step or a parting, later than the root's own step
     for zeta in zetas:
         at = (lambda c: c) if zeta is None else (lambda c: _num(c, zeta))
-        head = [(q, p, u, v, _num(xi, zeta), key) for q, p, _, u, v, xi, key in steps]
+        head = [(q, p, u, v, _num(xi, zeta)) for q, p, _, u, v, xi, _ in steps]
         if steps and type(steps[-1][5]) is list:
-            q, p, L, u, v, seg, key = steps[-1]
+            q, p, L, u, v, seg, _ = steps[-1]
             terms = {k: _num(c, zeta) for k, c in tail.items()}
-            for kw, ball in enumerate(solve_numeric([at(c) for c in seg], prec)):
+            for ball in solve_numeric([at(c) for c in seg], prec):
                 w = mpc(ball.center)
-                yield (head[:-1] + [(q, p, u, v, w, (key, kw))],
-                       _transform(terms, q, p, L, u, v, w), None)
+                yield head[:-1] + [(q, p, u, v, w)], _transform(terms, q, p, L, u, v, w)
         else:
-            first = min((i for (i, j) in tail if j == 0), default=None)
-            yield head, {k: at(c) for k, c in tail.items()}, first
-
-
-def _realized(g: Polynomial, prec: int) -> list:
-    return [r for leaf in _expand(dict(g.terms)) for r in _realize(leaf, prec)]
+            yield head, {k: at(c) for k, c in tail.items()}
 
 
 def _num(c, zeta):
@@ -524,27 +551,43 @@ def _num(c, zeta):
     return gaussian_to_mpc(c) if type(c) is GaussianRational else c
 
 
-def _truncation(realized: list) -> int:
+def _exact_branches(leaf: tuple) -> list:
+    """The ExactBranches of one leaf: one per root of the leaf's modulus
+    and, within it, one per root of a last list xi, its step tagged by
+    (key, index of the root).  Each step is tagged by its key.
+
+    The roots of psi need no tag: each has multiplicity >= 2, so below it
+    lies a ramified step or a parting, later than the root's own step.
+    """
+    steps, tail, part = leaf
+    keys = [step[6] for step in steps]
+    if steps and type(steps[-1][5]) is list:
+        roots = len(steps[-1][5]) - 1
+        paths, first = [keys[:-1] + [(keys[-1], kw)] for kw in range(roots)], None
+    else:
+        paths, first = [keys], min((i for (i, j) in tail if j == 0), default=None)
+    out = []
+    for tags in paths:
+        e, path = 1, () if first is None else ((first, "tail", 1),)
+        for (q, p, *_), tag in zip(reversed(steps), reversed(tags)):
+            path = ((p * e, tag, q),) + tuple((p * e + m, t, r) for m, t, r in path)
+            e *= q
+        out.append(ExactBranch(e, path))
+    return out * (1 if part is None else part.degree("z"))
+
+
+def _truncation(branches: list) -> int:
     """The series truncation: the least 8 * 2^k that reaches each branch's
     first exponent, its last characteristic exponent (the lead of its last
     ramified step, so that the parametrization is primitive) and, for two
     branches of one ramification, the exponent where they part.
 
-    All of these are exact: each branch is read as its path of (lead
-    exponent in t, step tag, q), with the first exponent of an exact tail
-    last.
+    All of these are exact, read off the ExactBranches' skeletons.
     """
-    skeleton = []
-    for steps, _, first in realized:
-        e, path = 1, [] if first is None else [(first, "tail", 1)]
-        for q, p, _, _, _, tag in reversed(steps):
-            path = [(p * e, tag, q)] + [(p * e + m, t, r) for m, t, r in path]
-            e *= q
-        skeleton.append((e, path))
     need = 0
-    for n, (e, path) in enumerate(skeleton):
+    for n, (e, path) in enumerate(branches):
         need = max([need] + [s[0] for s in path[:1]] + [m for m, _, q in path if q > 1])
-        for f, other in skeleton[:n]:
+        for f, other in branches[:n]:
             if f == e:
                 need = max(need, _parting(path, other))
     trunc = 8
@@ -566,7 +609,7 @@ def _fold(steps: list, series: dict) -> tuple:
     """(e, mu, {m: c}) with x = mu t^e, y = sum c t^m, from the steps (top
     first) and the tail series below the last one."""
     e, mu, shifted = 1, mpc(1), series
-    for q, p, u, v, xi, _ in reversed(steps):
+    for q, p, u, v, xi in reversed(steps):
         lead = mu**p * xi**u
         shifted = {p * e: lead, **{p * e + m: mu**p * c for m, c in shifted.items()}}
         e, mu = q * e, xi**v * mu**q
@@ -604,52 +647,91 @@ def _branch_sort_key(branch: PuiseuxBranch):
     return (branch.ramification_index, branch.exponents[0], ordering_key(c0)[:2])
 
 
-def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition:
-    """All local branches of f at the origin.
+def branch_structure(f: Polynomial) -> BranchDecomposition:
+    """The exact structure of the local branches of f at the origin.
 
-    x-power factors are split off into `x_axis_multiplicity`; a y-power
-    factor becomes an explicit axis branch.  Branch multiplicities come
-    from the exact squarefree decomposition (all 1 for squarefree f).
-    The structure of every branch is exact (`_expand`).  The series are
-    cut at one truncation fixed from the exact exponents (`_truncation`),
-    read off the factors' product, so that branches of distinct factors
-    part there too; their coefficients are for display only.
+    One `ExactBranch` per branch (ramification, skeleton and so first
+    exponent, axis or not), in `puiseux_branches`' order of ramification
+    and first exponent, with the multiplicities of the squarefree
+    decomposition and `x_axis_multiplicity`.  No number is computed: a
+    leaf that ends in a segment polynomial with simple roots counts
+    deg(seg) * deg(psi) branches, one per root.  The degree accounting
+    is checked here.
     """
+    return _structure(f, "branch_structure")[0]
+
+
+def _structure(f: Polynomial, caller: str) -> tuple:
+    """(branch_structure(f), parts) with parts = [(factor, multiplicity,
+    leaves, ExactBranches in leaf order)] per squarefree factor of f
+    through the origin, x-powers split off."""
     if f.is_zero():
         raise PuiseuxError("zero germ")
     if len(f.variables) != 2:
-        raise PuiseuxError("puiseux_branches expects a bivariate germ")
+        raise PuiseuxError(f"{caller} expects a bivariate germ")
     if not f.constant_term().is_zero():
         raise PuiseuxError("unit germ: f(0,0) != 0")
     x_mult = min(e[0] for e in f.terms)
     h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
     # a factor that is a unit at the origin has no local branches
-    factors = [(g, k) for g, k in squarefree_decomposition(h) if g.constant_term().is_zero()]
+    parts = []
+    for g, k in squarefree_decomposition(h):
+        if g.constant_term().is_zero():
+            leaves = _expand(dict(g.terms))
+            parts.append((g, k, leaves, _leaf_branches(leaves)))
+    rows = sorted(((b, k) for _, k, _, bs in parts for b in bs),
+                  key=lambda row: (row[0].ramification_index,
+                                   0 if row[0].is_axis else row[0].y_order))
+    decomposition = BranchDecomposition(
+        germ=f,
+        branches=tuple(b for b, _ in rows),
+        multiplicities=tuple(k for _, k in rows),
+        x_axis_multiplicity=x_mult,
+    )
+    _check_degree_accounting(f, x_mult, decomposition)
+    return decomposition, parts
+
+
+def _leaf_branches(leaves: list) -> list:
+    return [b for leaf in leaves for b in _exact_branches(leaf)]
+
+
+def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition:
+    """All local branches of f at the origin, with their series.
+
+    x-power factors are split off into `x_axis_multiplicity`; a y-power
+    factor becomes an explicit axis branch.  Branch multiplicities come
+    from the exact squarefree decomposition (all 1 for squarefree f).
+    The structure of every branch is exact (`branch_structure`), and
+    numbers are realized on top of it.  The series are cut at one
+    truncation fixed from the exact skeletons (`_truncation`), read off
+    the factors' product, so that branches of distinct factors part
+    there too; their coefficients are for display only.
+    """
+    structure, parts = _structure(f, "puiseux_branches")
+    if len(parts) == 1:
+        trunc = _truncation(parts[0][3])
+    else:
+        one = Polynomial.constant(f.variables, 1)
+        product = math.prod((g for g, *_ in parts), start=one)
+        trunc = _truncation(_leaf_branches(_expand(dict(product.terms))))
     thresh = mpf(2) ** (-(precision // 2))
     branches = []
     mults = []
     with mp.workprec(precision + 64):
-        realized = [(_realized(factor, precision), k) for factor, k in factors]
-        if len(factors) == 1:
-            trunc = _truncation(realized[0][0])
-        else:
-            one = Polynomial.constant(f.variables, 1)
-            product = math.prod((g for g, _ in factors), start=one)
-            trunc = _truncation(_realized(product, precision))
-        for rows, k in realized:
-            for steps, tail, _ in rows:
-                series = _tail_series(tail, trunc, thresh) if tail else {}
-                branches.append(_finalize_branch(*_fold(steps, series), precision, trunc))
-                mults.append(k)
+        for _, k, leaves, _ in parts:
+            for leaf in leaves:
+                for steps, tail in _realize(leaf, precision):
+                    series = _tail_series(tail, trunc, thresh) if tail else {}
+                    branches.append(_finalize_branch(*_fold(steps, series), precision, trunc))
+                    mults.append(k)
     order = sorted(range(len(branches)), key=lambda i: _branch_sort_key(branches[i]))
-    decomposition = BranchDecomposition(
+    return BranchDecomposition(
         germ=f,
         branches=tuple(branches[i] for i in order),
         multiplicities=tuple(mults[i] for i in order),
-        x_axis_multiplicity=x_mult,
+        x_axis_multiplicity=structure.x_axis_multiplicity,
     )
-    _check_degree_accounting(f, x_mult, decomposition)
-    return decomposition
 
 
 def _check_degree_accounting(f, x_mult, decomposition):
@@ -723,13 +805,14 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
 
 
 def milnor_and_branches(f: Polynomial, precision: int = 128) -> tuple:
-    """(mu, branch decomposition) of a reduced germ; mu + r - 1 must be even."""
+    """(mu, branch_structure(f)) of a reduced germ; mu + r - 1 must be
+    even.  Exact: no series is solved, and `precision` is not read."""
     _require_reduced_isolated(f)
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()
     mu = 0 if smooth else intersection_multiplicity(fx, fy)
-    branches = puiseux_branches(f, precision=precision)
+    branches = branch_structure(f)
     r = branches.branch_count
     if (mu + r - 1) % 2 != 0:
         raise PuiseuxError(
@@ -739,12 +822,14 @@ def milnor_and_branches(f: Polynomial, precision: int = 128) -> tuple:
 
 
 def milnor_number(f: Polynomial, precision: int = 128) -> int:
-    """mu = intersection multiplicity of the two partial derivatives at 0."""
+    """mu = intersection multiplicity of the two partial derivatives at 0,
+    exact; `precision` is not read."""
     return milnor_and_branches(f, precision=precision)[0]
 
 
 def delta_invariant(f: Polynomial, precision: int = 128) -> int:
-    """delta = (mu + r - 1) / 2 with r the number of local branches."""
+    """delta = (mu + r - 1) / 2 with r = `branch_structure(f).branch_count`
+    (Milnor, 1968), exact; `precision` is not read."""
     mu, branches = milnor_and_branches(f, precision=precision)
     return (mu + branches.branch_count - 1) // 2
 

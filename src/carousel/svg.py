@@ -1,8 +1,10 @@
 """Deterministic SVG rendering of a monodromy report.
 
 Left panel: real slice of the Cerf diagram in the (u, v) window with the
-value band |v| <= eta.  Right panel: orbit traces of the tracked fiber
-points in the u-plane, colored by cycle; fixed points get a double ring.
+value band |v| <= eta, drawn from the Puiseux series of Delta, which are
+solved here: the analysis keeps only their exact structure.  Right
+panel: orbit traces of the tracked fiber points in the u-plane, colored
+by cycle; fixed points get a double ring.
 All numbers are formatted with a fixed precision so identical inputs
 produce byte-identical files.
 """
@@ -13,6 +15,7 @@ import math
 
 from mpmath import mpf
 
+from .puiseux import puiseux_branches
 from .report import AnalysisResult
 
 _COLORS = (
@@ -130,10 +133,10 @@ def render_svg(result: AnalysisResult) -> str:
     rho = float(radii.rho)
     eta = float(radii.eta)
 
-    # left: real slice of the diagram
+    # left: real slice of the diagram, the only reader of the series
     branch_samples = []
     vmax = eta
-    for branch in result.diagram.branches.branches:
+    for branch in puiseux_branches(result.diagram.defining).branches:
         e = branch.ramification_index
         tmax = (rho / 2) ** (1.0 / e)
         pts = []

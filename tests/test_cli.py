@@ -143,6 +143,55 @@ class TestAnalyze:
         assert blobs[0] != blobs[1]
 
 
+    def test_germ_file_with_one_germ_prints_a_list(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^3 - y^2\n")
+        code, out, _ = run_cli(
+            ["analyze", "--germ-file", str(listing), "--json-compact"], capsys
+        )
+        assert code == 0
+        reports = json.loads(out)
+        assert isinstance(reports, list)
+        assert [r["germ"] for r in reports] == ["x^3 - y^2"]
+        assert reports[0]["mu"] == 2
+
+    @pytest.mark.parametrize("error", ["PrecisionError", "PuiseuxError"])
+    def test_figure_failure_is_an_svg_error_record(self, tmp_path, capsys, monkeypatch, error):
+        # the figure is the one reader of Delta's series: a numeric failure
+        # there ends that germ's record, not the batch
+        import carousel.puiseux as puiseux_mod
+        import carousel.roots as roots_mod
+        import carousel.svg as svg_mod
+
+        exc_type = getattr(roots_mod if error == "PrecisionError" else puiseux_mod, error)
+        real = svg_mod.puiseux_branches
+        calls = []
+
+        def failing_once(f, *args, **kwargs):
+            calls.append(f)
+            if len(calls) == 1:
+                raise exc_type("series did not converge")
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(svg_mod, "puiseux_branches", failing_once)
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^5 - y^2\nx^3 - y^2\n")
+        figure = tmp_path / "fig.svg"
+        code, out, err = run_cli(
+            ["analyze", "--germ-file", str(listing), "--svg", str(figure), "--json-compact"],
+            capsys,
+        )
+        assert code == 1
+        reports = json.loads(out)
+        assert reports[0] == {
+            "germ": "x^5 - y^2",
+            "error": {"stage": "svg", "message": "series did not converge"},
+        }
+        assert reports[1]["mu"] == 2
+        assert (tmp_path / "fig-1.svg").read_bytes().startswith(b"<svg")
+        assert "[svg]" in err
+
+
 class TestReport:
     def test_base_points_print_noise_as_zero(self):
         for germ in ("x^4 + y^3", "x^4 + x^2*y^2 + y^4"):

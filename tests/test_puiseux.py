@@ -228,6 +228,60 @@ class TestExactStructure:
             _assert_small_residual(f, b, order=8)
 
 
+def _shared_fields(dec):
+    """What the exact structure and the series must agree on: (e, first
+    exponent) per branch in order, the (e, first exponent, multiplicity)
+    triples, the x-axis multiplicity, the branch count and the leading
+    exponents in order."""
+    heads = [(b.ramification_index, None if b.is_axis else b.y_order) for b in dec.branches]
+    return (
+        heads,
+        sorted((e, first or 0, m) for (e, first), m in zip(heads, dec.multiplicities)),
+        dec.x_axis_multiplicity,
+        dec.branch_count,
+        [b.leading_exponent for b in dec.branches if not b.is_axis],
+    )
+
+
+def _census(source):
+    """The germs of one census source, each followed by its diagram's Delta."""
+    from carousel.corpus import CORPUS, NON_M2
+    from carousel.gaussian import GaussianRational
+    from carousel.polar import LinearForm, cerf_diagram, select_generic_line
+    from test_polar import _random_m2_germ
+
+    if source == "pinned":
+        return [P(g) for g in list(PINNED_STRUCTURE) + [
+            "(y^2 - 5*x^2)^2 - x^9",
+            "((y^2 - 2*x^2)^2 + x^4*(y^2 - 2*x^2) + x^9)*((y^2 - 3*x^2)^2 - x^9)",
+            "((y^2 - 2*x^2)^2 + x^4*(y^2 - 2*x^2) + x^9)"
+            "*((y^2 - 3*x^2)^2 + x^4*(y^2 - 3*x^2) + x^11)"]]
+    out = []
+    if source == "corpus":
+        germs = [(P(g), None) for g in CORPUS + NON_M2]
+    else:
+        rng = random.Random(12345)
+        line = LinearForm(GaussianRational(3), GaussianRational(2), 0)
+        germs = [(_random_m2_germ(rng), line) for _ in range(24)]
+    for f, line in germs:
+        d = select_generic_line(f).diagram if line is None else cerf_diagram(f, line)
+        out += [f] if d.is_empty else [f, d.defining]
+    return out
+
+
+class TestStructureCensus:
+    @pytest.mark.parametrize("source,count", [("corpus", 44), ("random", 48), ("pinned", 11)])
+    def test_structure_equals_the_series(self, source, count):
+        # f and Delta of CORPUS + NON_M2 on the default line, the 24 random
+        # germs and their Delta on l = 3x + 2y, and the germs above
+        germs = _census(source)
+        assert len(germs) == count
+        for f in germs:
+            structure = puiseux_mod.branch_structure(f)
+            assert all(type(b) is puiseux_mod.ExactBranch for b in structure.branches)
+            assert _shared_fields(structure) == _shared_fields(puiseux_branches(f)), str(f)
+
+
 def _exact_tail(terms, order):
     """y(x) mod x^(order + 1) with h(x, y(x)) = 0 and y(0) = 0, in Q(i).
 
@@ -518,27 +572,46 @@ class TestMilnorDelta:
                 assert milnor_number(P(f"x^{a} + y^{b}")) == (a - 1) * (b - 1)
 
     def test_branches_computed_once_per_germ(self, monkeypatch):
+        import sys
+
         import carousel.polar as polar_mod
-        import carousel.puiseux as puiseux_mod
         from carousel.report import analyze_germ
 
         germ = P("x^2*y + y^4")
-        calls = []
-        real = puiseux_mod.puiseux_branches
+        calls, expansions, numeric = [], [], []
+        real_structure, real_expand = puiseux_mod.branch_structure, puiseux_mod._expand
 
-        def counting(f, *args, **kwargs):
+        def counting(f):
             calls.append(f)
-            return real(f, *args, **kwargs)
+            return real_structure(f)
 
-        monkeypatch.setattr(puiseux_mod, "puiseux_branches", counting)
-        monkeypatch.setattr(polar_mod, "puiseux_branches", counting)
+        def expand(terms, psi=None, depth=0):
+            if depth == 0 and terms == dict(germ.terms):
+                expansions.append(terms)
+            return real_expand(terms, psi, depth)
+
+        def refused(f, *args, **kwargs):
+            numeric.append(f)
+            raise AssertionError("the series are solved only for a figure")
+
+        monkeypatch.setattr(puiseux_mod, "branch_structure", counting)
+        monkeypatch.setattr(polar_mod, "branch_structure", counting)
+        monkeypatch.setattr(puiseux_mod, "_expand", expand)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("carousel") and hasattr(module, "puiseux_branches"):
+                monkeypatch.setattr(module, "puiseux_branches", refused)
         assert delta_invariant(germ) == 3
         assert calls == [germ]
+        assert len(expansions) == 1
         calls.clear()
+        expansions.clear()
         result = analyze_germ("x^2*y + y^4")
         assert (result.mu, result.delta, result.branch_count) == (5, 3, 2)
-        # the line stage expands the Cerf diagram, never the germ
+        # the line stage expands the Cerf diagram, never the germ, and
+        # no stage solves a series
         assert [f for f in calls if f == germ] == [germ]
+        assert len(expansions) == 1
+        assert numeric == []
 
     def test_non_isolated_rejected(self):
         with pytest.raises(PuiseuxError):
