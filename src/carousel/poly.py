@@ -9,6 +9,7 @@ is exact; numeric conversion happens only in the root solver.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -554,7 +555,13 @@ def _poly_divides(d: Polynomial, p: Polynomial) -> bool:
 
 def _univar_gcd(A: list, B: list) -> list:
     """Monic gcd, as GaussianRational list, of Gaussian-integer lists (re, im)
-    with nonzero last entries.
+    with nonzero last entries."""
+    return _int_monic(_int_gcd(A, B))
+
+
+def _int_gcd(A: list, B: list) -> list:
+    """Gcd, with no integer content, of Gaussian-integer lists (re, im),
+    low first, A nonempty with a nonzero last entry.
 
     Runs a primitive pseudo-remainder sequence (integer content stripped
     per step) to keep the coefficient sizes polynomial instead of
@@ -567,7 +574,11 @@ def _univar_gcd(A: list, B: list) -> list:
     while B:
         R = _int_prem_primitive(A, B)
         A, B = B, R
-    # divide by the leading Gaussian integer la + lb*i
+    return A
+
+
+def _int_monic(A: list) -> list:
+    """A divided by its last entry, as a GaussianRational list."""
     la, lb = A[-1]
     n = la * la + lb * lb
     return [from_integers(re * la + im * lb, im * la - re * lb, n) for re, im in A]
@@ -591,6 +602,38 @@ def _int_content_strip(coeffs):
     if g in (0, 1):
         return coeffs
     return [(re // g, im // g) for re, im in coeffs]
+
+
+def _gaussian_primitive(coeffs):
+    """Gaussian-integer pairs with no integer content over their content
+    in Z[i], up to a unit.
+
+    That content divides n, the gcd of the norms of the coefficients, so
+    it is gcd(n, c_0, c_1, ...) in Z[i], and n = 1 rules it out at once.
+    """
+    n = 0
+    for re, im in coeffs:
+        n = gcd(n, re * re + im * im)
+        if n == 1:
+            return coeffs
+    h = (n, 0)
+    for c in coeffs:
+        h = _gaussian_gcd(h, c)
+    hr, hi = h
+    n = hr * hr + hi * hi
+    return [((re * hr + im * hi) // n, (im * hr - re * hi) // n) for re, im in coeffs]
+
+
+def _gaussian_gcd(a, b):
+    """A gcd in Z[i] of Gaussian integers (re, im), by Euclid with the
+    rounded quotient, whose remainder has at most half the norm."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
 
 
 def _int_prem_primitive(A, B):
@@ -839,16 +882,21 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 
 def squarefree_decomposition(p: Polynomial) -> list:
-    """Yun decomposition [(factor, multiplicity)], factors pairwise coprime.
+    """Yun decomposition [(factor, multiplicity)]: monic factors, pairwise
+    coprime, sorted by multiplicity.
 
-    Works variable by variable: the content free of the current main
-    variable is recursed on separately.
+    In one active variable it runs on Gaussian integers
+    (`_univariate_sqf`).  In more it works variable by variable: the
+    content free of the current main variable is recursed on separately.
     """
     if p.is_zero():
         raise PolynomialError("squarefree decomposition of zero")
     if p.is_constant():
         return []
-    main = next(v for v in p.variables if p.degree(v) > 0)
+    active = [v for v in p.variables if p.degree(v) > 0]
+    main = active[0]
+    if len(active) == 1:
+        return _univariate_sqf(p, main)
     content, primitive = content_primitive(p, main)
     out = [] if content.is_constant() else squarefree_decomposition(content)
     a = primitive.monic()
@@ -869,6 +917,93 @@ def squarefree_decomposition(p: Polynomial) -> list:
         c = c2
         k += 1
     return _merge_sqf(out)
+
+
+def _univariate_sqf(p: Polynomial, var: str) -> list:
+    """squarefree_decomposition of p, whose one active variable is z = `var`.
+
+    p = z^j * rest with rest(0) != 0 is split exactly, and the rest goes
+    to Yun's algorithm on its Gaussian integers, `_int_yun`; z joins the
+    factor of multiplicity j.
+    """
+    dense = _dense_in(p, var)
+    j = next(k for k, c in enumerate(dense) if not c.is_zero())
+    _, rest = _to_gaussian_int(dense[j:])
+    factors = dict(_int_yun(rest)) if len(rest) > 1 else {}
+    if j:
+        factors[j] = [(0, 0)] + factors.get(j, [(1, 0)])
+    i, n = p._index(var), len(p.variables)
+    return [
+        (Polynomial(p.variables, {(0,) * i + (e,) + (0,) * (n - 1 - i): c
+                                  for e, c in enumerate(_int_monic(f))}), k)
+        for k, f in sorted(factors.items())
+    ]
+
+
+def _int_yun(A: list) -> list:
+    """Yun's decomposition [(k, f_k)] of a Gaussian-integer list A (low
+    first) of positive degree: A = unit * prod f_k^k over Q(i), with f_k of
+    positive degree, squarefree and pairwise coprime.
+
+    Yun (SYMSAC 1976): with c = A/gcd(A, A') and d = A'/gcd(A, A') - c',
+    each f_k = gcd(c, d), then c <- c/f_k and d <- d/f_k - (c/f_k)'.  The
+    gcds are made primitive in Z[i][z], so by Gauss's lemma every
+    quotient is a Gaussian-integer list: a gcd with only its integer
+    content stripped can keep a factor such as 1 + i.
+    """
+    dA = _int_derivative(A)
+    g = _gaussian_primitive(_int_gcd(A, dA))
+    if len(g) == 1:
+        return [(1, A)]
+    c, d = _int_quotient(A, g), _int_quotient(dA, g)
+    d = _int_sub(d, _int_derivative(c))
+    out = []
+    k = 1
+    while len(c) > 1:
+        f = _gaussian_primitive(_int_gcd(c, d))
+        if len(f) > 1:
+            out.append((k, f))
+            c, d = _int_quotient(c, f), _int_quotient(d, f)
+        d = _int_sub(d, _int_derivative(c))
+        k += 1
+    return out
+
+
+def _int_derivative(A: list) -> list:
+    return [(k * re, k * im) for k, (re, im) in enumerate(A)][1:]
+
+
+def _int_sub(A: list, B: list) -> list:
+    """A - B on Gaussian-integer lists, trailing zeros dropped."""
+    R = [(a - c, b - d) for (a, b), (c, d) in zip_longest(A, B, fillvalue=(0, 0))]
+    while R and R[-1] == (0, 0):
+        R.pop()
+    return R
+
+
+def _int_quotient(C: list, F: list) -> list:
+    """C / F for Gaussian-integer lists whose quotient has Gaussian-integer
+    coefficients; raises PolynomialError if it does not or F leaves a
+    remainder."""
+    lr, li = F[-1]
+    n = lr * lr + li * li
+    m = len(F) - 1
+    R = list(C)
+    Q = [(0, 0)] * max(len(C) - m, 0)
+    for s in range(len(Q) - 1, -1, -1):
+        tr, ti = R[s + m]
+        qr, rr = divmod(tr * lr + ti * li, n)
+        qi, ri = divmod(ti * lr - tr * li, n)
+        if rr or ri:
+            raise PolynomialError("inexact polynomial division")
+        Q[s] = (qr, qi)
+        for k in range(m):
+            fr, fi = F[k]
+            re, im = R[s + k]
+            R[s + k] = (re - qr * fr + qi * fi, im - qr * fi - qi * fr)
+    if any(c != (0, 0) for c in R[:m]):
+        raise PolynomialError("inexact polynomial division")
+    return Q
 
 
 def _merge_sqf(factors: list) -> list:

@@ -626,11 +626,15 @@ def _finalize_branch(e, mu, shifted, prec, budget):
     heuristic: no error bound of the roots, the transforms or the tail
     series stands behind it, so the ball is not proven to hold c.
     """
+    radius = lambda c: (abs(c) + 1) * mpf(2) ** (-(prec - 10))
     if shifted and mu != 1:
+        # mu is real when its imaginary part is within the radius, so
+        # that arg pi, not the sign of rounding noise, picks the root
+        if abs(mu.imag) <= radius(mu):
+            mu = mpc(mu.real)
         nu = mu ** (mpf(-1) / e)
         shifted = {m: c * nu**m for m, c in shifted.items()}
     exps = sorted(m for m in shifted if m <= budget)
-    radius = lambda c: (abs(c) + 1) * mpf(2) ** (-(prec - 10))
     balls = tuple(ComplexBall(shifted[m], radius(shifted[m]), prec) for m in exps)
     return PuiseuxBranch(
         ramification_index=e,

@@ -1,7 +1,10 @@
 """Certified complex root solving.
 
-Univariate polynomials with exact Gaussian-rational coefficients are
-split into squarefree factors exactly, then each factor is solved by
+A univariate polynomial with exact Gaussian-rational coefficients is
+read for its exact structure first: the power z^k of the variable is
+split off, 0 is a root of multiplicity k with a ball of radius 0, and
+the rest is split into squarefree factors exactly (a rest a*z^n + b is
+squarefree as it stands).  Each factor is then solved by
 Aberth-Ehrlich simultaneous iteration in machine doubles; only when the
 doubles cannot isolate the roots does the same iteration run in mpmath
 from a circle of start points.  The approximations are then polished
@@ -481,8 +484,11 @@ def solve_numeric(coeffs, precision: int):
 def univariate_roots(p: Polynomial, precision: int) -> list:
     """All complex roots with multiplicity of an exact univariate polynomial.
 
-    Multiplicities come from the exact squarefree decomposition, so the
-    numeric stage only ever isolates simple roots.  The returned list of
+    p = z^k * rest with rest(0) != 0 is split exactly: 0 is a root of
+    multiplicity k, the ball of radius 0 that the solver certifies for it.
+    A rest a*z^n + b is squarefree as it stands; any other rest is split
+    by the exact squarefree decomposition.  So the numeric stage only
+    ever isolates simple nonzero roots.  The returned list of
     (ComplexBall, multiplicity) pairs is sorted by root center.
     """
     if p.is_zero():
@@ -491,14 +497,21 @@ def univariate_roots(p: Polynomial, precision: int) -> list:
         raise PolynomialError("univariate_roots expects one variable")
     if p.degree(p.variables[0]) < 1:
         raise PolynomialError("polynomial has no roots (degree 0)")
-    factors = squarefree_decomposition(p)
+    dense = p.dense_coefficients()
+    k = next(j for j, c in enumerate(dense) if not c.is_zero())
+    rest = dense[k:]
+    if len(rest) == 1:
+        factors = []
+    elif all(c.is_zero() for c in rest[1:-1]):
+        factors = [(rest, 1)]
+    else:
+        rest = Polynomial(p.variables, {(j,): c for j, c in enumerate(rest)})
+        factors = [(f.dense_coefficients(), m) for f, m in squarefree_decomposition(rest)]
 
     def solve(prec):
-        out = []
-        for factor, mult in factors:
-            if factor.degree(factor.variables[0]) < 1:
-                continue
-            for ball in aberth_roots(factor.dense_coefficients(), prec):
+        out = [(ComplexBall(0, 0, prec), k)] if k else []
+        for coeffs, mult in factors:
+            for ball in aberth_roots(coeffs, prec):
                 out.append((ball, mult))
         _check_cross_factor(out)
         return out

@@ -234,6 +234,23 @@ class TestResultant:
         assert r.is_zero() or not shared
 
 
+
+@st.composite
+def _univariate_products(draw):
+    """(p, z): c * z^j * prod g_i^k_i with z one of x, y, c non-real and
+    each g_i of degree 1 or 2; the g_i may share factors with each other
+    and with z."""
+    var = draw(st.sampled_from(XY))
+    z = Polynomial.variable(XY, var)
+    content = draw(_COEFFS.filter(lambda c: not c.is_real()))
+    p = Polynomial.constant(XY, content) * z ** draw(st.integers(min_value=0, max_value=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        coeffs = draw(st.lists(_COEFFS, min_size=2, max_size=3).filter(lambda c: not c[-1].is_zero()))
+        g = Polynomial(XY, {tuple(k if v == var else 0 for v in XY): c for k, c in enumerate(coeffs)})
+        p = p * g ** draw(st.integers(min_value=1, max_value=3))
+    return p, var
+
+
 class TestSquarefree:
     def test_repeated_factor(self):
         assert squarefree_part(P("(v - u^5)^2", ("u", "v"))) == P("u^5 - v", ("u", "v"))
@@ -262,6 +279,28 @@ class TestSquarefree:
         for f, k in parts:
             rebuilt = rebuilt * f**k
         assert rebuilt.monic() == p.monic()
+
+
+    def test_gcd_with_a_gaussian_content(self):
+        # gcd(p, p') = (1 + i)*((1 + i)*z + 1) keeps the Gaussian content 1 + i
+        parts = squarefree_decomposition(P("((1+i)*z + 1)^2", ("z",)))
+        assert [(str(f), k) for f, k in parts] == [("z + (1/2-1/2*i)", 2)]
+
+    @seed(18)
+    @settings(max_examples=150, deadline=None)
+    @given(_univariate_products().filter(lambda case: not case[0].is_constant()))
+    def test_univariate_decomposition(self, case):
+        p, var = case
+        parts = squarefree_decomposition(p)
+        mults = [k for _, k in parts]
+        assert mults == sorted(set(mults))
+        rebuilt = Polynomial.constant(XY, 1)
+        for i, (f, k) in enumerate(parts):
+            assert f.leading()[1].is_one()
+            assert poly_gcd(f, f.partial_derivative(var)).is_constant()
+            assert all(poly_gcd(f, g).is_constant() for g, _ in parts[:i])
+            rebuilt = rebuilt * f**k
+        assert rebuilt == p.monic()
 
 
 class TestGcd:

@@ -146,6 +146,17 @@ class TestBranches:
         assert [b.truncation_order for b in dec.branches] == [16, 16]
         assert budgets == [16, 16]
 
+    def test_root_of_a_negative_mu_does_not_follow_rounding_noise(self):
+        # x = mu t^2 with mu exactly -16: the square root of 1/mu is taken
+        # at arg pi, so the t^7 coefficients agree across precisions
+        f = P("(y^2 - (1+i)*x^2)^2 - x^9")
+        low, high = puiseux_branches(f, 128), puiseux_branches(f, 160)
+        assert [b.exponents for b in low.branches] == [(2, 7), (2, 7)]
+        for a, b in zip(low.branches, high.branches):
+            assert a.exponents == b.exponents
+            for ca, cb in zip(a.coefficients, b.coefficients):
+                assert abs(ca.center - cb.center) < mpf(2) ** -100
+
 
 # (ramification, first exponent, multiplicity) per branch in order, and the
 # truncation, of germs whose branches pass through irrational segment roots

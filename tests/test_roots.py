@@ -365,6 +365,30 @@ def test_exact_zero_root_is_certified_at_the_first_precision(monkeypatch):
     assert len(zero) == 1 and zero[0].radius == 0
 
 
+def test_power_of_the_variable_is_split_off_exactly(monkeypatch):
+    # u^3*(u^2 + 1/64): 0 is a triple root, and Aberth sees only u^2 + 1/64
+    seen = []
+    real = roots_mod.aberth_roots
+
+    def spy(c, precision):
+        seen.append(list(c))
+        return real(c, precision)
+
+    monkeypatch.setattr(roots_mod, "aberth_roots", spy)
+    roots = univariate_roots(U("u^3*(u^2 + 1/64)"), 128)
+    assert seen == [[GaussianRational(Fraction(1, 64)), GaussianRational(0), GaussianRational(1)]]
+    zero = [(b, m) for b, m in roots if b.center == 0]
+    assert len(roots) == 3 and len(zero) == 1
+    ball, mult = zero[0]
+    assert mult == 3 and ball.radius == 0 and ball.precision == 128
+    for b, m in roots:
+        if b.center != 0:
+            assert m == 1 and abs(abs(b.center) - mpf(1) / 8) < mpf(2) ** -100
+    seen.clear()
+    assert [(b.center, b.radius, m) for b, m in univariate_roots(U("3*u^2"), 128)] == [(0, 0, 2)]
+    assert seen == []
+
+
 def test_disjointness_is_decided_exactly():
     with mpmath.mp.workprec(256):
         a = ComplexBall(mpmath.mpc(0), mpf(1) / 2, 128)
