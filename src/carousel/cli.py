@@ -165,7 +165,7 @@ def cmd_family(args) -> int:
         )
         print(f"family: {args.family}", file=sys.stderr)
         report = conservation_check(family, precision=args.precision)
-        verdict = coalescing_verdict(family, report, precision=args.precision)
+        verdict = coalescing_verdict(family, report)
     except (StageError, ValueError, ArithmeticError) as exc:
         print(f"error [family]: {exc}", file=sys.stderr)
         return 1

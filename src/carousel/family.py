@@ -348,7 +348,7 @@ class ConservationReport(NamedTuple):
 
 def conservation_check(family: FamilyGerm, precision: int = 128) -> ConservationReport:
     """Compare the summed local Milnor numbers against mu(f_0) per sample."""
-    mu0 = milnor_number(family.slice(GaussianRational(0)), precision=precision)
+    mu0 = milnor_number(family.slice(GaussianRational(0)))
     records = []
     flags = []
     for t_value in family.t_samples:
@@ -374,9 +374,7 @@ class CoalescingVerdict(NamedTuple):
 
 
 def coalescing_verdict(
-    family: FamilyGerm,
-    report: ConservationReport | None = None,
-    precision: int = 128,
+    family: FamilyGerm, report: ConservationReport | None = None
 ) -> CoalescingVerdict:
     """Uniqueness of the zero-fiber critical point under exact mu-constancy.
 
@@ -386,7 +384,7 @@ def coalescing_verdict(
     points is reported as VIOLATION, never repaired.
     """
     if report is None:
-        report = conservation_check(family, precision)
+        report = conservation_check(family)
     sums = []
     counts = []
     for record in report.records:

@@ -12,6 +12,7 @@ trigger a redraw.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple
 
@@ -29,7 +30,8 @@ from .poly import (
 from .puiseux import (
     BranchDecomposition,
     PuiseuxError,
-    branch_structure,
+    _squarefree_factors,
+    _structure,
     intersection_multiplicity,
 )
 
@@ -152,15 +154,12 @@ def polar_curve(f: Polynomial, line: LinearForm) -> PolarCurve:
     return PolarCurve(gamma, removed)
 
 
-def cerf_diagram(f: Polynomial, line: LinearForm, precision: int = 128) -> CerfDiagram:
+def cerf_diagram(f: Polynomial, line: LinearForm) -> CerfDiagram:
     """Cerf diagram of f for `line`: squarefree image of the polar curve."""
-    polar = polar_curve(f, line)
-    return cerf_diagram_of_polar(f, line, polar, precision)
+    return cerf_diagram_of_polar(f, line, polar_curve(f, line))
 
 
-def cerf_diagram_of_polar(
-    f: Polynomial, line: LinearForm, polar: PolarCurve, precision: int = 128
-) -> CerfDiagram:
+def cerf_diagram_of_polar(f: Polynomial, line: LinearForm, polar: PolarCurve) -> CerfDiagram:
     if polar.is_empty_at_origin:
         return CerfDiagram(
             defining=Polynomial.constant(("u", "v"), 1),
@@ -196,23 +195,23 @@ def cerf_diagram_of_polar(
         raise CertificateFailure(
             "a branch of the diagram lies inside {u = 0}: restriction to the polar is not finite"
         )
-    return diagram_from_defining(delta, precision)
+    return diagram_from_defining(delta)
 
 
-def diagram_from_defining(delta: Polynomial, precision: int = 128) -> CerfDiagram:
+def diagram_from_defining(delta: Polynomial) -> CerfDiagram:
     """Branch data, exponents and contact count for Delta(u, v), made squarefree.
 
-    Exact throughout: the branches are `branch_structure(delta)`, so
-    `precision` is not read.
+    Exact throughout.  Delta is decomposed once: its squarefree part is
+    the product of the monic factors, and its branches are expanded from
+    that product as one factor.
     """
     if delta.variables != ("u", "v"):
         delta = delta.in_variables(("u", "v"))
-    delta = squarefree_part(delta)
-    if delta.is_constant():
-        raise PuiseuxError("diagram polynomial is constant")
-    branches = branch_structure(delta)
-    if branches.x_axis_multiplicity or any(b.is_axis for b in branches.branches):
+    u_mult, factors = _squarefree_factors(delta)
+    if u_mult or min(e[1] for e in delta.terms):
         raise CertificateFailure("diagram has an axis branch")
+    delta = math.prod(g for g, _ in factors)
+    branches = _structure(delta, 0, [(delta, 1)])[0]
     exponents = tuple(b.leading_exponent for b in branches.branches)
     tangent = all(a > 1 for a in exponents)
     m_from_branches = sum(b.y_order for b in branches.branches)
@@ -300,9 +299,7 @@ def _candidate_lines(seed: int):
         yield value
 
 
-def select_generic_line(
-    f: Polynomial, seed: int = 0, precision: int = 128
-) -> LineSelection:
+def select_generic_line(f: Polynomial, seed: int = 0) -> LineSelection:
     """Draw candidate lines until all certificates pass.
 
     Certificates: the directional derivative is not identically zero and
@@ -327,7 +324,7 @@ def select_generic_line(
                 raise CertificateFailure(
                     "polar curve shares a component with the germ"
                 )
-            diagram = cerf_diagram_of_polar(f, line, polar, precision)
+            diagram = cerf_diagram_of_polar(f, line, polar)
         except CertificateFailure as exc:
             failures.append((str(line), str(exc)))
             continue
@@ -345,9 +342,9 @@ def select_generic_line(
     )
 
 
-def pick_generic_line(f: Polynomial, seed: int = 0, **kwargs) -> LinearForm:
+def pick_generic_line(f: Polynomial, seed: int = 0) -> LinearForm:
     """The certified linear form alone (see select_generic_line)."""
-    return select_generic_line(f, seed, **kwargs).line
+    return select_generic_line(f, seed).line
 
 
 def _require_valid_germ(f: Polynomial):

@@ -38,7 +38,6 @@ from .poly import (
     poly_gcd,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
 )
 from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _horner, gaussian_to_mpc,
                     ordering_key, solve_numeric)
@@ -662,24 +661,31 @@ def branch_structure(f: Polynomial) -> BranchDecomposition:
     deg(seg) * deg(psi) branches, one per root.  The degree accounting
     is checked here.
     """
-    return _structure(f, "branch_structure")[0]
+    return _structure(f, *_squarefree_factors(f))[0]
 
 
-def _structure(f: Polynomial, caller: str) -> tuple:
-    """(branch_structure(f), parts) with parts = [(factor, multiplicity,
-    leaves, ExactBranches in leaf order)] per squarefree factor of f
-    through the origin, x-powers split off."""
+def _squarefree_factors(f: Polynomial) -> tuple:
+    """(x_mult, squarefree_decomposition(f / x^x_mult)) of a germ f in two
+    variables through the origin: the one decomposition that the
+    reducedness gate and the branch structure both read."""
+    if len(f.variables) != 2:
+        raise PuiseuxError("expected a plane-curve germ in two variables")
     if f.is_zero():
         raise PuiseuxError("zero germ")
-    if len(f.variables) != 2:
-        raise PuiseuxError(f"{caller} expects a bivariate germ")
     if not f.constant_term().is_zero():
         raise PuiseuxError("unit germ: f(0,0) != 0")
     x_mult = min(e[0] for e in f.terms)
     h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
+    return x_mult, squarefree_decomposition(h)
+
+
+def _structure(f: Polynomial, x_mult: int, factors: list) -> tuple:
+    """(branch_structure(f), parts) from `_squarefree_factors(f)`, with
+    parts = [(factor, multiplicity, leaves, ExactBranches in leaf order)]
+    per squarefree factor through the origin."""
     # a factor that is a unit at the origin has no local branches
     parts = []
-    for g, k in squarefree_decomposition(h):
+    for g, k in factors:
         if g.constant_term().is_zero():
             leaves = _expand(dict(g.terms))
             parts.append((g, k, leaves, _leaf_branches(leaves)))
@@ -712,7 +718,7 @@ def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition
     the factors' product, so that branches of distinct factors part
     there too; their coefficients are for display only.
     """
-    structure, parts = _structure(f, "puiseux_branches")
+    structure, parts = _structure(f, *_squarefree_factors(f))
     if len(parts) == 1:
         trunc = _truncation(parts[0][3])
     else:
@@ -808,15 +814,23 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         G = G - shift.scale(factor) * F
 
 
-def milnor_and_branches(f: Polynomial, precision: int = 128) -> tuple:
+def milnor_and_branches(f: Polynomial) -> tuple:
     """(mu, branch_structure(f)) of a reduced germ; mu + r - 1 must be
-    even.  Exact: no series is solved, and `precision` is not read."""
-    _require_reduced_isolated(f)
+    even.  Exact: no series is solved.
+
+    A reduced germ has an isolated critical point: a curve of critical
+    points through 0 lies in {f = 0} and would be a repeated factor.  f
+    is reduced iff x_mult <= 1 and every factor of its one squarefree
+    decomposition, units at the origin included, has multiplicity 1.
+    """
+    x_mult, factors = _squarefree_factors(f)
+    if x_mult > 1 or any(k > 1 for _, k in factors):
+        raise PuiseuxError("germ is not reduced (repeated factor)")
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()
     mu = 0 if smooth else intersection_multiplicity(fx, fy)
-    branches = branch_structure(f)
+    branches = _structure(f, x_mult, factors)[0]
     r = branches.branch_count
     if (mu + r - 1) % 2 != 0:
         raise PuiseuxError(
@@ -825,30 +839,14 @@ def milnor_and_branches(f: Polynomial, precision: int = 128) -> tuple:
     return mu, branches
 
 
-def milnor_number(f: Polynomial, precision: int = 128) -> int:
+def milnor_number(f: Polynomial) -> int:
     """mu = intersection multiplicity of the two partial derivatives at 0,
-    exact; `precision` is not read."""
-    return milnor_and_branches(f, precision=precision)[0]
+    exact."""
+    return milnor_and_branches(f)[0]
 
 
-def delta_invariant(f: Polynomial, precision: int = 128) -> int:
+def delta_invariant(f: Polynomial) -> int:
     """delta = (mu + r - 1) / 2 with r = `branch_structure(f).branch_count`
-    (Milnor, 1968), exact; `precision` is not read."""
-    mu, branches = milnor_and_branches(f, precision=precision)
+    (Milnor, 1968), exact."""
+    mu, branches = milnor_and_branches(f)
     return (mu + branches.branch_count - 1) // 2
-
-
-def _require_reduced_isolated(f: Polynomial):
-    # A reduced germ has an isolated critical point: a curve of critical
-    # points through 0 lies in {f = 0} and would be a repeated factor.
-    if len(f.variables) != 2:
-        raise PuiseuxError("expected a plane-curve germ in two variables")
-    if f.is_zero():
-        raise PuiseuxError("zero germ")
-    if not f.constant_term().is_zero():
-        raise PuiseuxError("unit germ: f(0,0) != 0")
-    sf = squarefree_part(f)
-    if sf.total_degree() != f.total_degree() or f != sf.scale(
-        f.leading()[1]
-    ):
-        raise PuiseuxError("germ is not reduced (repeated factor)")

@@ -120,7 +120,7 @@ def analyze_germ(
 
     def invariants():
         order = germ.order_at_origin()
-        mu, branches = milnor_and_branches(germ, precision=precision)
+        mu, branches = milnor_and_branches(germ)
         r = branches.branch_count
         delta = (mu + r - 1) // 2
         return order, mu, delta, r
@@ -138,9 +138,9 @@ def analyze_germ(
                 seed=seed,
             )
             polar = polar_curve(germ, line)
-            diagram = cerf_diagram_of_polar(germ, line, polar, precision=precision)
+            diagram = cerf_diagram_of_polar(germ, line, polar)
             return LineSelection(line, polar, diagram, 1, ()), True
-        selection = select_generic_line(germ, seed, precision=precision)
+        selection = select_generic_line(germ, seed)
         return selection, False
 
     selection, forced = _stage(timings, "line", line_stage)

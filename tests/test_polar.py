@@ -100,6 +100,18 @@ class TestCerfDiagram:
             assert not any(b.is_axis for b in d.branches.branches)
             assert d.contact_count == m
 
+    def test_repeated_factor_of_delta_dropped(self):
+        # the squarefree Delta is the product of its decomposition's
+        # factors; an axis factor u still fails the certificate
+        uv = ("u", "v")
+        d = diagram_from_defining(parse_polynomial("(v - u^3)^2*(v + u^2)", uv))
+        assert d == diagram_from_defining(parse_polynomial("(v - u^3)*(v + u^2)", uv))
+        assert str(d.defining) == "u^5 + u^3*v - u^2*v - v^2"
+        assert d.leading_exponents == (Fraction(2), Fraction(3))
+        assert d.contact_count == 5
+        with pytest.raises(CertificateFailure):
+            diagram_from_defining(parse_polynomial("u*(v - u^2)", uv))
+
     def test_diagram_squarefree(self):
         for text in ("x^3 - x*y^2", "x^4 + x^2*y^2 + y^4"):
             sel = select_generic_line(P(text), 0)

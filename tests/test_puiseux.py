@@ -11,7 +11,7 @@ from mpmath import mp, mpc, mpf
 
 import carousel.puiseux as puiseux_mod
 from carousel.gaussian import ONE, ZERO, GaussianRational
-from carousel.poly import Polynomial, parse_polynomial
+from carousel.poly import Polynomial, parse_polynomial, squarefree_part
 from carousel.puiseux import (
     CommonComponentError,
     PuiseuxError,
@@ -21,6 +21,7 @@ from carousel.puiseux import (
     newton_polygon,
     puiseux_branches,
 )
+from carousel.report import StageError, analyze_germ
 from carousel.roots import PrecisionError, gaussian_to_mpc
 
 XY = ("x", "y")
@@ -590,11 +591,14 @@ class TestMilnorDelta:
 
         germ = P("x^2*y + y^4")
         calls, expansions, numeric = [], [], []
-        real_structure, real_expand = puiseux_mod.branch_structure, puiseux_mod._expand
+        real_expand = puiseux_mod._expand
 
-        def counting(f):
-            calls.append(f)
-            return real_structure(f)
+        def spy(name, real):
+            def recording(f):
+                calls.append((name, f))
+                return real(f)
+
+            return recording
 
         def expand(terms, psi=None, depth=0):
             if depth == 0 and terms == dict(germ.terms):
@@ -605,14 +609,18 @@ class TestMilnorDelta:
             numeric.append(f)
             raise AssertionError("the series are solved only for a figure")
 
-        monkeypatch.setattr(puiseux_mod, "branch_structure", counting)
-        monkeypatch.setattr(polar_mod, "branch_structure", counting)
+        # the reducedness gate and the branches read one squarefree
+        # decomposition, wherever either module binds the kernels
+        for module in (puiseux_mod, polar_mod):
+            for name in ("squarefree_decomposition", "squarefree_part"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         monkeypatch.setattr(puiseux_mod, "_expand", expand)
         for name, module in list(sys.modules.items()):
             if name.startswith("carousel") and hasattr(module, "puiseux_branches"):
                 monkeypatch.setattr(module, "puiseux_branches", refused)
         assert delta_invariant(germ) == 3
-        assert calls == [germ]
+        assert [call for call in calls if call[1] == germ] == [("squarefree_decomposition", germ)]
         assert len(expansions) == 1
         calls.clear()
         expansions.clear()
@@ -620,15 +628,58 @@ class TestMilnorDelta:
         assert (result.mu, result.delta, result.branch_count) == (5, 3, 2)
         # the line stage expands the Cerf diagram, never the germ, and
         # no stage solves a series
-        assert [f for f in calls if f == germ] == [germ]
+        assert [call for call in calls if call[1] == germ] == [("squarefree_decomposition", germ)]
         assert len(expansions) == 1
         assert numeric == []
+        delta = result.diagram.defining
+        calls.clear()
+        assert polar_mod.diagram_from_defining(delta) == result.diagram
+        assert [call for call in calls if call[1] == delta] == [("squarefree_decomposition", delta)]
+        assert not [name for name, _ in calls if name == "squarefree_part"]
 
     def test_non_isolated_rejected(self):
         with pytest.raises(PuiseuxError):
             milnor_number(P("x^2"))
         with pytest.raises(PuiseuxError):
             milnor_number(P("x^2 * y + x^3"))
+
+    def test_one_entry_message_for_three_variables(self):
+        germ = parse_polynomial("x^2 - t^3", ("x", "y", "t"))
+        for entry in (milnor_number, puiseux_mod.branch_structure, puiseux_branches):
+            with pytest.raises(PuiseuxError) as info:
+                entry(germ)
+            assert str(info.value) == "expected a plane-curve germ in two variables"
+
+    def test_reduced_gate_matches_squarefree_part(self):
+        # the gate reads the multiplicities of one squarefree
+        # decomposition; squarefree_part is the reference: f is reduced
+        # iff it equals its squarefree part up to a scalar
+        rng = random.Random(19)
+        units = [P("1 + x"), P("1 - y"), P("2 + x*y"), P("1 + x + y^2")]
+        verdicts = []
+        for n in range(240):
+            f = _random_germ(rng)
+            if n % 3 == 1:
+                f = _random_germ(rng) ** 2 * f
+            elif n % 3 == 2:
+                f = rng.choice(units) ** 2 * f
+            reduced = f == squarefree_part(f).scale(f.leading()[1])
+            try:
+                milnor_number(f)
+                refused = False
+            except PuiseuxError as exc:
+                refused = str(exc) == "germ is not reduced (repeated factor)"
+            assert refused == (not reduced), str(f)
+            verdicts.append(refused)
+        assert 100 < sum(verdicts) < 220
+
+    def test_squared_unit_refused_at_invariants(self):
+        # every polar of (1 + x)^2*y shares 1 + x with f, so admitting the
+        # germ would only move the failure to the line stage
+        with pytest.raises(StageError) as info:
+            analyze_germ("(1 + x)^2*y")
+        assert info.value.stage == "invariants"
+        assert str(info.value.error) == "germ is not reduced (repeated factor)"
 
 
 def _random_germ(rng):
