@@ -23,7 +23,7 @@ from mpmath.libmp import from_rational, mpf_add, mpf_shift, round_ceiling, round
 
 from .gaussian import GaussianRational, from_integers
 from .poly import Polynomial, _to_gaussian_int, poly_gcd, resultant
-from .puiseux import milnor_number
+from .puiseux import PuiseuxError, _reduced_factors, milnor_number
 from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _homogeneous_horner,
                     aberth_roots, ordering_key, univariate_roots)
 
@@ -45,7 +45,13 @@ class FamilyGerm(
         [("F", Polynomial), ("t_samples", tuple), ("search_radius", Fraction)],
     )
 ):
-    """F(x, y, t) with f_0 having an isolated critical point at the origin."""
+    """F(x, y, t) whose f_0 passes the reducedness gate of `puiseux`.
+
+    An isolated critical point of f_0 at the origin is not enough: mu(f_0)
+    is read through that gate, which also refuses a repeated factor that
+    is a unit at the origin, as in f_0 = (1 + x)^2 * y.  So f_0 must have
+    x-multiplicity at most 1 and no factor of multiplicity > 1.
+    """
 
     __slots__ = ()
 
@@ -62,20 +68,10 @@ class FamilyGerm(
             raise FamilyError("search radius must be positive")
         self = super().__new__(cls, F, samples, search_radius)
         f0 = self.slice(GaussianRational(0))
-        if f0.is_zero():
-            raise FamilyError("f_0 vanishes identically")
-        fx = f0.partial_derivative("x")
-        fy = f0.partial_derivative("y")
-        if fx.is_zero() and fy.is_zero():
-            raise FamilyError("f_0 is constant")
-        if fx.is_zero() or fy.is_zero():
-            other = fy if fx.is_zero() else fx
-            if other.constant_term().is_zero():
-                raise FamilyError("f_0 has a non-isolated critical point")
-        else:
-            g = poly_gcd(fx, fy)
-            if not g.is_constant() and g.constant_term().is_zero():
-                raise FamilyError("f_0 has a non-isolated critical point")
+        try:
+            _reduced_factors(f0)
+        except PuiseuxError as exc:
+            raise FamilyError(f"f_0 = {f0}: {exc}") from exc
         return self
 
     def slice(self, t_value) -> Polynomial:

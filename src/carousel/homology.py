@@ -7,11 +7,16 @@ single 2-cell with boundary e_0 + ... + e_(n-1).  H_1 is computed over Z
 by Smith normal form; a rigid rotation compatible with the matching acts
 on edges by index shift and induces an integer matrix on H_1, whose
 trace gives the Lefschetz number 1 - tr.
+
+One integer kernel does all the linear algebra, nothing over Q: a Smith
+form that applies each elementary operation to U, V and in inverse to
+U^-1, V^-1 (Kannan and Bachem, SIAM J. Comput. 8, 1979), and whose
+divisibility sweep adds one offending row to the pivot row once, which
+strictly lowers the pivot and so terminates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -37,7 +42,7 @@ class IntegerMatrix(NamedTuple):
 
     @classmethod
     def identity(cls, n):
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_rows(_identity(n))
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -72,47 +77,56 @@ class IntegerMatrix(NamedTuple):
         return [list(r) for r in self.entries]
 
 
-def smith_normal_form(matrix):
-    """U * A * V = D diagonal with d_i | d_{i+1}; returns (D, U, V) as lists."""
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _apply(matrix, vector):
+    return [sum(x * y for x, y in zip(row, vector)) for row in matrix]
+
+
+def _smith(matrix):
+    """(D, U, V, U^-1, V^-1) with U * A * V = D: each elementary row or
+    column operation on A is applied to U or V and in inverse to U^-1 or
+    V^-1, so no inverse is ever solved for."""
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u, u_inv = _identity(rows), _identity(rows)
+    v, v_inv = _identity(cols), _identity(cols)
 
-    def row_op(i, j, k):  # row_i -= k * row_j
-        a[i] = [x - k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - k * y for x, y in zip(u[i], u[j])]
+    def row_op(i, j, k):  # row_i -= k * row_j; col_j of U^-1 += k * col_i
+        for m in (a, u):
+            m[i] = [x - k * y for x, y in zip(m[i], m[j])]
+        for r in u_inv:
+            r[j] += k * r[i]
 
-    def col_op(i, j, k):  # col_i -= k * col_j
-        for r in range(rows):
-            a[r][i] -= k * a[r][j]
-        for r in range(cols):
-            v[r][i] -= k * v[r][j]
+    def col_op(i, j, k):  # col_i -= k * col_j; row_j of V^-1 += k * row_i
+        for r in a + v:
+            r[i] -= k * r[j]
+        v_inv[j] = [x + k * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for m in (a, u):
+            m[i], m[j] = m[j], m[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in a + v:
+            r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     t = 0
     while t < min(rows, cols):
-        # find a pivot
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
+        # pivot: the first entry of least absolute value, row by row
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+                   if a[i][j]]
+        if not nonzero:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        _, i, j = min(nonzero)
+        row_swap(t, i)
+        col_swap(t, j)
         done = False
         while not done:
             done = True
@@ -132,20 +146,32 @@ def smith_normal_form(matrix):
             for j in range(t + 1, cols):
                 if a[t][j]:
                     col_op(j, t, a[t][j] // a[t][t])
-        # divisibility sweep
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    u[t] = [x + y for x, y in zip(u[t], u[i])]
-                    done = False
-        if not done:
+        # divisibility sweep: add the first row with an entry the pivot
+        # does not divide to row t, once, and search again; that row t
+        # then forces a strictly smaller pivot, so the sweep terminates
+        offending = next((i for i in range(t + 1, rows)
+                          if any(x % a[t][t] for x in a[i][t + 1 :])), None)
+        if offending is not None:
+            row_op(t, offending, -1)
             continue
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+            for r in u_inv:
+                r[t] = -r[t]
         t += 1
-    return a, u, v
+    return a, u, v, u_inv, v_inv
+
+
+def smith_normal_form(matrix):
+    """U * A * V = D diagonal with d_i | d_{i+1}; returns (D, U, V) as lists.
+
+    Integer row and column operations only: the pivot is an entry of least
+    absolute value, row t and column t are cleared by Euclidean steps,
+    and a pivot that fails to divide the rest of the matrix gets the
+    first offending row added to its row once before the pivot search
+    starts over.  `_smith` also returns U^-1 and V^-1.
+    """
+    return _smith(matrix)[:3]
 
 
 class MarkedDiskComplex(NamedTuple("MarkedDiskComplex", [("n", int), ("pairing", tuple)])):
@@ -204,116 +230,43 @@ class H1Data(NamedTuple):
 def h1_of_quotient(complex_: MarkedDiskComplex) -> H1Data:
     """H1 = ker d1 / im d2 over Z via Smith normal form.
 
-    The returned basis consists of integer edge-chains; torsion is
-    reported (and must be empty for these quotient disks).
+    With U d1 V = D of rank r, the last n - r columns of V are a basis of
+    ker d1 and a cycle c has coordinates (V^-1 c)[r:] on it.  The
+    one-column Smith form U' x = (g, 0, ..., 0) of the disk boundary's
+    coordinates x makes it g times the first column of U'^-1; the
+    remaining columns give the H1 basis as integer edge-chains.  Torsion
+    is reported (and must be empty for these quotient disks).
     """
-    d1 = complex_.boundary_1()
     n = complex_.n
-    d, u, v = smith_normal_form(d1)
+    d, _, v, _, v_inv = _smith(complex_.boundary_1())
     rank = sum(1 for t in range(min(len(d), n)) if d[t][t] != 0)
-    kernel = [[v[r][c] for r in range(n)] for c in range(rank, n)]
+    frame = [row[rank:] for row in v]  # columns: a basis of ker d1
     relation = [1] * n  # d2 of the disk cell
-    coords = _solve_integer(kernel, relation)
-    if coords is None:
+    coords = _apply(v_inv, relation)
+    if any(coords[:rank]):
         raise HomologyError("disk boundary is not a cycle (internal error)")
-    # change basis in Z^k so the relation becomes a multiple of one generator
-    k = len(kernel)
-    dd, uu, _ = smith_normal_form([[c] for c in coords])
-    inv_uu = _integer_inverse(uu)
-    new_gens = []
-    for col in range(k):
-        chain = [0] * n
-        for row in range(k):
-            if inv_uu[row][col]:
-                chain = [
-                    x + inv_uu[row][col] * y for x, y in zip(chain, kernel[row])
-                ]
-        new_gens.append(chain)
-    d0 = dd[0][0] if dd and dd[0] else 0
-    torsion = ()
-    if d0 == 0:
-        basis = new_gens  # relation was trivial; should not happen here
-    elif d0 == 1:
-        basis = new_gens[1:]
-    else:
-        torsion = (d0,)
-        basis = new_gens[1:]
+    dd, _, _, uu_inv, _ = _smith([[c] for c in coords[rank:]])
+    new_gens = [_apply(frame, col) for col in zip(*uu_inv)]
+    d0 = dd[0][0]
+    basis = new_gens if d0 == 0 else new_gens[1:]  # d0 == 0 should not happen here
     return H1Data(
         rank=len(basis),
         basis=tuple(tuple(b) for b in basis),
-        torsion=torsion,
+        torsion=(d0,) if d0 > 1 else (),
         relation_chain=tuple(relation),
-        kernel_basis=tuple(tuple(kb) for kb in kernel),
+        kernel_basis=tuple(zip(*frame)),
     )
-
-
-def _solve_integer(basis_rows, target):
-    """Integer coordinates of `target` in the lattice spanned by basis_rows."""
-    if not basis_rows:
-        return None
-    cols = len(target)
-    rows = len(basis_rows)
-    m = [[Fraction(basis_rows[r][c]) for r in range(rows)] for c in range(cols)]
-    rhs = [Fraction(t) for t in target]
-    # Gaussian elimination (cols x rows system)
-    piv_cols = []
-    r = 0
-    for c in range(rows):
-        piv = next((i for i in range(r, cols) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(cols):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        piv_cols.append(c)
-        r += 1
-    solution = [Fraction(0)] * rows
-    for row_idx, c in enumerate(piv_cols):
-        solution[c] = rhs[row_idx]
-    # consistency + integrality
-    for c in range(cols):
-        acc = sum(solution[r] * basis_rows[r][c] for r in range(rows))
-        if acc != target[c]:
-            return None
-    if any(s.denominator != 1 for s in solution):
-        return None
-    return [int(s) for s in solution]
-
-
-def _integer_inverse(mat):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise HomologyError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 def rotation_action(
     complex_: MarkedDiskComplex, shift: int, h1: H1Data | None = None
 ) -> IntegerMatrix:
-    """Matrix of the edge shift e_k -> e_(k+shift) on the computed H1 basis."""
+    """Matrix of the edge shift e_k -> e_(k+shift) on the computed H1 basis.
+
+    The rotated basis chains are solved on the lattice basis B = (relation
+    chain, H1 basis) of ker d1 through U B V = D: B y = c iff
+    D (V^-1 y) = U c.  The quotient drops the relation coordinate.
+    """
     n = complex_.n
     shift = shift % n
     rotated = {tuple(sorted(((a + shift) % n, (b + shift) % n))) for a, b in complex_.pairing}
@@ -321,20 +274,18 @@ def rotation_action(
         raise HomologyError("rotation is not compatible with the pairing")
     if h1 is None:
         h1 = h1_of_quotient(complex_)
-    # generators of Z^k = ker d1: relation chain first, then the H1 basis
-    gens = [list(h1.basis[i]) for i in range(h1.rank)]
-    relation = list(h1.relation_chain)
+    lattice = [list(row) for row in zip(h1.relation_chain, *h1.basis)]
+    d, u, v = smith_normal_form(lattice)
+    pivots = [d[t][t] for t in range(len(v))]
     columns = []
-    for chain in gens:
-        image = [0] * n
-        for k, c in enumerate(chain):
-            image[(k + shift) % n] += c
-        coords = _solve_integer([relation] + gens, image)
-        if coords is None:
+    for chain in h1.basis:
+        image = [chain[(k - shift) % n] for k in range(n)]
+        w = [x // p if p else 0 for x, p in zip(_apply(u, image), pivots)]
+        coords = _apply(v, w)
+        if _apply(lattice, coords) != image:
             raise HomologyError("rotated cycle left the kernel lattice (internal)")
         columns.append(coords[1:])  # quotient kills the relation coordinate
-    rows = [[columns[j][i] for j in range(h1.rank)] for i in range(h1.rank)]
-    return IntegerMatrix.from_rows(rows)
+    return IntegerMatrix.from_rows(list(zip(*columns)))
 
 
 def lefschetz_number(action: IntegerMatrix) -> int:

@@ -30,6 +30,7 @@ from .poly import (
 from .puiseux import (
     BranchDecomposition,
     PuiseuxError,
+    _require_plane_germ,
     _squarefree_factors,
     _structure,
     intersection_multiplicity,
@@ -133,7 +134,7 @@ def polar_curve(f: Polynomial, line: LinearForm) -> PolarCurve:
     part of a*f_y - b*f_x.  Components shared with {f = 0} are divided out
     and recorded.
     """
-    _require_valid_germ(f)
+    _require_plane_germ(f)
     if line.a.is_zero() and line.b.is_zero():
         raise PolynomialError("degenerate linear form (0, 0)")
     jac = f.partial_derivative(f.variables[1]).scale(line.a) - f.partial_derivative(
@@ -310,7 +311,7 @@ def select_generic_line(f: Polynomial, seed: int = 0) -> LineSelection:
     final candidate is returned anyway so the inconsistency stays visible
     in the verdict.
     """
-    _require_valid_germ(f)
+    _require_plane_germ(f)
     f_order = f.order_at_origin()
     failures = []
     last_inconsistent = None
@@ -346,11 +347,3 @@ def pick_generic_line(f: Polynomial, seed: int = 0) -> LinearForm:
     """The certified linear form alone (see select_generic_line)."""
     return select_generic_line(f, seed).line
 
-
-def _require_valid_germ(f: Polynomial):
-    if f.is_zero():
-        raise PolynomialError("zero germ")
-    if len(f.variables) != 2:
-        raise PolynomialError("expected a plane-curve germ in two variables")
-    if not f.constant_term().is_zero():
-        raise PolynomialError("germ does not vanish at the origin")

@@ -98,12 +98,7 @@ def _lower_edges(points) -> list:
 
 def newton_polygon(f: Polynomial) -> list:
     """Lower convex hull segments of the support, ordered by increasing slope."""
-    if f.is_zero():
-        raise PuiseuxError("zero polynomial has no Newton polygon")
-    if len(f.variables) != 2:
-        raise PuiseuxError("newton_polygon expects a bivariate germ")
-    if not f.constant_term().is_zero():
-        raise PuiseuxError("unit germ: f(0,0) != 0")
+    _require_plane_germ(f)
     segments = []
     for (i0, j0), (i1, j1) in _lower_edges(f.terms.keys()):
         w, h = i1 - i0, j0 - j1
@@ -664,16 +659,23 @@ def branch_structure(f: Polynomial) -> BranchDecomposition:
     return _structure(f, *_squarefree_factors(f))[0]
 
 
-def _squarefree_factors(f: Polynomial) -> tuple:
-    """(x_mult, squarefree_decomposition(f / x^x_mult)) of a germ f in two
-    variables through the origin: the one decomposition that the
-    reducedness gate and the branch structure both read."""
+def _require_plane_germ(f: Polynomial) -> None:
+    """The entry check of every plane-curve germ, here and in `polar`: two
+    variables, not zero, vanishing at the origin; one PuiseuxError with
+    one message per failure, whichever entry point is called."""
     if len(f.variables) != 2:
         raise PuiseuxError("expected a plane-curve germ in two variables")
     if f.is_zero():
         raise PuiseuxError("zero germ")
     if not f.constant_term().is_zero():
         raise PuiseuxError("unit germ: f(0,0) != 0")
+
+
+def _squarefree_factors(f: Polynomial) -> tuple:
+    """(x_mult, squarefree_decomposition(f / x^x_mult)) of a germ f in two
+    variables through the origin: the one decomposition that the
+    reducedness gate and the branch structure both read."""
+    _require_plane_germ(f)
     x_mult = min(e[0] for e in f.terms)
     h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
     return x_mult, squarefree_decomposition(h)
@@ -814,9 +816,9 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         G = G - shift.scale(factor) * F
 
 
-def milnor_and_branches(f: Polynomial) -> tuple:
-    """(mu, branch_structure(f)) of a reduced germ; mu + r - 1 must be
-    even.  Exact: no series is solved.
+def _reduced_factors(f: Polynomial) -> tuple:
+    """The reducedness gate: `_squarefree_factors(f)` of a reduced germ,
+    else PuiseuxError.
 
     A reduced germ has an isolated critical point: a curve of critical
     points through 0 lies in {f = 0} and would be a repeated factor.  f
@@ -826,6 +828,15 @@ def milnor_and_branches(f: Polynomial) -> tuple:
     x_mult, factors = _squarefree_factors(f)
     if x_mult > 1 or any(k > 1 for _, k in factors):
         raise PuiseuxError("germ is not reduced (repeated factor)")
+    return x_mult, factors
+
+
+def milnor_and_branches(f: Polynomial) -> tuple:
+    """(mu, branch_structure(f)) of a germ that passes the reducedness
+    gate (`_reduced_factors`); mu + r - 1 must be even.  Exact: no series
+    is solved.
+    """
+    x_mult, factors = _reduced_factors(f)
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()

@@ -123,6 +123,13 @@ class TestConservation:
         with pytest.raises(FamilyError):
             F("x^2*y^2 + t*x")
 
+    def test_f0_must_pass_the_reducedness_gate(self):
+        # (1 + x)^2 * y has an isolated critical point at the origin, but
+        # its repeated unit factor fails the gate that reads mu(f_0)
+        for text in ("(1+x)^2*y + t*x", "x^2*y^2 + t*x"):
+            with pytest.raises(FamilyError, match=r"^f_0 = .*: germ is not reduced"):
+                F(text)
+
 
 class TestCoalescing:
     def test_constant_family_consistent(self):

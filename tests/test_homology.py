@@ -1,5 +1,8 @@
 """Quotient-disk homology, rotation action, Lefschetz numbers."""
 
+import random
+import signal
+
 import pytest
 
 from carousel.homology import (
@@ -38,33 +41,77 @@ def preserved_shifts(complex_):
     return out
 
 
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def smith_within(matrix, kernel=smith_normal_form, seconds=10):
+    """kernel(matrix), failing instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return kernel(matrix)
+    except TimeoutError:
+        pytest.fail(f"{kernel.__name__}({matrix}) ran past {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_smith_form(a, d, u, v):
+    """U * A * V = D, D diagonal, and each diagonal entry is >= 0 and
+    divides the next (so the zeros come last)."""
+    rows, cols = len(a), len(a[0])
+    assert matmul(matmul(u, a), v) == d
+    for i in range(rows):
+        for j in range(cols):
+            if i != j:
+                assert d[i][j] == 0
+    diag = [d[t][t] for t in range(min(rows, cols))]
+    assert all(x >= 0 for x in diag)
+    for a1, a2 in zip(diag, diag[1:]):
+        assert a2 % a1 == 0 if a1 else a2 == 0
+
+
+def random_matrices(count=500, seed=20):
+    """Seeded integer matrices up to 6 x 6 with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+
+
 class TestSmithNormalForm:
     def test_transform_identity(self):
-        import random
-
         rng = random.Random(12)
         for _ in range(20):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-            d, u, v = smith_normal_form(a)
-            ua = [
-                [sum(u[i][k] * a[k][j] for k in range(rows)) for j in range(cols)]
-                for i in range(rows)
-            ]
-            uav = [
-                [sum(ua[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
-                for i in range(rows)
-            ]
-            assert uav == d
-            # diagonal with divisibility
-            for i in range(rows):
-                for j in range(cols):
-                    if i != j:
-                        assert d[i][j] == 0
-            diag = [d[t][t] for t in range(min(rows, cols)) if d[t][t] != 0]
-            for a1, a2 in zip(diag, diag[1:]):
-                assert a2 % a1 == 0
+            assert_smith_form(a, *smith_normal_form(a))
+
+    def test_divisibility_sweep_terminates(self):
+        # adding row 1 to row 0 once per offending entry brought the pivot
+        # row back unchanged, and the sweep cycled on this matrix
+        a = [[-2, -6, 4], [2, 3, 5]]
+        assert_smith_form(a, *smith_within(a))
+
+    def test_random_matrices(self):
+        for a in random_matrices():
+            assert_smith_form(a, *smith_within(a))
+
+    def test_transforms_carry_their_inverses(self):
+        from carousel.homology import _smith
+
+        for a in random_matrices(count=100, seed=21):
+            d, u, v, u_inv, v_inv = smith_within(a, _smith)
+            assert_smith_form(a, d, u, v)
+            assert matmul(u, u_inv) == IntegerMatrix.identity(len(u)).to_lists()
+            assert matmul(v, v_inv) == IntegerMatrix.identity(len(v)).to_lists()
 
 
 class TestH1:

@@ -18,7 +18,15 @@ from carousel.polar import (
     tangency_report,
 )
 from carousel.poly import Polynomial, parse_polynomial, poly_gcd, squarefree_part
-from carousel.puiseux import intersection_multiplicity
+from carousel.puiseux import (
+    PuiseuxError,
+    branch_structure,
+    delta_invariant,
+    intersection_multiplicity,
+    milnor_number,
+    newton_polygon,
+    puiseux_branches,
+)
 
 XY = ("x", "y")
 
@@ -118,6 +126,37 @@ class TestCerfDiagram:
             delta = sel.diagram.defining
             for var in ("u", "v"):
                 assert poly_gcd(delta, delta.partial_derivative(var)).is_constant()
+
+
+# every entry point that takes a plane-curve germ, and what it reads
+GERM_ENTRY_POINTS = {
+    "polar_curve": lambda f: polar_curve(f, LX),
+    "cerf_diagram": lambda f: cerf_diagram(f, LX),
+    "select_generic_line": select_generic_line,
+    "pick_generic_line": pick_generic_line,
+    "newton_polygon": newton_polygon,
+    "branch_structure": branch_structure,
+    "puiseux_branches": puiseux_branches,
+    "milnor_number": milnor_number,
+    "delta_invariant": delta_invariant,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GERM_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "text, variables, message",
+    [
+        ("1 + x*y", XY, "unit germ: f(0,0) != 0"),
+        ("0", XY, "zero germ"),
+        ("x^2 - t^3", ("x", "y", "t"), "expected a plane-curve germ in two variables"),
+    ],
+    ids=["unit", "zero", "three-variables"],
+)
+def test_one_entry_check_for_germs(entry, text, variables, message):
+    with pytest.raises(PuiseuxError) as info:
+        GERM_ENTRY_POINTS[entry](parse_polynomial(text, variables))
+    assert type(info.value) is PuiseuxError
+    assert str(info.value) == message
 
 
 class TestPickGenericLine:
