@@ -23,7 +23,7 @@ from mpmath.libmp import from_rational, mpf_add, mpf_shift, round_ceiling, round
 
 from .gaussian import GaussianRational, from_integers
 from .poly import Polynomial, _to_gaussian_int, poly_gcd, resultant
-from .puiseux import PuiseuxError, _reduced_factors, milnor_number
+from .puiseux import PuiseuxError, milnor_number
 from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _homogeneous_horner,
                     aberth_roots, ordering_key, univariate_roots)
 
@@ -42,15 +42,15 @@ DEFAULT_SAMPLES = (
 class FamilyGerm(
     NamedTuple(
         "FamilyGerm",
-        [("F", Polynomial), ("t_samples", tuple), ("search_radius", Fraction)],
+        [("F", Polynomial), ("t_samples", tuple), ("search_radius", Fraction),
+         ("mu_origin", int)],
     )
 ):
     """F(x, y, t) whose f_0 passes the reducedness gate of `puiseux`.
 
-    An isolated critical point of f_0 at the origin is not enough: mu(f_0)
-    is read through that gate, which also refuses a repeated factor that
-    is a unit at the origin, as in f_0 = (1 + x)^2 * y.  So f_0 must have
-    x-multiplicity at most 1 and no factor of multiplicity > 1.
+    An isolated critical point of f_0 is not enough: `mu_origin` = mu(f_0)
+    is computed once, here, by `milnor_number`, whose first step is that
+    gate; it refuses a unit germ and a repeated factor, as in (1 + x)^2*y.
     """
 
     __slots__ = ()
@@ -58,21 +58,22 @@ class FamilyGerm(
     def __new__(cls, F: Polynomial, t_samples=DEFAULT_SAMPLES, search_radius=Fraction(1, 2)):
         if len(F.variables) != 3:
             raise FamilyError("family polynomial must use (x, y, t)")
-        if not F.constant_term().is_zero():
-            raise FamilyError("family does not vanish at the origin")
         samples = tuple(GaussianRational.from_value(s) for s in t_samples)
         if any(s.is_zero() for s in samples):
             raise FamilyError("parameter samples must be nonzero")
         search_radius = Fraction(search_radius)
         if search_radius <= 0:
             raise FamilyError("search radius must be positive")
-        self = super().__new__(cls, F, samples, search_radius)
-        f0 = self.slice(GaussianRational(0))
+        f0 = F.eliminate_variable("t", GaussianRational(0))
         try:
-            _reduced_factors(f0)
+            mu = milnor_number(f0)
         except PuiseuxError as exc:
             raise FamilyError(f"f_0 = {f0}: {exc}") from exc
-        return self
+        return super().__new__(cls, F, samples, search_radius, mu)
+
+    def __getnewargs__(self):
+        # copies are rebuilt from the parameters; mu_origin is derived
+        return self[:3]
 
     def slice(self, t_value) -> Polynomial:
         return self.F.eliminate_variable("t", GaussianRational.from_value(t_value))
@@ -343,19 +344,15 @@ class ConservationReport(NamedTuple):
 
 
 def conservation_check(family: FamilyGerm, precision: int = 128) -> ConservationReport:
-    """Compare the summed local Milnor numbers against mu(f_0) per sample."""
-    mu0 = milnor_number(family.slice(GaussianRational(0)))
-    records = []
-    flags = []
-    for t_value in family.t_samples:
-        record = critical_points(family, t_value, precision)
-        records.append(record)
-        flags.append(record.total_mu == mu0)
+    """Compare the summed local Milnor numbers per sample against mu(f_0),
+    `family.mu_origin`, computed once with the family."""
+    records = tuple(critical_points(family, t, precision) for t in family.t_samples)
+    flags = tuple(record.total_mu == family.mu_origin for record in records)
     return ConservationReport(
         family=family,
-        mu_origin=mu0,
-        records=tuple(records),
-        conserved=tuple(flags),
+        mu_origin=family.mu_origin,
+        records=records,
+        conserved=flags,
         all_conserved=all(flags),
     )
 

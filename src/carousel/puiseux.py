@@ -213,15 +213,21 @@ def _cut(c, psi):
 
 
 def _inv(c, psi):
-    """1/c in K for c != 0, by the extended Euclidean algorithm; raises
-    _Split when c is a zero divisor."""
+    """1/c in K for a unit c, by the extended Euclidean algorithm; zero
+    divisors are found before, by `_split_at`."""
     r0, r1, s0, s1 = psi, c, Polynomial.zero(_Z), Polynomial.constant(_Z, 1)
     while r1.degree("z") > 0:
         quo, rem = _divmod_z(r0, r1)
         r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
-    if r1.is_zero():
-        raise _Split(r0.monic())
     return s1.scale(r1.constant_value().inverse())
+
+
+def _split_at(c, psi):
+    """Raise _Split with gcd(psi, c), monic, when c != 0 is a zero divisor
+    of K: the split that an extended Euclid of psi and c would end on."""
+    g = poly_gcd(psi, c)
+    if g.degree("z") > 0:
+        raise _Split(g)
 
 
 def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, psi=None):
@@ -414,7 +420,8 @@ def _expand(terms: dict, psi=None, depth: int = 0) -> list:
     or {} when the branch ends in y1 = 0.  When the last step's xi is a
     list, it is a segment polynomial with simple roots, left to
     `_realize`, and `tail` holds the terms that step transforms.  The
-    leaf's `psi` is the factor of the modulus it holds over.
+    leaf's `psi` is the factor of the modulus it holds over.  Over K,
+    `_split_at` first tests each coefficient for a zero divisor.
     """
     if depth > 32:
         raise PuiseuxError("expansion recursion too deep")
@@ -422,7 +429,7 @@ def _expand(terms: dict, psi=None, depth: int = 0) -> list:
         raise PuiseuxError("expansion of the zero polynomial")
     if psi is not None:
         for c in terms.values():
-            _inv(c, psi)  # every coefficient is a unit of K, or psi splits
+            _split_at(c, psi)  # every coefficient is a unit of K, or psi splits
     leaves = []
     # split y-powers: the terminating series lives here
     b = min(j for (_, j) in terms)
@@ -468,8 +475,8 @@ def _segment_children(terms: dict, psi) -> list:
     decomposition: a linear factor gives its root xi in Q(i), a factor
     psi of multiplicity >= 2 gives xi = z over K = Q(i)[z]/(psi), and one
     of multiplicity 1, with simple roots, is kept as its coefficient list.
-    Over K it must be linear (xi in K) or squarefree at every root of psi
-    (kept as a list); anything else, a tower, raises PuiseuxError.
+    Over K it must be squarefree at every root of psi (a list) or c (w - r)^g
+    with xi = r in K; anything else, a tower, raises PuiseuxError.
     """
     zero = ZERO if psi is None else Polynomial.zero(_Z)
     children = []
@@ -486,17 +493,22 @@ def _segment_children(terms: dict, psi) -> list:
                 c = factor.dense_coefficients()
                 xi = -(c[0] / c[1]) if len(c) == 2 else c if mult == 1 else _ZVAR
                 children.append((edge, xi, factor if xi is _ZVAR else None))
-        elif g == 1:
-            children.append((edge, _cut(-seg[0] * _inv(seg[1], psi), psi), psi))
         else:
-            s = Polynomial(("w", "z"), {(k, e): c for k, sk in enumerate(seg)
-                                        for (e,), c in sk.terms.items()})
-            disc = _cut(resultant(s, s.partial_derivative("w"), "w"), psi)
-            if disc.is_zero():
-                raise PuiseuxError("segment polynomial over Q(i)[z]/(psi) is neither "
-                                   "linear nor squarefree: a tower of extensions")
-            _inv(disc, psi)  # squarefree at every root of psi, or psi splits
-            children.append((edge, seg, psi))
+            if g > 1:
+                s = Polynomial(("w", "z"), {(k, e): c for k, sk in enumerate(seg)
+                                            for (e,), c in sk.terms.items()})
+                disc = _cut(resultant(s, s.partial_derivative("w"), "w"), psi)
+                if not disc.is_zero():
+                    _split_at(disc, psi)  # squarefree at every root of psi, or psi splits
+                    children.append((edge, seg, psi))
+                    continue
+            # one root r in K, of multiplicity g at every root of psi?
+            r = _cut(-seg[g - 1] * _inv(seg[g], psi).scale(Fraction(1, g)), psi)
+            if any(_cut(seg[g] * (-r) ** (g - k), psi).scale(math.comb(g, k)) != seg[k]
+                   for k in range(g - 1)):
+                raise PuiseuxError("segment polynomial over Q(i)[z]/(psi) is neither squarefree "
+                                   "nor a power of a linear factor: a tower of extensions")
+            children.append((edge, r, psi))
     return children
 
 
@@ -816,27 +828,18 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         G = G - shift.scale(factor) * F
 
 
-def _reduced_factors(f: Polynomial) -> tuple:
-    """The reducedness gate: `_squarefree_factors(f)` of a reduced germ,
-    else PuiseuxError.
-
-    A reduced germ has an isolated critical point: a curve of critical
-    points through 0 lies in {f = 0} and would be a repeated factor.  f
-    is reduced iff x_mult <= 1 and every factor of its one squarefree
-    decomposition, units at the origin included, has multiplicity 1.
+def milnor_and_branches(f: Polynomial) -> tuple:
+    """(mu, branch_structure(f)) of a reduced germ; mu + r - 1 must be
+    even.  Exact: no series is solved.  The reducedness gate comes first
+    (`FamilyGerm` reads it through `milnor_number`): f is reduced iff
+    x_mult <= 1 and every factor of its one squarefree decomposition,
+    units at the origin included, has multiplicity 1.  A reduced germ has
+    an isolated critical point, as a curve of critical points through 0
+    lies in {f = 0} and would be a repeated factor.
     """
     x_mult, factors = _squarefree_factors(f)
     if x_mult > 1 or any(k > 1 for _, k in factors):
         raise PuiseuxError("germ is not reduced (repeated factor)")
-    return x_mult, factors
-
-
-def milnor_and_branches(f: Polynomial) -> tuple:
-    """(mu, branch_structure(f)) of a germ that passes the reducedness
-    gate (`_reduced_factors`); mu + r - 1 must be even.  Exact: no series
-    is solved.
-    """
-    x_mult, factors = _reduced_factors(f)
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()

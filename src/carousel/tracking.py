@@ -107,6 +107,8 @@ class _FiberPolynomial:
     The coefficient rows are the exact Q(i) coefficients of Delta, each
     part rounded once to a double, with their absolute values as the
     majorants that bound the rounding error of `horner_bound`.
+    `at_value` evaluates them at one v, in one pass, for both the
+    corrector over v and the predictor from v.
     """
 
     def __init__(self, delta: Polynomial, precision: int):
@@ -121,48 +123,45 @@ class _FiberPolynomial:
         ops = 4 * (2 * len(self.coeffs_d) + max(map(len, self.coeffs_d)))
         self.gamma_d = error_factor(ops, _UNIT)
 
-    def at_value_double(self, v: complex):
-        """Coefficients in u at v and their majorants, in complex doubles."""
+    def at_value(self, v: complex) -> "_FiberValue":
+        """Delta over v in complex doubles, by one Horner pass in v: the
+        coefficients in u and their majorants, trimmed, for the corrector
+        over v, and every coefficient (`rows`) with its v-derivative
+        (`drows`) for the predictor from v."""
         av = abs(v)
-        coeffs = []
-        majorants = []
+        values = []
         for row, mrow in zip(self.coeffs_d, self.majorants_d):
-            acc = m = 0
-            for c, a in zip(reversed(row), reversed(mrow)):
-                acc = acc * v + c
-                m = m * av + a
-            coeffs.append(acc)
-            majorants.append(m)
+            c = dc = m = 0
+            for a, b in zip(reversed(row), reversed(mrow)):
+                dc = dc * v + c
+                c = c * v + a
+                m = m * av + b
+            values.append((c, dc, m))
+        rows, drows, majorants = map(list, zip(*values))
         # drop a numerically vanished leading coefficient (root at infinity)
-        tol = max([abs(c) for c in coeffs] + [1]) * self.trim_d
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= tol:
-            coeffs.pop()
-            majorants.pop()
-        return coeffs, majorants
+        tol = max([abs(c) for c in rows] + [1]) * self.trim_d
+        n = next((k for k in range(len(rows), 1, -1) if not abs(rows[k - 1]) <= tol), 1)
+        return _FiberValue(v, rows[:n], majorants[:n], rows, drows)
 
-    def predict(self, points, v_from, v_to):
-        """Each point moved along the tangent du/dv = -Delta_v/Delta_u at v_from.
 
-        A prediction only: the corrector certifies what it is given.
-        """
-        coeffs, dcoeffs = [], []
-        for row in self.coeffs_d:
-            c = dc = 0
-            for a in reversed(row):
-                dc = dc * v_from + c
-                c = c * v_from + a
-            coeffs.append(c)
-            dcoeffs.append(dc)
-        dv = v_to - v_from
-        out = []
-        for z in points:
-            p = d_u = d_v = 0
-            for c, dc in zip(reversed(coeffs), reversed(dcoeffs)):
-                d_u = d_u * z + p
-                p = p * z + c
-                d_v = d_v * z + dc
-            out.append(z if d_u == 0 else z - d_v / d_u * dv)
-        return out
+_FiberValue = NamedTuple("_FiberValue", [("v", complex), ("coeffs", list),
+                                         ("majorants", list), ("rows", list), ("drows", list)])
+
+
+def _predict(here, points, v_to):
+    """Each point moved along the tangent du/dv = -Delta_v/Delta_u at v,
+    from `here` = `at_value(v)`; a prediction only, which the corrector
+    certifies."""
+    dv = v_to - here.v
+    out = []
+    for z in points:
+        p = d_u = d_v = 0
+        for c, dc in zip(reversed(here.rows), reversed(here.drows)):
+            d_u = d_u * z + p
+            p = p * z + c
+            d_v = d_v * z + dc
+        out.append(z if d_u == 0 else z - d_v / d_u * dv)
+    return out
 
 
 def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
@@ -348,18 +347,18 @@ def _alpha_certified(coeffs, majorants, points, gamma) -> bool:
     )
 
 
-def _refine(fiber, v_from, v_to, points, rho):
-    """Predict from v_from and correct over v_to; (points, radii) or None.
+def _refine(fiber, here, there, points, rho):
+    """Predict from `here` and correct over `there`; (points, radii) or None.
 
-    The step runs in complex doubles, v_from and v_to included.  Newton
-    stops once |p| is within its rounding bound e.  The step is refused
-    (None) unless every point gets there within 40 iterations with
-    |p'| > e', finite values and normal bounds (no underflow).
+    `here` and `there` are `fiber.at_value` at v_from and v_to; the step
+    runs in complex doubles.  Newton stops once |p| is within its
+    rounding bound e.  The step is refused (None) unless every point gets
+    there within 40 iterations with |p'| > e', finite values and normal
+    bounds (no underflow).
     """
-    coeffs, majorants = fiber.at_value_double(v_to)
+    coeffs, majorants = there.coeffs, there.majorants
     gamma, half = fiber.gamma_d, float(rho) / 2
-    n = len(coeffs) - 1
-    predicted = fiber.predict(points, v_from, v_to)
+    predicted = _predict(here, points, there.v)
     if not _alpha_certified(coeffs, majorants, predicted, gamma):
         return None
     new_pts, new_radii = [], []
@@ -376,7 +375,7 @@ def _refine(fiber, v_from, v_to, points, rho):
             z = z - p / dp
         else:
             return None
-        radius = newton_radius(n, p, dp, e, de)
+        radius = newton_radius(len(coeffs) - 1, p, dp, e, de)
         if radius is None or abs(z) >= half:
             return None
         new_pts.append(z)
@@ -387,23 +386,24 @@ def _refine(fiber, v_from, v_to, points, rho):
 def _checked_move(points, new_pts, new_radii):
     """Accept corrected points only if unambiguous and continuous."""
     pairs = list(itertools.combinations(range(len(new_pts)), 2))
+    seps = [abs(new_pts[i] - new_pts[j]) for i, j in pairs]
     # pairwise separation with the 4x ambiguity margin
-    if any(abs(new_pts[i] - new_pts[j]) <= 4 * (new_radii[i] + new_radii[j]) for i, j in pairs):
+    if any(d <= 4 * (new_radii[i] + new_radii[j]) for d, (i, j) in zip(seps, pairs)):
         return None
     # continuity: each point must move much less than the fiber separation
-    if pairs:
-        min_sep = min(abs(new_pts[i] - new_pts[j]) for i, j in pairs)
-        if max(abs(a - b) for a, b in zip(points, new_pts)) > min_sep / 4:
-            return None
+    if seps and max(abs(a - b) for a, b in zip(points, new_pts)) > min(seps) / 4:
+        return None
     return new_pts, new_radii
 
 
 def _track(radii, points, direction):
     """Follow `points` once around |v| = eta with `_refine`.
 
-    The first step is 1/64 turn; an accepted step doubles the next one,
-    up to 1/16 turn, and a refusal halves it, down to 2^-50 turn, failing
-    hard beyond _MAX_STEPS steps.  Each v is computed at the precision of
+    Delta's rows are evaluated once at v = eta and once per step tried, at
+    its end, where an accepted step's next one starts.  The first step is
+    1/64 turn; an accepted step doubles the next one, up to 1/16 turn, and
+    a refusal halves it, down to 2^-50 turn, failing hard beyond
+    _MAX_STEPS steps.  Each v is computed at the precision of
     the radii and rounded to doubles once; the last step ends on v = eta
     exactly (expjpi(+-2) is 1), so the end points come certified on the
     base fiber.  Returns the end points, their inclusion radii, the orbit
@@ -413,8 +413,8 @@ def _track(radii, points, direction):
     used = 0
     theta = 0
     length = _TURN >> _FIRST_STEP
-    eta = radii.eta
-    v_from = complex(eta)
+    eta, fiber = radii.eta, radii.fiber
+    here = fiber.at_value(complex(eta))
     while theta < _TURN:
         step = min(length, _TURN - theta)
         if used >= _MAX_STEPS:
@@ -422,14 +422,15 @@ def _track(radii, points, direction):
         with mp.workprec(radii.precision + 32):
             v_to = complex(eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN))
         used += 1
-        result = _refine(radii.fiber, v_from, v_to, points, radii.rho)
+        there = fiber.at_value(v_to)
+        result = _refine(fiber, here, there, points, radii.rho)
         if result is None:
             if step == 1:
                 raise TrackingError("matching ambiguity at maximal resolution")
             length = step // 2
             continue
         theta += step
-        v_from = v_to
+        here = there
         length = min(2 * length, _TURN >> _LONGEST_STEP)
         points, end_radii = result
         for trace, z in zip(traces, points):

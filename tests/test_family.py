@@ -1,5 +1,6 @@
 """Family analysis: critical points, conservation, coalescing."""
 
+import copy
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+import carousel.puiseux as puiseux_mod
 from carousel.family import (
     DEFAULT_SAMPLES,
     FamilyError,
@@ -129,6 +131,36 @@ class TestConservation:
         for text in ("(1+x)^2*y + t*x", "x^2*y^2 + t*x"):
             with pytest.raises(FamilyError, match=r"^f_0 = .*: germ is not reduced"):
                 F(text)
+
+    def test_family_not_vanishing_at_the_origin(self):
+        # one entry check: the gate's own, on f_0
+        with pytest.raises(FamilyError, match=r"^f_0 = .*: unit germ: f\(0,0\) != 0$"):
+            F("1 + x^2 + y^2 + t")
+
+    @pytest.mark.parametrize("text", ("x^3 - y^2 + t*x", "x^5 - x*y^3 + t*(x^2 + y^2)"))
+    def test_one_decomposition_of_f0(self, text, monkeypatch):
+        # mu(f_0) is computed once, with the family: conservation_check
+        # reads it and decomposes f_0 no second time
+        real = puiseux_mod.squarefree_decomposition
+        germs = []
+
+        def spy(p):
+            if p.variables == ("x", "y"):
+                germs.append(p)
+            return real(p)
+
+        monkeypatch.setattr(puiseux_mod, "squarefree_decomposition", spy)
+        family = F(text)
+        report = conservation_check(family)
+        assert len(germs) == 1
+        assert report.mu_origin == family.mu_origin > 0
+
+    def test_copy_rebuilds_the_family(self):
+        # mu_origin is not a parameter: a copy is built from F, the
+        # samples and the radius, and derives it again
+        family = F("x^5 - y^2 + t*x^3", search_radius=Fraction(1, 4))
+        duplicate = copy.copy(family)
+        assert duplicate == family and duplicate.mu_origin == 4
 
 
 class TestCoalescing:

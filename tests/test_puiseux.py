@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,50 @@ class TestExactStructure:
                                  "*((y^2 - 3*x^2)^2 + x^4*(y^2 - 3*x^2) + x^11)"))
         assert [b.exponents[:3] for b in dec.branches] == [
             (1, 3, 5), (1, 6), (1, 3, 4), (1, 4, 5), (1, 3, 4), (1, 4, 5), (1, 3, 5), (1, 6)]
+
+    # the two germs above whose expansion splits psi, with their exact
+    # structure: (ramification, skeleton) per branch
+    SPLIT_STRUCTURE = {
+        "((y^2 - 2*x^2)^2 - x^5)*((y^2 - 3*x^2)^2 - x^7)":
+            [(2, ((2, 0, 1), (3, 0, 2), (4, "tail", 1)))] * 2
+            + [(2, ((2, 0, 1), (5, 0, 2), (8, "tail", 1)))] * 2,
+        "((y^2 - 2*x^2)^2 + x^4*(y^2 - 2*x^2) + x^9)"
+        "*((y^2 - 3*x^2)^2 + x^4*(y^2 - 3*x^2) + x^11)":
+            [(1, ((1, 0, 1), (3, 0, 1), (4, "tail", 1)))] * 2
+            + [(1, ((1, 0, 1), (4, 1, 1), (5, "tail", 1)))] * 2
+            + [(1, ((1, 0, 1), (3, 0, 1), (5, "tail", 1)))] * 2
+            + [(1, ((1, 0, 1), (6, 1, 1), (9, "tail", 1)))] * 2,
+    }
+
+    @pytest.mark.parametrize("germ", list(SPLIT_STRUCTURE))
+    def test_zero_divisors_are_found_by_a_gcd(self, germ, monkeypatch):
+        # each coefficient at a node over K is tested by one gcd with psi;
+        # the extended Euclid of _inv only inverts units, 7 times in all
+        real = puiseux_mod._inv
+        callers = []
+
+        def spy(c, psi):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(c, psi)
+
+        monkeypatch.setattr(puiseux_mod, "_inv", spy)
+        dec = puiseux_mod.branch_structure(P(germ))
+        assert "_expand" not in callers
+        assert len(callers) == 7
+        assert [(b.ramification_index, b.skeleton) for b in dec.branches] == (
+            self.SPLIT_STRUCTURE[germ])
+        assert dec.multiplicities == (1,) * len(dec.branches)
+
+    def test_repeated_root_in_the_field_is_a_root(self):
+        # over K = Q(sqrt 2) the next segment polynomial is (8w - 1)^2, whose
+        # double root lies in K: the expansion goes on over the same psi
+        f = P("((y^2 - 2*x^2)^2 - x^5)^2 - x^11")
+        dec = puiseux_branches(f)
+        assert [b.ramification_index for b in dec.branches] == [2] * 4
+        assert dec.multiplicities == (1,) * 4
+        assert (milnor_number(f), delta_invariant(f), dec.branch_count) == (65, 34, 4)
+        for b in dec.branches:
+            _assert_small_residual(f, b, order=8)
 
     def test_tower_raises(self):
         # over K = Q(sqrt 2) the next segment polynomial is (8w^2 - 3)^2:

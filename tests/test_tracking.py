@@ -223,6 +223,25 @@ class TestCarouselPermutation:
         accepted = len(a.orbit_traces[0]) - 1
         assert 18 < accepted < a.steps_used
 
+    @pytest.mark.parametrize("text", ("(v - u^2)*(v - u^3)", "v + u"))
+    def test_one_row_pass_per_step(self, text, monkeypatch):
+        # Delta's rows are evaluated once at v = eta and once per step
+        # tried, at its end: no step evaluates its start again, since an
+        # accepted step's values start the next one
+        d = D(text)
+        radii = choose_radii(d, 128)
+        values = []
+        real = tracking_mod._FiberPolynomial.at_value
+
+        def spy(fiber, v):
+            values.append(v)
+            return real(fiber, v)
+
+        monkeypatch.setattr(tracking_mod._FiberPolynomial, "at_value", spy)
+        perm = carousel_permutation(d, radii)
+        assert len(values) == perm.steps_used + 1
+        assert values[0] == values[-1] == complex(radii.eta)
+
     def test_loop_inverse(self):
         d = D("v - u^5")
         radii = choose_radii(d, 128)
@@ -324,12 +343,12 @@ class TestAlphaTest:
         fiber = tracking_mod._FiberPolynomial(d.defining, 128)
         eta = 1.0 / 16
         start = [0.25, -0.25]
+        here = fiber.at_value(eta)
         for turn, accepted in ((1 / 4, False), (1 / 64, True)):
-            v_to = eta * cmath.exp(2j * math.pi * turn)
-            coeffs, majorants = fiber.at_value_double(v_to)
-            predicted = fiber.predict([complex(z) for z in start], eta, v_to)
+            there = fiber.at_value(eta * cmath.exp(2j * math.pi * turn))
+            predicted = tracking_mod._predict(here, [complex(z) for z in start], there.v)
             assert tracking_mod._alpha_certified(
-                coeffs, majorants, predicted, fiber.gamma_d
+                there.coeffs, there.majorants, predicted, fiber.gamma_d
             ) is accepted
 
 
@@ -367,7 +386,8 @@ class TestDoubleKernel:
                 roots = aberth_roots(_fiber_at(delta, v), 256)
                 rho = 4 * (1 + max(abs(b.center) for b in roots))
                 starts = [complex(b.center) * (1 + 1e-9j) for b in roots]
-                result = tracking_mod._refine(fiber, complex(v), complex(v), starts, rho)
+                at = fiber.at_value(complex(v))
+                result = tracking_mod._refine(fiber, at, at, starts, rho)
                 assert result is not None
                 for ball, z, radius in zip(roots, *result):
                     assert abs(ball.center - z) <= radius
