@@ -21,8 +21,8 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, mpf_add, mpf_shift, round_ceiling, round_nearest
 
-from .gaussian import GaussianRational, from_integers
-from .poly import Polynomial, _to_gaussian_int, poly_gcd, resultant
+from .gaussian import GaussianRational
+from .poly import Polynomial, poly_gcd, resultant
 from .puiseux import PuiseuxError, milnor_number
 from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _homogeneous_horner,
                     aberth_roots, ordering_key, univariate_roots)
@@ -151,12 +151,11 @@ def _inside(x, y, radius):
 def _xy_rows(poly):
     """(den, dx, rows): rows[j][i] is den times the coefficient of x^i y^j as
     a Gaussian integer (re, im), den the common denominator, dx the degree in x."""
-    den, ints = _to_gaussian_int(poly.terms.values())
     rows = [[(0, 0)] for _ in range(poly.degree("y") + 1)]
-    for (i, j), c in zip(poly.terms, ints):
+    for (i, j), c in poly.nums.items():
         rows[j] += [(0, 0)] * (i + 1 - len(rows[j]))
         rows[j][i] = c
-    return den, poly.degree("x"), rows
+    return poly.den, poly.degree("x"), rows
 
 
 def _at_x(poly_rows, a, b, s):
@@ -304,7 +303,7 @@ def _fiber_point(p, q, xball, precision):
         if len(trimmed) <= 1:
             continue
         try:
-            roots = aberth_roots([from_integers(re, im) for re, im in trimmed], precision)
+            roots = aberth_roots(trimmed, precision)
         except PrecisionError:
             # a cluster is left to the shear retry, not to more bits
             raise _Ambiguous

@@ -190,9 +190,9 @@ def cerf_diagram_of_polar(f: Polynomial, line: LinearForm, polar: PolarCurve) ->
         raise CertificateFailure("image curve carries no value direction")
     # u | Delta and v | Delta read the same on Delta and on its squarefree part
     _, delta = content_primitive(delta_raw, "v")
-    if min(e[1] for e in delta.terms) > 0:
+    if min(e[1] for e in delta.nums) > 0:
         raise CertificateFailure("a branch of the diagram lies inside {v = 0}")
-    if min(e[0] for e in delta.terms) > 0:
+    if min(e[0] for e in delta.nums) > 0:
         raise CertificateFailure(
             "a branch of the diagram lies inside {u = 0}: restriction to the polar is not finite"
         )
@@ -209,7 +209,7 @@ def diagram_from_defining(delta: Polynomial) -> CerfDiagram:
     if delta.variables != ("u", "v"):
         delta = delta.in_variables(("u", "v"))
     u_mult, factors = _squarefree_factors(delta)
-    if u_mult or min(e[1] for e in delta.terms):
+    if u_mult or min(e[1] for e in delta.nums):
         raise CertificateFailure("diagram has an axis branch")
     delta = math.prod(g for g, _ in factors)
     branches = _structure(delta, 0, [(delta, 1)])[0]

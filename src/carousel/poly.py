@@ -1,19 +1,23 @@
 """Exact multivariate polynomials over the Gaussian rationals.
 
-Terms are stored sparsely as a map from exponent vectors to coefficients;
-the canonical order everywhere (printing, leading terms, normalization)
-is graded lexicographic in the declared variable order.  All arithmetic
-is exact; numeric conversion happens only in the root solver.
+A polynomial is one integer `den` > 0 over a sparse map `nums` from
+exponent vectors to Gaussian-integer numerators (re, im), canonical: no
+(0, 0) entry and gcd(den, every part) = 1, so `==` and `hash` compare
+the stored form.  Each operation normalises its result once (`_reduce`),
+and the integer kernels of gcd, squarefree and resultant read `nums` as
+stored; `terms` views the coefficients as `GaussianRational`s.  The
+order everywhere is graded lexicographic in the declared variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd, lcm
+from operator import add, sub
 from typing import Sequence
 
-from .gaussian import GaussianRational, ZERO, ONE, I, from_integers
+from .gaussian import GaussianRational, ZERO, I, from_integers
 
 
 class PolynomialError(ValueError):
@@ -34,78 +38,85 @@ def _grlex_key(exps: tuple) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q(i) in a fixed variable tuple."""
+    """Immutable sparse polynomial over Q(i) in a fixed variable tuple:
+    Gaussian-integer numerators `nums` over one denominator `den`."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "den", "nums")
 
     def __init__(self, variables: Sequence[str], terms: dict):
-        object.__setattr__(self, "variables", tuple(variables))
-        clean = {}
-        width = len(self.variables)
-        for exps, coeff in terms.items():
-            if len(exps) != width:
-                raise PolynomialError("exponent vector has wrong length")
-            coeff = GaussianRational.from_value(coeff)
-            if not coeff.is_zero():
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "terms", clean)
+        variables = tuple(variables)
+        if any(len(exps) != len(variables) for exps in terms):
+            raise PolynomialError("exponent vector has wrong length")
+        coeffs = {tuple(e): GaussianRational.from_value(c) for e, c in terms.items()}
+        coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+        den = lcm(*(c.d for c in coeffs.values()))
+        _make(variables, {e: (c.a * (den // c.d), c.b * (den // c.d))
+                          for e, c in coeffs.items()}, den, self)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as GaussianRationals, in a new dict per call."""
+        den = self.den
+        return {e: from_integers(re, im, den) for e, (re, im) in self.nums.items()}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, variables) -> "Polynomial":
-        return cls(variables, {})
+        return _make(tuple(variables), {}, 1)
 
     @classmethod
     def constant(cls, variables, value) -> "Polynomial":
-        value = GaussianRational.from_value(value)
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        variables = tuple(variables)
+        c = GaussianRational.from_value(value)
+        nums = {} if c.is_zero() else {(0,) * len(variables): (c.a, c.b)}
+        return _make(variables, nums, c.d)
 
     @classmethod
     def variable(cls, variables, name: str) -> "Polynomial":
         variables = tuple(variables)
         if name not in variables:
             raise PolynomialError(f"unknown symbol {name!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: ONE})
+        return _make(variables, {tuple(int(v == name) for v in variables): (1, 0)}, 1)
 
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
+
+    def _coeff(self, exps) -> GaussianRational:
+        re, im = self.nums[exps]
+        return from_integers(re, im, self.den)
 
     def constant_value(self) -> GaussianRational:
-        if self.is_zero():
-            return ZERO
         if not self.is_constant():
             raise PolynomialError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.constant_term()
 
     def total_degree(self) -> int:
         if self.is_zero():
             raise PolynomialError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree(self, var: str) -> int:
         i = self._index(var)
-        if self.is_zero():
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.nums), default=-1)
 
     def order_at_origin(self) -> int:
         """Minimal total degree over the terms; >= 2 means membership in m^2."""
         if self.is_zero():
             raise PolynomialError("zero polynomial has no order")
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.nums)
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.variables), ZERO)
+        zero = (0,) * len(self.variables)
+        return self._coeff(zero) if zero in self.nums else ZERO
 
     def _index(self, var: str) -> int:
         try:
@@ -113,24 +124,20 @@ class Polynomial:
         except ValueError:
             raise PolynomialError(f"unknown symbol {var!r}") from None
 
-    def sorted_terms(self):
-        """Terms sorted descending in graded lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
     def leading(self) -> tuple:
         if self.is_zero():
             raise PolynomialError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=_grlex_key)
+        return exps, self._coeff(exps)
 
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""
         if self.is_zero():
             return self
-        _, lc = self.leading()
-        if lc.is_one():
+        lead = self.nums[max(self.nums, key=_grlex_key)]
+        if lead == (self.den, 0):
             return self
-        return self.scale(lc.inverse())
+        return _divided(self.variables, self.nums, lead)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -140,28 +147,24 @@ class Polynomial:
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
 
-    def __add__(self, other):
+    def _operand(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.variables, other)
+            return Polynomial.constant(self.variables, other)
         self._check_same(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = terms.get(exps, ZERO) + coeff
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return Polynomial(self.variables, terms)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return _sum(self.variables, self.nums, self.den, other.nums, other.den, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return _make(self.variables, _times(self.nums, -1, 0), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.variables, other)
-        return self + (-other)
+        other = self._operand(other)
+        return _sum(self.variables, self.nums, self.den, other.nums, other.den, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -173,125 +176,112 @@ class Polynomial:
             return self
         if value.is_zero():
             return Polynomial.zero(self.variables)
-        return Polynomial(self.variables, {e: c * value for e, c in self.terms.items()})
+        return _reduce(self.variables, _times(self.nums, value.a, value.b), self.den * value.d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check_same(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exps, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = s
-        return Polynomial(self.variables, terms)
+        return _normal(self.variables, _product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise PolynomialError("negative polynomial power")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Polynomial.constant(self.variables, 1) if result is None else result
+        if n < 2:
+            return self if n else Polynomial.constant(self.variables, 1)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.nums.items())))
 
     # -- calculus / substitution ----------------------------------------
 
     def partial_derivative(self, var: str) -> "Polynomial":
         i = self._index(var)
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, (re, im) in self.nums.items():
             k = exps[i]
-            if k == 0:
-                continue
-            new = exps[:i] + (k - 1,) + exps[i + 1 :]
-            terms[new] = terms.get(new, ZERO) + coeff * k
-        return Polynomial(self.variables, terms)
+            if k:
+                nums[exps[:i] + (k - 1,) + exps[i + 1 :]] = (re * k, im * k)
+        return _reduce(self.variables, nums, self.den)
 
     def substitute(self, mapping: dict) -> "Polynomial":
         """Replace variables by polynomials (all over the same target tuple).
 
-        Variables not mentioned must exist in the target variables.
+        Variables not mentioned must exist in the target variables.  The
+        images of the terms are summed over one denominator, the lcm of
+        theirs, and normalised once.
         """
-        target = None
-        for val in mapping.values():
-            if isinstance(val, Polynomial):
-                target = val.variables
-                break
+        target = next((v.variables for v in mapping.values() if isinstance(v, Polynomial)), None)
         if target is None:
             raise PolynomialError("substitute needs at least one polynomial value")
-        images = []
-        for v in self.variables:
-            if v in mapping:
-                val = mapping[v]
-                if not isinstance(val, Polynomial):
-                    val = Polynomial.constant(target, val)
-                images.append(val)
-            else:
-                images.append(Polynomial.variable(target, v))
-        result = Polynomial.zero(target)
-        # cache powers per variable
-        powers = [{0: Polynomial.constant(target, 1)} for _ in images]
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(target, coeff)
-            for i, k in enumerate(exps):
+        images = [mapping[v] if v in mapping else Polynomial.variable(target, v)
+                  for v in self.variables]
+        images = [v if isinstance(v, Polynomial) else Polynomial.constant(target, v)
+                  for v in images]
+        one = Polynomial.constant(target, 1)
+        powers = [{} for _ in images]  # image^k per variable, as needed
+        parts = []
+        for exps, c in self.nums.items():
+            term = one
+            for cache, image, k in zip(powers, images, exps):
                 if k:
-                    cache = powers[i]
                     if k not in cache:
-                        cache[k] = images[i] ** k
-                    term = term * cache[k]
-            result = result + term
-        return result
+                        cache[k] = image**k
+                    term = cache[k] if term is one else term * cache[k]
+            parts.append((c, term))
+        den = lcm(*(term.den for _, term in parts))
+        nums: dict = {}
+        for (a, b), term in parts:
+            s = den // term.den
+            for e, (re, im) in _times(term.nums, a * s, b * s).items():
+                c = nums.get(e)
+                nums[e] = (re, im) if c is None else (c[0] + re, c[1] + im)
+        return _normal(target, nums, den * self.den)
 
     def eliminate_variable(self, var: str, value) -> "Polynomial":
-        """Exact substitution of one variable by a constant; drops the variable."""
+        """Exact substitution of one variable by a constant (a + b*i)/d;
+        drops the variable.  Over d^D, D the degree in it, a term of
+        degree k gets the numerator (a + b*i)^k d^(D - k)."""
         i = self._index(var)
         value = GaussianRational.from_value(value)
-        new_vars = self.variables[:i] + self.variables[i + 1 :]
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
-            c = coeff * value ** exps[i]
+        a, b, d = value.a, value.b, value.d
+        top = max(self.degree(var), 0)
+        powers = [(d**top, 0)]
+        for _ in range(top):
+            re, im = _gmul(powers[-1], (a, b))
+            powers.append((re // d, im // d))
+        nums: dict = {}
+        for exps, c in self.nums.items():
+            re, im = _gmul(c, powers[exps[i]])
             new = exps[:i] + exps[i + 1 :]
-            s = terms.get(new, ZERO) + c
-            if s.is_zero():
-                terms.pop(new, None)
-            else:
-                terms[new] = s
-        return Polynomial(new_vars, terms)
+            prev = nums.get(new, (0, 0))
+            nums[new] = (prev[0] + re, prev[1] + im)
+        return _normal(self.variables[:i] + self.variables[i + 1 :], nums, self.den * d**top)
 
     def in_variables(self, variables) -> "Polynomial":
         """Re-embed into a (super)set of variables."""
         variables = tuple(variables)
-        pos = []
         for v in self.variables:
             if v not in variables:
                 raise PolynomialError(f"target variables lack {v!r}")
-            pos.append(variables.index(v))
-        terms = {}
-        for exps, coeff in self.terms.items():
+        pos = [variables.index(v) for v in self.variables]
+        nums = {}
+        for exps, c in self.nums.items():
             new = [0] * len(variables)
             for p, e in zip(pos, exps):
                 new[p] = e
-            terms[tuple(new)] = coeff
-        return Polynomial(variables, terms)
+            nums[tuple(new)] = c
+        return _make(variables, nums, self.den)
 
     # -- univariate views ------------------------------------------------
 
@@ -299,21 +289,17 @@ class Polynomial:
         """Dense coefficient list in `var`; entries are polynomials in the rest."""
         i = self._index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        d = self.degree(var)
-        coeffs = [dict() for _ in range(d + 1)] if d >= 0 else []
-        for exps, coeff in self.terms.items():
-            coeffs[exps[i]][exps[:i] + exps[i + 1 :]] = coeff
-        return [Polynomial(rest, t) for t in coeffs]
+        rows = [dict() for _ in range(self.degree(var) + 1)]
+        for exps, c in self.nums.items():
+            rows[exps[i]][exps[:i] + exps[i + 1 :]] = c
+        return [_reduce(rest, row, self.den) for row in rows]
 
     def dense_coefficients(self) -> list:
         """For a univariate polynomial: list of GaussianRational, low to high."""
         if len(self.variables) != 1:
             raise PolynomialError("polynomial is not univariate")
-        d = self.degree(self.variables[0])
-        out = [ZERO] * (d + 1)
-        for exps, coeff in self.terms.items():
-            out[exps[0]] = coeff
-        return out
+        den = self.den
+        return [from_integers(re, im, den) for re, im in _dense_in(self, self.variables[0])]
 
     # -- printing ---------------------------------------------------------
 
@@ -321,24 +307,20 @@ class Polynomial:
         if self.is_zero():
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps in sorted(self.nums, key=_grlex_key, reverse=True):
+            coeff = self._coeff(exps)
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, exps)
                 if k
             )
             cs = _coeff_str(coeff, bool(mono))
-            if mono:
-                body = f"{cs}*{mono}" if cs not in ("", "-") else f"{cs}{mono}"
-            else:
-                body = cs if cs not in ("", "-") else f"{cs}1"
-            if pieces:
-                if body.startswith("-"):
-                    pieces.append(" - " + body[1:])
-                else:
-                    pieces.append(" + " + body)
-            else:
+            # a constant's cs is never "" or "-"
+            body = f"{cs}{mono}" if cs in ("", "-") else f"{cs}*{mono}" if mono else cs
+            if not pieces:
                 pieces.append(body)
+            else:
+                pieces.append(" - " + body[1:] if body.startswith("-") else " + " + body)
         return "".join(pieces)
 
     def __repr__(self):
@@ -347,20 +329,116 @@ class Polynomial:
 
 def _coeff_str(coeff: GaussianRational, has_monomial: bool) -> str:
     if coeff.is_real():
-        if coeff.re == 1 and has_monomial:
-            return ""
-        if coeff.re == -1 and has_monomial:
-            return "-"
+        if has_monomial and coeff.re in (1, -1):
+            return "" if coeff.re == 1 else "-"
         return str(coeff.re)
     if coeff.re == 0:
-        if coeff.im == 1:
-            return "i"
-        if coeff.im == -1:
-            return "-i"
-        if coeff.im > 0:
-            return f"{coeff.im}*i" if not has_monomial else f"({coeff.im}*i)"
-        return f"-({-coeff.im}*i)" if has_monomial else f"{coeff.im}*i"
+        if coeff.im in (1, -1):
+            return "i" if coeff.im == 1 else "-i"
+        if not has_monomial:
+            return f"{coeff.im}*i"
+        return f"({coeff.im}*i)" if coeff.im > 0 else f"-({-coeff.im}*i)"
     return f"({coeff})"
+
+
+# ---------------------------------------------------------------------------
+# the stored form: numerator maps over one denominator
+# ---------------------------------------------------------------------------
+
+_new = object.__new__
+_set_variables = Polynomial.variables.__set__
+_set_den = Polynomial.den.__set__
+_set_nums = Polynomial.nums.__set__
+
+
+def _make(variables, nums, den, p=None) -> Polynomial:
+    """The polynomial, or `p` filled, whose stored form is canonical."""
+    p = _new(Polynomial) if p is None else p
+    _set_variables(p, variables)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _reduce(variables, nums, den) -> Polynomial:
+    """The polynomial nums/den, for a map with no zero entry: den and every
+    part divided by their gcd, one gcd pass that stops at 1."""
+    g = den
+    for re, im in nums.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    if g != 1:
+        nums = {e: (re // g, im // g) for e, (re, im) in nums.items()}
+        den //= g
+    return _make(variables, nums, den)
+
+
+def _normal(variables, nums, den) -> Polynomial:
+    """`_reduce` after the zero entries of nums are dropped."""
+    if (0, 0) in nums.values():
+        nums = {e: c for e, c in nums.items() if c != (0, 0)}
+    return _reduce(variables, nums, den)
+
+
+def _gmul(p, q):
+    """The product of two Gaussian integers (re, im)."""
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _times(nums, a, b) -> dict:
+    """Every numerator times the Gaussian integer a + b*i != 0."""
+    if not b:
+        return {e: (re * a, im * a) for e, (re, im) in nums.items()}
+    return {e: (re * a - im * b, re * b + im * a) for e, (re, im) in nums.items()}
+
+
+def _divided(variables, nums, lead) -> Polynomial:
+    """The polynomial nums / lead, for a Gaussian integer lead != 0:
+    nums * conj(lead) over |lead|^2, or over |lead| when lead is real."""
+    lr, li = lead
+    if not li:
+        return _reduce(variables, _times(nums, -1, 0) if lr < 0 else nums, abs(lr))
+    return _reduce(variables, _times(nums, lr, -li), lr * lr + li * li)
+
+
+def _sum(variables, n1, d1, n2, d2, sign) -> Polynomial:
+    """n1/d1 + sign * n2/d2 over the lcm of the denominators."""
+    g = gcd(d1, d2)
+    s1, s2 = d2 // g, sign * (d1 // g)
+    nums = dict(n1) if s1 == 1 else _times(n1, s1, 0)
+    get = nums.get
+    for e, (re, im) in n2.items():
+        c = get(e)
+        nums[e] = (re * s2, im * s2) if c is None else (c[0] + re * s2, c[1] + im * s2)
+    return _normal(variables, nums, d1 * s1)
+
+
+def _product(n1, n2) -> dict:
+    """The numerator map of a product, zero entries kept; exponent pairs
+    are added inline, the common plane case."""
+    acc: dict = {}
+    get = acc.get
+    pairs = list(n2.items())
+    if n1 and len(next(iter(n1))) == 2:
+        for (i1, j1), (a1, b1) in n1.items():
+            for (i2, j2), (a2, b2) in pairs:
+                e = (i1 + i2, j1 + j2)
+                c = get(e)
+                if c is None:
+                    acc[e] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                else:
+                    acc[e] = (c[0] + a1 * a2 - b1 * b2, c[1] + a1 * b2 + b1 * a2)
+        return acc
+    for e1, (a1, b1) in n1.items():
+        for e2, (a2, b2) in pairs:
+            e = tuple(map(add, e1, e2))
+            c = get(e)
+            if c is None:
+                acc[e] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+            else:
+                acc[e] = (c[0] + a1 * a2 - b1 * b2, c[1] + a1 * b2 + b1 * a2)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -516,47 +594,44 @@ def parse_polynomial(text: str, variables) -> Polynomial:
 def divexact(p: Polynomial, d: Polynomial) -> Polynomial:
     """Exact division p / d; raises if the division leaves a remainder.
 
-    Each quotient term cancels the leading term of one remainder dict.
+    On the numerators P and D, times conj(L) for L the lead of D, so that
+    the lead is n = |L|^2.  Each quotient term cancels the remainder's
+    leading term; where n does not divide it, the remainder and the
+    quotient so far are first scaled by the missing factor, which the
+    result's denominator carries.
     """
     p._check_same(d)
     if d.is_zero():
         raise PolynomialError("division by the zero polynomial")
     if d.is_constant():
         return p.scale(d.constant_value().inverse())
-    d_lead_exps, d_lead_coeff = d.leading()
-    inv = d_lead_coeff.inverse()
-    rest = [(e, c) for e, c in d.terms.items() if e != d_lead_exps]
-    quotient_terms: dict = {}
-    rem = dict(p.terms)
+    lead = max(d.nums, key=_grlex_key)
+    lr, li = d.nums[lead]
+    n = lr * lr + li * li
+    rest = [(e, c) for e, c in _times(d.nums, lr, -li).items() if e != lead]
+    rem = _times(p.nums, lr, -li)
+    quotient: dict = {}
+    s = 1  # P * s = quotient * D once rem is empty
     while rem:
         r_exps = max(rem, key=_grlex_key)
-        q_exps = tuple(a - b for a, b in zip(r_exps, d_lead_exps))
-        if any(e < 0 for e in q_exps):
+        q_exps = tuple(map(sub, r_exps, lead))
+        if min(q_exps) < 0:
             raise PolynomialError("inexact polynomial division")
-        q_coeff = rem.pop(r_exps) * inv
-        quotient_terms[q_exps] = q_coeff
-        for e, c in rest:
-            exps = tuple(a + b for a, b in zip(e, q_exps))
-            s = rem.get(exps, ZERO) - c * q_coeff
-            if s.is_zero():
-                rem.pop(exps, None)
-            else:
-                rem[exps] = s
-    return Polynomial(p.variables, quotient_terms)
-
-
-def _poly_divides(d: Polynomial, p: Polynomial) -> bool:
-    try:
-        divexact(p, d)
-        return True
-    except PolynomialError:
-        return False
-
-
-def _univar_gcd(A: list, B: list) -> list:
-    """Monic gcd, as GaussianRational list, of Gaussian-integer lists (re, im)
-    with nonzero last entries."""
-    return _int_monic(_int_gcd(A, B))
+        a, b = rem.pop(r_exps)
+        t = n // gcd(n, a, b)
+        if t != 1:
+            rem, quotient = _times(rem, t, 0), _times(quotient, t, 0)
+            a, b, s = a * t, b * t, s * t
+        qa, qb = a // n, b // n
+        quotient[q_exps] = (qa, qb)
+        for e, (x, y) in rest:
+            exps = tuple(map(add, e, q_exps))
+            c = rem.pop(exps, (0, 0))
+            c = (c[0] - qa * x + qb * y, c[1] - qa * y - qb * x)
+            if c != (0, 0):
+                rem[exps] = c
+    # p/d = (P/p.den) / (D/d.den) = quotient * d.den / (s * p.den)
+    return _reduce(p.variables, _times(quotient, d.den, 0), s * p.den)
 
 
 def _int_gcd(A: list, B: list) -> list:
@@ -577,20 +652,20 @@ def _int_gcd(A: list, B: list) -> list:
     return A
 
 
-def _int_monic(A: list) -> list:
-    """A divided by its last entry, as a GaussianRational list."""
-    la, lb = A[-1]
-    n = la * la + lb * lb
-    return [from_integers(re * la + im * lb, im * la - re * lb, n) for re, im in A]
+def _dense_in(p: Polynomial, var: str) -> list:
+    """The numerators of p, whose one active variable is `var`, low first."""
+    i = p._index(var)
+    out = [(0, 0)] * (p.degree(var) + 1)
+    for exps, c in p.nums.items():
+        out[exps[i]] = c
+    return out
 
 
-def _to_gaussian_int(coeffs):
-    """(den, Gaussian-integer pairs of the coefficients times den), den the
-    lcm of their denominators."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.d)
-    return den, [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
+def _univariate(variables, i: int, A: list) -> Polynomial:
+    """sum A[k] z^k / A[-1], z the i-th of `variables`, for A[-1] != 0."""
+    n = len(variables)
+    nums = {(0,) * i + (k,) + (0,) * (n - 1 - i): c for k, c in enumerate(A) if c != (0, 0)}
+    return _divided(variables, nums, A[-1])
 
 
 def _int_content_strip(coeffs):
@@ -598,10 +673,8 @@ def _int_content_strip(coeffs):
     for re, im in coeffs:
         g = gcd(g, re, im)
         if g == 1:
-            return coeffs
-    if g in (0, 1):
-        return coeffs
-    return [(re // g, im // g) for re, im in coeffs]
+            break
+    return coeffs if g in (0, 1) else [(re // g, im // g) for re, im in coeffs]
 
 
 def _gaussian_primitive(coeffs):
@@ -638,19 +711,15 @@ def _gaussian_gcd(a, b):
 
 def _int_prem_primitive(A, B):
     """Primitive pseudo-remainder of Gaussian-integer coefficient lists."""
-
-    def gmul(p, q):
-        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
     R = list(A)
-    lcB = B[-1]
+    br, bi = B[-1]
     while R and len(R) >= len(B):
-        lcR = R[-1]
+        rr, ri = R[-1]
         shift = len(R) - len(B)
-        R = [gmul(lcB, c) for c in R]
-        for i, c in enumerate(B):
-            prod = gmul(lcR, c)
-            R[shift + i] = (R[shift + i][0] - prod[0], R[shift + i][1] - prod[1])
+        R = [(br * re - bi * im, br * im + bi * re) for re, im in R]
+        for k, (cr, ci) in enumerate(B, shift):
+            re, im = R[k]
+            R[k] = (re - rr * cr + ri * ci, im - rr * ci - ri * cr)
         R.pop()
         while R and R[-1] == (0, 0):
             R.pop()
@@ -681,9 +750,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        exps = tuple(map(min, zip(*p.terms, *q.terms)))
-        return Polynomial(p.variables, {exps: ONE})
+    if len(p.nums) == 1 or len(q.nums) == 1:
+        return _make(p.variables, {tuple(map(min, zip(*p.nums, *q.nums))): (1, 0)}, 1)
     active = [v for v in p.variables if p.degree(v) > 0 or q.degree(v) > 0]
     # pick the first variable occurring in both
     main = next((v for v in active if p.degree(v) > 0 and q.degree(v) > 0), None)
@@ -692,7 +760,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         # disjoint variable sets, so it is a unit
         return Polynomial.constant(p.variables, 1)
     if len(active) == 1:
-        return _univar_gcd_single(p, q, main)
+        g = _int_gcd(_dense_in(p, main), _dense_in(q, main))
+        return _univariate(p.variables, p._index(main), g)
     if len(active) > 2:
         raise PolynomialError(f"gcd in more than two variables: {active}")
     other = next(v for v in active if v != main)
@@ -713,18 +782,17 @@ def _coprime_images(p, q, main, other) -> bool:
 
 def _int_rows(p, keep, drop):
     """rows[k] lists (j, re, im) for the terms keep^k * drop^j of p, with
-    the Gaussian integers re + im*i of p times the lcm of its denominators."""
+    the numerators re + im*i of p."""
     ik, jd = p._index(keep), p._index(drop)
-    _, ints = _to_gaussian_int(p.terms.values())
     rows = [[] for _ in range(p.degree(keep) + 1)]
-    for exps, (re, im) in zip(p.terms, ints):
+    for exps, (re, im) in p.nums.items():
         rows[exps[ik]].append((exps[jd], re, im))
     return rows
 
 
 def _image_gcd(rows_p, rows_q, r):
-    """Monic gcd of the images at drop = r of `_int_rows` rows, or None when
-    a leading coefficient vanishes there."""
+    """The gcd (`_int_gcd`) of the images at drop = r of `_int_rows` rows,
+    or None when a leading coefficient vanishes there."""
     images = []
     for rows in (rows_p, rows_q):
         image = [
@@ -734,7 +802,7 @@ def _image_gcd(rows_p, rows_q, r):
         if image[-1] == (0, 0):
             return None
         images.append(image)
-    return _univar_gcd(*images)
+    return _int_gcd(*images)
 
 
 def _bivariate_modular_gcd(p, q, main, other):
@@ -744,6 +812,8 @@ def _bivariate_modular_gcd(p, q, main, other):
     The loop ends: only finitely many points make a leading coefficient
     vanish or give an image of too high degree, and `dv_bound` consecutive
     images of the true degree interpolate to a candidate that divides both.
+    Each monic image is scaled by gamma(r), gamma the gcd of the leading
+    coefficients up to a constant that the candidate's normalisation drops.
     """
     cp, pp = content_primitive(p, main)
     cq, pq = content_primitive(q, main)
@@ -754,7 +824,7 @@ def _bivariate_modular_gcd(p, q, main, other):
     dv_bound = len(gamma) + min(pp.degree(other), pq.degree(other))
     rows_p, rows_q = _int_rows(pp, main, other), _int_rows(pq, main, other)
     best_degree = None
-    samples = []  # (point, scaled dense u-coefficient list)
+    samples = []  # (point, scaled monic image in main)
     for r in _sample_points():
         g = _image_gcd(rows_p, rows_q, r)
         if g is None:
@@ -767,89 +837,37 @@ def _bivariate_modular_gcd(p, q, main, other):
             samples = []
         if d > best_degree:
             continue
-        scale = ZERO
-        for c in reversed(gamma):
-            scale = scale * r + c
-        samples.append((GaussianRational(r), [c * scale for c in g]))
+        scale = from_integers(sum(a * r**j for j, (a, _) in enumerate(gamma)),
+                              sum(b * r**j for j, (_, b) in enumerate(gamma)))
+        samples.append((r, _univariate(p.variables, p._index(main), g).scale(scale)))
         if len(samples) >= dv_bound:
-            candidate = _interpolate_bivariate(samples, best_degree, p.variables, main, other)
+            candidate = _interpolate_bivariate(samples, other)
             _, candidate = content_primitive(candidate, main)
             candidate = candidate.monic()
-            if _poly_divides(candidate, pp) and _poly_divides(candidate, pq):
+            try:
+                divexact(pp, candidate), divexact(pq, candidate)
                 return (cont * candidate).monic()
-            # unlucky mixture: drop the oldest sample and keep going
-            samples.pop(0)
+            except PolynomialError:
+                samples.pop(0)  # unlucky mixture: drop the oldest sample
 
 
 def _sample_points():
     """The integers 1, -1, 2, -2, ...  Inputs derived from a germ vanish
     at the origin, so their images at 0 share a factor and 0 is skipped."""
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
+    return (s * k for k in count(1) for s in (1, -1))
 
 
-def _dense_in(p, var):
-    d = p.degree(var)
-    idx = p._index(var)
-    out = [ZERO] * (d + 1)
-    for exps, c in p.terms.items():
-        out[exps[idx]] = c
-    return out
-
-
-def _interpolate_bivariate(samples, degree_u, variables, main, other):
-    """Coefficient-wise Newton interpolation of sampled u-polynomials."""
-    points = [r for r, _ in samples]
-    n = len(points)
-    main_idx = list(variables).index(main)
-    other_idx = list(variables).index(other)
-    coeff_polys = []
-    for k in range(degree_u + 1):
-        values = [
-            dense[k] if k < len(dense) else ZERO for _, dense in samples
-        ]
-        # Newton divided differences
-        table = list(values)
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                span = points[i] - points[i - level]
-                table[i] = (table[i] - table[i - 1]) * span.inverse()
-        # expand the Newton form into dense coefficients in `other`
-        dense = [ZERO] * n
-        acc = [GaussianRational(1)] + [ZERO] * (n - 1)  # running product
-        for level in range(n):
-            ci = table[level]
-            if not ci.is_zero():
-                for j in range(level + 1):
-                    dense[j] = dense[j] + ci * acc[j]
-            if level < n - 1:
-                shifted = [ZERO] * n
-                for j in range(level + 1):
-                    if not acc[j].is_zero():
-                        shifted[j + 1] = shifted[j + 1] + acc[j]
-                        shifted[j] = shifted[j] - acc[j] * points[level]
-                acc = shifted
-        coeff_polys.append(dense)
-    terms = {}
-    for k, dense in enumerate(coeff_polys):
-        for j, c in enumerate(dense):
-            if not c.is_zero():
-                exps = [0] * len(variables)
-                exps[main_idx] = k
-                exps[other_idx] = j
-                terms[tuple(exps)] = c
-    return Polynomial(variables, terms)
-
-
-def _univar_gcd_single(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    g = _univar_gcd(*(_to_gaussian_int(_dense_in(f, var))[1] for f in (p, q)))
-    i, n = p._index(var), len(p.variables)
-    return Polynomial(
-        p.variables, {(0,) * i + (k,) + (0,) * (n - 1 - i): c for k, c in enumerate(g)}
-    )
+def _interpolate_bivariate(samples, var):
+    """The polynomial C of degree < len(samples) in `var` with C = G at
+    var = r for each (r, G), the G free of var, in Newton's form."""
+    variables = samples[0][1].variables
+    x = Polynomial.variable(variables, var)
+    result, basis = Polynomial.zero(variables), Polynomial.constant(variables, 1)
+    for r, G in samples:
+        gap = G - result.eliminate_variable(var, r).in_variables(variables)
+        result = result + basis * gap.scale(basis.eliminate_variable(var, r).constant_value().inverse())
+        basis = basis * (x - r)
+    return result
 
 
 def content_primitive(p: Polynomial, var: str):
@@ -885,9 +903,9 @@ def squarefree_decomposition(p: Polynomial) -> list:
     """Yun decomposition [(factor, multiplicity)]: monic factors, pairwise
     coprime, sorted by multiplicity.
 
-    In one active variable it runs on Gaussian integers
-    (`_univariate_sqf`).  In more it works variable by variable: the
-    content free of the current main variable is recursed on separately.
+    In one active variable it runs on the numerators (`_univariate_sqf`).
+    In more it works variable by variable: the content free of the
+    current main variable is recursed on separately.
     """
     if p.is_zero():
         raise PolynomialError("squarefree decomposition of zero")
@@ -912,9 +930,8 @@ def squarefree_decomposition(p: Polynomial) -> list:
         f = poly_gcd(c, d)
         if not f.is_constant():
             out.append((f.monic(), k))
-        c2 = divexact(c, f)
-        d = divexact(d, f) - c2.partial_derivative(main)
-        c = c2
+        c = divexact(c, f)
+        d = divexact(d, f) - c.partial_derivative(main)
         k += 1
     return _merge_sqf(out)
 
@@ -922,22 +939,18 @@ def squarefree_decomposition(p: Polynomial) -> list:
 def _univariate_sqf(p: Polynomial, var: str) -> list:
     """squarefree_decomposition of p, whose one active variable is z = `var`.
 
-    p = z^j * rest with rest(0) != 0 is split exactly, and the rest goes
-    to Yun's algorithm on its Gaussian integers, `_int_yun`; z joins the
-    factor of multiplicity j.
+    p = z^j * rest with rest(0) != 0 is split exactly, and the numerators
+    of the rest go to Yun's algorithm, `_int_yun`; z joins the factor of
+    multiplicity j.
     """
     dense = _dense_in(p, var)
-    j = next(k for k, c in enumerate(dense) if not c.is_zero())
-    _, rest = _to_gaussian_int(dense[j:])
+    j = next(k for k, c in enumerate(dense) if c != (0, 0))
+    rest = dense[j:]
     factors = dict(_int_yun(rest)) if len(rest) > 1 else {}
     if j:
         factors[j] = [(0, 0)] + factors.get(j, [(1, 0)])
-    i, n = p._index(var), len(p.variables)
-    return [
-        (Polynomial(p.variables, {(0,) * i + (e,) + (0,) * (n - 1 - i): c
-                                  for e, c in enumerate(_int_monic(f))}), k)
-        for k, f in sorted(factors.items())
-    ]
+    i = p._index(var)
+    return [(_univariate(p.variables, i, f), k) for k, f in sorted(factors.items())]
 
 
 def _int_yun(A: list) -> list:
@@ -1054,15 +1067,18 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 
 def _prem(A: list, B: list) -> list:
     """Pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, on coefficient
-    lists (low to high) with nonzero last entries; trailing zeros dropped."""
+    lists (low to high) with nonzero last entries; trailing zeros dropped.
+    Each lc * R[k] - top * B[j] is normalised once, after both products."""
     R = list(A)
     lc, rest = B[-1], B[:-1]
     for _ in range(len(A) - len(B) + 1):
         top = R.pop()
-        R = [c * lc for c in R]
         shift = len(R) - len(rest)
-        for i, c in enumerate(rest):
-            R[shift + i] = R[shift + i] - top * c
+        R = [c * lc for c in R[:shift]] + [
+            _sum(lc.variables, _product(c.nums, lc.nums), c.den * lc.den,
+                 _product(top.nums, b.nums), top.den * b.den, -1)
+            for c, b in zip(R[shift:], rest)
+        ]
     while R and R[-1].is_zero():
         R.pop()
     return R
@@ -1098,13 +1114,7 @@ def linear_change(
 def _linear_form_coefficients(form: Polynomial):
     if form.is_zero():
         raise PolynomialError("zero linear form")
-    a = ZERO
-    b = ZERO
-    for exps, coeff in form.terms.items():
-        if exps == (1, 0):
-            a = coeff
-        elif exps == (0, 1):
-            b = coeff
-        else:
-            raise PolynomialError("form is not homogeneous linear")
-    return a, b
+    terms = form.terms
+    if not set(terms) <= {(1, 0), (0, 1)}:
+        raise PolynomialError("form is not homogeneous linear")
+    return terms.get((1, 0), ZERO), terms.get((0, 1), ZERO)

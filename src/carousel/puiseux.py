@@ -19,7 +19,7 @@ of heuristic radius (`_finalize_branch`).
 
 Local intersection multiplicities are computed exactly by the classical
 reduction on restrictions to {y = 0} (order bookkeeping plus row
-operations), which needs only field arithmetic.
+operations), on the polynomials' Gaussian-integer numerators.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from mpmath.libmp import from_man_exp, round_nearest
 from .gaussian import GaussianRational, ZERO, ONE
 from .poly import (
     Polynomial,
+    _gmul,
+    _int_content_strip,
     divexact,
     poly_gcd,
     resultant,
@@ -100,7 +102,7 @@ def newton_polygon(f: Polynomial) -> list:
     """Lower convex hull segments of the support, ordered by increasing slope."""
     _require_plane_germ(f)
     segments = []
-    for (i0, j0), (i1, j1) in _lower_edges(f.terms.keys()):
+    for (i0, j0), (i1, j1) in _lower_edges(f.nums):
         w, h = i1 - i0, j0 - j1
         segments.append(
             NewtonSegment(
@@ -688,7 +690,7 @@ def _squarefree_factors(f: Polynomial) -> tuple:
     variables through the origin: the one decomposition that the
     reducedness gate and the branch structure both read."""
     _require_plane_germ(f)
-    x_mult = min(e[0] for e in f.terms)
+    x_mult = min(e[0] for e in f.nums)
     h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
     return x_mult, squarefree_decomposition(h)
 
@@ -701,7 +703,7 @@ def _structure(f: Polynomial, x_mult: int, factors: list) -> tuple:
     parts = []
     for g, k in factors:
         if g.constant_term().is_zero():
-            leaves = _expand(dict(g.terms))
+            leaves = _expand(g.terms)
             parts.append((g, k, leaves, _leaf_branches(leaves)))
     rows = sorted(((b, k) for _, k, _, bs in parts for b in bs),
                   key=lambda row: (row[0].ramification_index,
@@ -738,7 +740,7 @@ def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition
     else:
         one = Polynomial.constant(f.variables, 1)
         product = math.prod((g for g, *_ in parts), start=one)
-        trunc = _truncation(_leaf_branches(_expand(dict(product.terms))))
+        trunc = _truncation(_leaf_branches(_expand(product.terms)))
     thresh = mpf(2) ** (-(precision // 2))
     branches = []
     mults = []
@@ -760,7 +762,7 @@ def puiseux_branches(f: Polynomial, precision: int = 128) -> BranchDecomposition
 
 def _check_degree_accounting(f, x_mult, decomposition):
     # sum of e_i * mult_i must equal the y-order of f / x^x_mult at x = 0
-    d0 = min(j for (i, j) in f.terms if i == x_mult)
+    d0 = min(j for (i, j) in f.nums if i == x_mult)
     total = sum(
         b.ramification_index * m
         for b, m in zip(decomposition.branches, decomposition.multiplicities)
@@ -776,13 +778,15 @@ def _check_degree_accounting(f, x_mult, decomposition):
 # ---------------------------------------------------------------------------
 
 
-def _restrict_y0(f: Polynomial):
-    """f(x, 0) as a dict exponent -> coefficient (empty when y divides f)."""
-    return {i: c for (i, j), c in f.terms.items() if j == 0}
-
-
 def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
-    """Local intersection number of the two curves at the origin, exact."""
+    """Local intersection number of the two curves at the origin, exact.
+
+    The classical reduction, on the numerators alone: with F(x, 0) and
+    G(x, 0) of top degrees r <= s and top coefficients a and b, G becomes
+    a*G - b*x^(s-r)*F (`_cancel_top`), which spans the same ideal with F,
+    as a nonzero constant changes no ideal.  A curve that y divides is
+    divided by y, and the other's order on y = 0 counted.
+    """
     if f.is_zero() or g.is_zero():
         raise PuiseuxError("intersection with the zero curve")
     f._check_same(g)
@@ -793,39 +797,39 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
         raise CommonComponentError(
             "curves share a component through the origin (infinite multiplicity)"
         )
-    yvar = f.variables[1]
-    ypoly = Polynomial.variable(f.variables, yvar)
     total = 0
-    F, G = f, g
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise PuiseuxError("intersection reduction failed to terminate")
-        if not F.constant_term().is_zero() or not G.constant_term().is_zero():
+    F, G = f.nums, g.nums
+    for _ in range(100000):
+        if (0, 0) in F or (0, 0) in G:
             return total
-        f0 = _restrict_y0(F)
-        g0 = _restrict_y0(G)
+        f0 = {i: c for (i, j), c in F.items() if not j}
+        g0 = {i: c for (i, j), c in G.items() if not j}
         if not f0 and not g0:
             raise CommonComponentError("both curves contain the axis y = 0")
+        if not g0:
+            F, G, f0, g0 = G, F, g0, f0
         if not f0:
             total += min(g0)
-            F = divexact(F, ypoly)
+            F = {(i, j - 1): c for (i, j), c in F.items()}
             continue
-        if not g0:
-            total += min(f0)
-            G = divexact(G, ypoly)
-            continue
-        # ideal-preserving reduction: cancel the top x-degree of the larger
-        # restriction; the degree strictly decreases, so this terminates
+        # the top x-degree of the larger restriction strictly decreases
         r, s = max(f0), max(g0)
         if r > s:
-            F, G = G, F
-            f0, g0 = g0, f0
-            r, s = s, r
-        factor = g0[s] / f0[r]
-        shift = Polynomial(f.variables, {(s - r, 0): ONE})
-        G = G - shift.scale(factor) * F
+            F, G, f0, g0, r, s = G, F, g0, f0, s, r
+        G = _cancel_top(F, G, f0[r], g0[s], s - r)
+    raise PuiseuxError("intersection reduction failed to terminate")
+
+
+def _cancel_top(F: dict, G: dict, a: tuple, b: tuple, k: int) -> dict:
+    """a*G - b*x^k*F on numerator maps, zero entries dropped and the
+    integer content divided out."""
+    out = {e: _gmul(a, c) for e, c in G.items()}
+    for (i, j), c in F.items():
+        x, y = _gmul(b, c)
+        re, im = out.get((i + k, j), (0, 0))
+        out[i + k, j] = (re - x, im - y)
+    out = {e: c for e, c in out.items() if c != (0, 0)}
+    return dict(zip(out, _int_content_strip(list(out.values()))))
 
 
 def milnor_and_branches(f: Polynomial) -> tuple:
@@ -835,16 +839,18 @@ def milnor_and_branches(f: Polynomial) -> tuple:
     x_mult <= 1 and every factor of its one squarefree decomposition,
     units at the origin included, has multiplicity 1.  A reduced germ has
     an isolated critical point, as a curve of critical points through 0
-    lies in {f = 0} and would be a repeated factor.
+    lies in {f = 0} and would be a repeated factor.  The branch structure
+    comes next, before mu: a germ it refuses, a tower of extensions, fails
+    there in milliseconds, not after the whole intersection reduction.
     """
     x_mult, factors = _squarefree_factors(f)
     if x_mult > 1 or any(k > 1 for _, k in factors):
         raise PuiseuxError("germ is not reduced (repeated factor)")
+    branches = _structure(f, x_mult, factors)[0]
     fx = f.partial_derivative(f.variables[0])
     fy = f.partial_derivative(f.variables[1])
     smooth = not fx.constant_term().is_zero() or not fy.constant_term().is_zero()
     mu = 0 if smooth else intersection_multiplicity(fx, fy)
-    branches = _structure(f, x_mult, factors)[0]
     r = branches.branch_count
     if (mu + r - 1) % 2 != 0:
         raise PuiseuxError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -30,7 +30,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, round_cei
                           round_nearest)
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, PolynomialError, _to_gaussian_int, squarefree_decomposition
+from .poly import Polynomial, PolynomialError, squarefree_decomposition
 
 
 class PrecisionError(ArithmeticError):
@@ -298,9 +298,10 @@ def _unit_circle(n):
 def aberth_roots(coeffs, precision: int):
     """All roots of a squarefree polynomial (dense list, low first).
 
-    The coefficients are Q(i) values, or mpc values, which are read
-    exactly (other numbers are converted at precision + 32 bits); the
-    balls enclose the roots of that exact polynomial.  Returns certified
+    The coefficients are Q(i) values, Gaussian-integer pairs (re, im), or
+    mpc values, which are read exactly (other numbers are converted at
+    precision + 32 bits); the balls enclose the roots of that exact
+    polynomial.  Returns certified
     ComplexBall list sorted by (re, im) of the centers.  Raises
     PrecisionError when the integer certificate fails after the mpmath
     start, and at once for a multiple root at 0; this is a single
@@ -327,9 +328,13 @@ def aberth_roots(coeffs, precision: int):
 
 
 def _gaussian_integers(coeffs, precision):
-    """Gaussian integers (re, im) proportional to the exact coefficients."""
+    """Gaussian integers (re, im) proportional to the exact coefficients:
+    pairs as they are, Q(i) values times the lcm of their denominators."""
+    if all(type(v) is tuple for v in coeffs):
+        return list(coeffs)
     if all(type(v) is GaussianRational for v in coeffs):
-        return _to_gaussian_int(coeffs)[1]
+        den = lcm(*(c.d for c in coeffs))
+        return [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
     parts = ()
     with mp.workprec(precision + 32):
         for v in coeffs:

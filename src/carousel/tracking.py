@@ -399,8 +399,10 @@ def _checked_move(points, new_pts, new_radii):
 def _track(radii, points, direction):
     """Follow `points` once around |v| = eta with `_refine`.
 
-    Delta's rows are evaluated once at v = eta and once per step tried, at
-    its end, where an accepted step's next one starts.  The first step is
+    Delta's rows are evaluated once per angle: at v = eta and at the end
+    of each step tried, where an accepted step's next one starts.  A
+    refused step's end is kept until theta passes it, since the halved
+    steps after it often end there again.  The first step is
     1/64 turn; an accepted step doubles the next one, up to 1/16 turn, and
     a refusal halves it, down to 2^-50 turn, failing hard beyond
     _MAX_STEPS steps.  Each v is computed at the precision of
@@ -415,21 +417,26 @@ def _track(radii, points, direction):
     length = _TURN >> _FIRST_STEP
     eta, fiber = radii.eta, radii.fiber
     here = fiber.at_value(complex(eta))
+    ahead = {}  # integer angle -> rows there, for refused step ends past theta
     while theta < _TURN:
         step = min(length, _TURN - theta)
         if used >= _MAX_STEPS:
             raise TrackingError("step budget exhausted (matching stayed ambiguous)")
-        with mp.workprec(radii.precision + 32):
-            v_to = complex(eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN))
         used += 1
-        there = fiber.at_value(v_to)
+        there = ahead.pop(theta + step, None)
+        if there is None:
+            with mp.workprec(radii.precision + 32):
+                v_to = complex(eta * mpmath.expjpi(mpf(2 * direction * (theta + step)) / _TURN))
+            there = fiber.at_value(v_to)
         result = _refine(fiber, here, there, points, radii.rho)
         if result is None:
             if step == 1:
                 raise TrackingError("matching ambiguity at maximal resolution")
+            ahead[theta + step] = there
             length = step // 2
             continue
         theta += step
+        ahead = {angle: value for angle, value in ahead.items() if angle > theta}
         here = there
         length = min(2 * length, _TURN >> _LONGEST_STEP)
         points, end_radii = result

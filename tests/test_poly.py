@@ -1,5 +1,6 @@
 """Exact polynomial core: parser, calculus, elimination, normal forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import carousel.poly as poly_mod
-from carousel.gaussian import GaussianRational
+from carousel.gaussian import ZERO, GaussianRational
 from carousel.poly import (
     MAX_DEGREE,
     ParseError,
@@ -491,3 +492,103 @@ def _random_poly(rng, degree, terms):
             Fraction(rng.choice((0, 0, 0, rng.randint(-2, 2)))),
         )
     return Polynomial(XY, out)
+
+
+# -- the stored form: Gaussian-integer numerators over one denominator --------
+
+_WIDTHS = (("x",), XY, ("x", "y", "z"))
+
+
+@st.composite
+def _stored_pairs(draw):
+    """Two polynomials over one variable tuple of width 1, 2 or 3 (the
+    plane case and the general exponent path of the product), at most
+    five terms of degree at most 3 in each variable."""
+    variables = draw(st.sampled_from(_WIDTHS))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(variables))
+
+    def poly():
+        return Polynomial(variables, draw(st.dictionaries(exps, _COEFFS, max_size=5)))
+
+    return poly(), poly()
+
+
+def _canonical(p):
+    """den > 0, no zero numerator, and gcd(den, every part) = 1."""
+    parts = [x for c in p.nums.values() for x in c]
+    return (p.den > 0 and all(c != (0, 0) for c in p.nums.values())
+            and math.gcd(p.den, *parts) == 1
+            and all(len(e) == len(p.variables) for e in p.nums))
+
+
+def _ref_add(a, b, sign=1):
+    """Term-by-term reference on {exps: GaussianRational} dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, ZERO) + c * sign
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+class TestStoredForm:
+    @seed(22)
+    @settings(max_examples=150, deadline=None)
+    @given(_stored_pairs(), _COEFFS)
+    def test_arithmetic_matches_the_term_reference(self, pair, c):
+        p, q = pair
+        cases = [
+            (p + q, _ref_add(p.terms, q.terms)),
+            (p - q, _ref_add(p.terms, q.terms, -1)),
+            (-p, {e: -v for e, v in p.terms.items()}),
+            (p * q, _ref_mul(p.terms, q.terms)),
+            (p.scale(c), {e: v * c for e, v in p.terms.items() if not (v * c).is_zero()}),
+        ]
+        for var in p.variables:
+            ref = {}
+            for e, v in p.terms.items():
+                k = p.variables.index(var)
+                if e[k]:
+                    ref[e[:k] + (e[k] - 1,) + e[k + 1:]] = v * e[k]
+            cases.append((p.partial_derivative(var), ref))
+        for got, ref in cases:
+            assert _canonical(got)
+            assert got.terms == ref
+
+    @seed(23)
+    @settings(max_examples=100, deadline=None)
+    @given(_polynomials(max_x=2, max_y=2), _polynomials(max_x=1, max_y=1),
+           _polynomials(max_x=1, max_y=1))
+    def test_substitute_matches_the_term_reference(self, p, qx, qy):
+        got = p.substitute({"x": qx, "y": qy})
+        ref = {}
+        for (i, j), c in p.terms.items():
+            term = {(0, 0): c}
+            for image, k in ((qx, i), (qy, j)):
+                for _ in range(k):
+                    term = _ref_mul(term, image.terms)
+            ref = _ref_add(ref, term)
+        assert _canonical(got)
+        assert got.terms == ref
+
+    @seed(24)
+    @settings(max_examples=150, deadline=None)
+    @given(_stored_pairs())
+    def test_exact_division_and_equal_hashes(self, pair):
+        p, q = pair
+        if not q.is_zero():
+            quotient = divexact(p * q, q)
+            assert _canonical(quotient)
+            assert quotient == p and hash(quotient) == hash(p)
+        # equal polynomials built by different routes
+        for a, b in (((p + q) - q, p), (q * p, p * q), (p + p, p.scale(2)),
+                     (parse_polynomial(str(p), p.variables), p)):
+            assert _canonical(a)
+            assert a == b and hash(a) == hash(b)

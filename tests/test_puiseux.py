@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -269,6 +270,26 @@ class TestExactStructure:
         # its roots +-sqrt(6)/4 would need a second extension
         with pytest.raises(PuiseuxError, match="tower"):
             puiseux_branches(P("((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13"))
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    @pytest.mark.parametrize("germ", [
+        "(((y^2 - 2*x^2)^2 - x^5)^2 - x^11)*((y^2 - 2*x^2)^2 - 2*x^5)",
+        "((y^2 - 2*x^2)^2 - 3*x^6)^2 - x^13",
+    ])
+    def test_tower_fails_before_mu(self, germ):
+        # milnor_number builds the branch structure before the intersection
+        # reduction for mu, which ran for minutes on the first germ
+        def timeout(*_):
+            raise TimeoutError(f"milnor_number({germ}) still running after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with pytest.raises(PuiseuxError, match="tower"):
+                milnor_number(P(germ))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("germ,want", [
         ("(y^2 - 5*x^2)^2 - x^9", [(2, (2, 7))] * 2),

@@ -12,7 +12,7 @@ from mpmath import mpf
 
 import carousel.roots as roots_mod
 from carousel.gaussian import GaussianRational
-from carousel.poly import Polynomial, PolynomialError, _to_gaussian_int, parse_polynomial
+from carousel.poly import Polynomial, PolynomialError, parse_polynomial
 from carousel.roots import (ComplexBall, PrecisionError, aberth_roots,
                             gaussian_to_mpc, solve_numeric, univariate_roots)
 
@@ -229,7 +229,7 @@ def test_cluster_below_double_resolution_needs_the_mpmath_start(monkeypatch):
     for r in roots:
         p = p * (u - Polynomial.constant(("u",), r))
     coeffs = p.dense_coefficients()
-    ints = _to_gaussian_int(coeffs)[1]
+    ints = roots_mod._gaussian_integers(coeffs, 128)
     n = len(ints) - 1
     for turn in (0, 0.1, 0.25, 0.4):
         unit = [cmath.exp(2j * cmath.pi * (k / n + turn) + 0.4j) for k in range(n)]

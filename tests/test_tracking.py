@@ -225,9 +225,10 @@ class TestCarouselPermutation:
 
     @pytest.mark.parametrize("text", ("(v - u^2)*(v - u^3)", "v + u"))
     def test_one_row_pass_per_step(self, text, monkeypatch):
-        # Delta's rows are evaluated once at v = eta and once per step
-        # tried, at its end: no step evaluates its start again, since an
-        # accepted step's values start the next one
+        # Delta's rows are evaluated at most once per step tried, at its
+        # end, and once at v = eta: no step evaluates its start again,
+        # since an accepted step's values start the next one, and no
+        # angle is evaluated twice (the loop's two ends share v = eta)
         d = D(text)
         radii = choose_radii(d, 128)
         values = []
@@ -239,8 +240,30 @@ class TestCarouselPermutation:
 
         monkeypatch.setattr(tracking_mod._FiberPolynomial, "at_value", spy)
         perm = carousel_permutation(d, radii)
-        assert len(values) == perm.steps_used + 1
-        assert values[0] == values[-1] == complex(radii.eta)
+        assert len(values) <= perm.steps_used + 1
+        assert len(values) == len(set(values)) + 1
+        assert values[0] == complex(radii.eta) and values.count(values[0]) == 2
+
+    @pytest.mark.parametrize("germ,passes,steps", [
+        ("x^5 - x*y^3", 34, 61),
+        ("x^4 + x^2*y^2 + y^4", 129, 255),
+    ])
+    def test_refused_step_ends_are_not_evaluated_again(self, germ, passes, steps, monkeypatch):
+        # crawls on the default line: a step refused at theta + 2s, halved
+        # to theta + s and accepted, is followed by a step refused at
+        # theta + 3s that halves back to theta + 2s, whose rows are kept
+        # (the parent evaluated 62 and 256 times at 33 and 128 values)
+        values = []
+        real = tracking_mod._FiberPolynomial.at_value
+
+        def spy(fiber, v):
+            values.append(v)
+            return real(fiber, v)
+
+        monkeypatch.setattr(tracking_mod._FiberPolynomial, "at_value", spy)
+        result = analyze_germ(germ)
+        assert result.permutation.steps_used == steps
+        assert len(values) == passes == len(set(values)) + 1
 
     def test_loop_inverse(self):
         d = D("v - u^5")
