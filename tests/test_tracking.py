@@ -252,7 +252,7 @@ class TestCarouselPermutation:
         # crawls on the default line: a step refused at theta + 2s, halved
         # to theta + s and accepted, is followed by a step refused at
         # theta + 3s that halves back to theta + 2s, whose rows are kept
-        # (the parent evaluated 62 and 256 times at 33 and 128 values)
+        # (one pass per step tried would be 62 and 256 passes)
         values = []
         real = tracking_mod._FiberPolynomial.at_value
 
