@@ -12,7 +12,7 @@ order everywhere is graded lexicographic in the declared variables.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, sub
 from typing import Sequence
@@ -90,14 +90,19 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.nums)
 
-    def _coeff(self, exps) -> GaussianRational:
+    def coefficient(self, exps) -> GaussianRational:
+        """The coefficient of the monomial with exponent vector `exps`."""
+        if exps not in self.nums:
+            return ZERO
         re, im = self.nums[exps]
         return from_integers(re, im, self.den)
 
     def constant_value(self) -> GaussianRational:
+        if self.is_zero():
+            return ZERO
         if not self.is_constant():
             raise PolynomialError("polynomial is not constant")
-        return self.constant_term()
+        return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         if self.is_zero():
@@ -106,7 +111,9 @@ class Polynomial:
 
     def degree(self, var: str) -> int:
         i = self._index(var)
-        return max((e[i] for e in self.nums), default=-1)
+        if self.is_zero():
+            return -1
+        return max(e[i] for e in self.nums)
 
     def order_at_origin(self) -> int:
         """Minimal total degree over the terms; >= 2 means membership in m^2."""
@@ -115,8 +122,7 @@ class Polynomial:
         return min(sum(e) for e in self.nums)
 
     def constant_term(self) -> GaussianRational:
-        zero = (0,) * len(self.variables)
-        return self._coeff(zero) if zero in self.nums else ZERO
+        return self.coefficient((0,) * len(self.variables))
 
     def _index(self, var: str) -> int:
         try:
@@ -128,7 +134,7 @@ class Polynomial:
         if self.is_zero():
             raise PolynomialError("zero polynomial has no leading term")
         exps = max(self.nums, key=_grlex_key)
-        return exps, self._coeff(exps)
+        return exps, self.coefficient(exps)
 
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""
@@ -182,17 +188,22 @@ class Polynomial:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check_same(other)
-        return _normal(self.variables, _product(self.nums, other.nums), self.den * other.den)
+        return _reduce(self.variables, _product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise PolynomialError("negative polynomial power")
-        if n < 2:
-            return self if n else Polynomial.constant(self.variables, 1)
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+        result = None
+        base = self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return Polynomial.constant(self.variables, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -221,14 +232,24 @@ class Polynomial:
         images of the terms are summed over one denominator, the lcm of
         theirs, and normalised once.
         """
-        target = next((v.variables for v in mapping.values() if isinstance(v, Polynomial)), None)
+        target = None
+        for val in mapping.values():
+            if isinstance(val, Polynomial):
+                target = val.variables
+                break
         if target is None:
             raise PolynomialError("substitute needs at least one polynomial value")
-        images = [mapping[v] if v in mapping else Polynomial.variable(target, v)
-                  for v in self.variables]
-        images = [v if isinstance(v, Polynomial) else Polynomial.constant(target, v)
-                  for v in images]
         one = Polynomial.constant(target, 1)
+        images = []
+        for v in self.variables:
+            if v in mapping:
+                val = mapping[v]
+                if not isinstance(val, Polynomial):
+                    val = Polynomial.constant(target, val)
+                one._check_same(val)
+                images.append(val)
+            else:
+                images.append(Polynomial.variable(target, v))
         powers = [{} for _ in images]  # image^k per variable, as needed
         parts = []
         for exps, c in self.nums.items():
@@ -246,7 +267,7 @@ class Polynomial:
             for e, (re, im) in _times(term.nums, a * s, b * s).items():
                 c = nums.get(e)
                 nums[e] = (re, im) if c is None else (c[0] + re, c[1] + im)
-        return _normal(target, nums, den * self.den)
+        return _reduce(target, nums, den * self.den)
 
     def eliminate_variable(self, var: str, value) -> "Polynomial":
         """Exact substitution of one variable by a constant (a + b*i)/d;
@@ -266,15 +287,24 @@ class Polynomial:
             new = exps[:i] + exps[i + 1 :]
             prev = nums.get(new, (0, 0))
             nums[new] = (prev[0] + re, prev[1] + im)
-        return _normal(self.variables[:i] + self.variables[i + 1 :], nums, self.den * d**top)
+        return _reduce(self.variables[:i] + self.variables[i + 1 :], nums, self.den * d**top)
+
+    def shift(self, exps) -> "Polynomial":
+        """self times the monomial with exponent vector `exps`; a negative
+        entry divides by that variable, which must then divide self."""
+        nums = {tuple(map(add, e, exps)): c for e, c in self.nums.items()}
+        if any(min(e) < 0 for e in nums):
+            raise PolynomialError("inexact polynomial division")
+        return _make(self.variables, nums, self.den)
 
     def in_variables(self, variables) -> "Polynomial":
         """Re-embed into a (super)set of variables."""
         variables = tuple(variables)
+        pos = []
         for v in self.variables:
             if v not in variables:
                 raise PolynomialError(f"target variables lack {v!r}")
-        pos = [variables.index(v) for v in self.variables]
+            pos.append(variables.index(v))
         nums = {}
         for exps, c in self.nums.items():
             new = [0] * len(variables)
@@ -308,19 +338,24 @@ class Polynomial:
             return "0"
         pieces = []
         for exps in sorted(self.nums, key=_grlex_key, reverse=True):
-            coeff = self._coeff(exps)
+            coeff = self.coefficient(exps)
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, exps)
                 if k
             )
             cs = _coeff_str(coeff, bool(mono))
-            # a constant's cs is never "" or "-"
-            body = f"{cs}{mono}" if cs in ("", "-") else f"{cs}*{mono}" if mono else cs
-            if not pieces:
-                pieces.append(body)
+            if mono:
+                body = f"{cs}*{mono}" if cs not in ("", "-") else f"{cs}{mono}"
             else:
-                pieces.append(" - " + body[1:] if body.startswith("-") else " + " + body)
+                body = cs if cs not in ("", "-") else f"{cs}1"
+            if pieces:
+                if body.startswith("-"):
+                    pieces.append(" - " + body[1:])
+                else:
+                    pieces.append(" + " + body)
+            else:
+                pieces.append(body)
         return "".join(pieces)
 
     def __repr__(self):
@@ -329,15 +364,19 @@ class Polynomial:
 
 def _coeff_str(coeff: GaussianRational, has_monomial: bool) -> str:
     if coeff.is_real():
-        if has_monomial and coeff.re in (1, -1):
-            return "" if coeff.re == 1 else "-"
+        if coeff.re == 1 and has_monomial:
+            return ""
+        if coeff.re == -1 and has_monomial:
+            return "-"
         return str(coeff.re)
     if coeff.re == 0:
-        if coeff.im in (1, -1):
-            return "i" if coeff.im == 1 else "-i"
-        if not has_monomial:
-            return f"{coeff.im}*i"
-        return f"({coeff.im}*i)" if coeff.im > 0 else f"-({-coeff.im}*i)"
+        if coeff.im == 1:
+            return "i"
+        if coeff.im == -1:
+            return "-i"
+        if coeff.im > 0:
+            return f"{coeff.im}*i" if not has_monomial else f"({coeff.im}*i)"
+        return f"-({-coeff.im}*i)" if has_monomial else f"{coeff.im}*i"
     return f"({coeff})"
 
 
@@ -361,8 +400,10 @@ def _make(variables, nums, den, p=None) -> Polynomial:
 
 
 def _reduce(variables, nums, den) -> Polynomial:
-    """The polynomial nums/den, for a map with no zero entry: den and every
+    """The polynomial nums/den: zero entries dropped, then den and every
     part divided by their gcd, one gcd pass that stops at 1."""
+    if (0, 0) in nums.values():
+        nums = {e: c for e, c in nums.items() if c != (0, 0)}
     g = den
     for re, im in nums.values():
         if g == 1:
@@ -374,13 +415,6 @@ def _reduce(variables, nums, den) -> Polynomial:
     return _make(variables, nums, den)
 
 
-def _normal(variables, nums, den) -> Polynomial:
-    """`_reduce` after the zero entries of nums are dropped."""
-    if (0, 0) in nums.values():
-        nums = {e: c for e, c in nums.items() if c != (0, 0)}
-    return _reduce(variables, nums, den)
-
-
 def _gmul(p, q):
     """The product of two Gaussian integers (re, im)."""
     return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
@@ -388,17 +422,13 @@ def _gmul(p, q):
 
 def _times(nums, a, b) -> dict:
     """Every numerator times the Gaussian integer a + b*i != 0."""
-    if not b:
-        return {e: (re * a, im * a) for e, (re, im) in nums.items()}
     return {e: (re * a - im * b, re * b + im * a) for e, (re, im) in nums.items()}
 
 
 def _divided(variables, nums, lead) -> Polynomial:
     """The polynomial nums / lead, for a Gaussian integer lead != 0:
-    nums * conj(lead) over |lead|^2, or over |lead| when lead is real."""
+    nums * conj(lead) over |lead|^2."""
     lr, li = lead
-    if not li:
-        return _reduce(variables, _times(nums, -1, 0) if lr < 0 else nums, abs(lr))
     return _reduce(variables, _times(nums, lr, -li), lr * lr + li * li)
 
 
@@ -411,25 +441,14 @@ def _sum(variables, n1, d1, n2, d2, sign) -> Polynomial:
     for e, (re, im) in n2.items():
         c = get(e)
         nums[e] = (re * s2, im * s2) if c is None else (c[0] + re * s2, c[1] + im * s2)
-    return _normal(variables, nums, d1 * s1)
+    return _reduce(variables, nums, d1 * s1)
 
 
 def _product(n1, n2) -> dict:
-    """The numerator map of a product, zero entries kept; exponent pairs
-    are added inline, the common plane case."""
+    """The numerator map of a product, zero entries kept."""
     acc: dict = {}
     get = acc.get
     pairs = list(n2.items())
-    if n1 and len(next(iter(n1))) == 2:
-        for (i1, j1), (a1, b1) in n1.items():
-            for (i2, j2), (a2, b2) in pairs:
-                e = (i1 + i2, j1 + j2)
-                c = get(e)
-                if c is None:
-                    acc[e] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-                else:
-                    acc[e] = (c[0] + a1 * a2 - b1 * b2, c[1] + a1 * b2 + b1 * a2)
-        return acc
     for e1, (a1, b1) in n1.items():
         for e2, (a2, b2) in pairs:
             e = tuple(map(add, e1, e2))
@@ -673,8 +692,10 @@ def _int_content_strip(coeffs):
     for re, im in coeffs:
         g = gcd(g, re, im)
         if g == 1:
-            break
-    return coeffs if g in (0, 1) else [(re // g, im // g) for re, im in coeffs]
+            return coeffs
+    if g in (0, 1):
+        return coeffs
+    return [(re // g, im // g) for re, im in coeffs]
 
 
 def _gaussian_primitive(coeffs):
@@ -712,14 +733,14 @@ def _gaussian_gcd(a, b):
 def _int_prem_primitive(A, B):
     """Primitive pseudo-remainder of Gaussian-integer coefficient lists."""
     R = list(A)
-    br, bi = B[-1]
+    lcB = B[-1]
     while R and len(R) >= len(B):
-        rr, ri = R[-1]
+        lcR = R[-1]
         shift = len(R) - len(B)
-        R = [(br * re - bi * im, br * im + bi * re) for re, im in R]
-        for k, (cr, ci) in enumerate(B, shift):
-            re, im = R[k]
-            R[k] = (re - rr * cr + ri * ci, im - rr * ci - ri * cr)
+        R = [_gmul(lcB, c) for c in R]
+        for i, c in enumerate(B):
+            prod = _gmul(lcR, c)
+            R[shift + i] = (R[shift + i][0] - prod[0], R[shift + i][1] - prod[1])
         R.pop()
         while R and R[-1] == (0, 0):
             R.pop()
@@ -854,7 +875,11 @@ def _bivariate_modular_gcd(p, q, main, other):
 def _sample_points():
     """The integers 1, -1, 2, -2, ...  Inputs derived from a germ vanish
     at the origin, so their images at 0 share a factor and 0 is skipped."""
-    return (s * k for k in count(1) for s in (1, -1))
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1
 
 
 def _interpolate_bivariate(samples, var):
@@ -930,8 +955,9 @@ def squarefree_decomposition(p: Polynomial) -> list:
         f = poly_gcd(c, d)
         if not f.is_constant():
             out.append((f.monic(), k))
-        c = divexact(c, f)
-        d = divexact(d, f) - c.partial_derivative(main)
+        c2 = divexact(c, f)
+        d = divexact(d, f) - c2.partial_derivative(main)
+        c = c2
         k += 1
     return _merge_sqf(out)
 
@@ -1067,18 +1093,15 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
 
 def _prem(A: list, B: list) -> list:
     """Pseudo-remainder of lc(B)^(deg A - deg B + 1) * A by B, on coefficient
-    lists (low to high) with nonzero last entries; trailing zeros dropped.
-    Each lc * R[k] - top * B[j] is normalised once, after both products."""
+    lists (low to high) with nonzero last entries; trailing zeros dropped."""
     R = list(A)
     lc, rest = B[-1], B[:-1]
     for _ in range(len(A) - len(B) + 1):
         top = R.pop()
+        R = [c * lc for c in R]
         shift = len(R) - len(rest)
-        R = [c * lc for c in R[:shift]] + [
-            _sum(lc.variables, _product(c.nums, lc.nums), c.den * lc.den,
-                 _product(top.nums, b.nums), top.den * b.den, -1)
-            for c, b in zip(R[shift:], rest)
-        ]
+        for i, c in enumerate(rest):
+            R[shift + i] = R[shift + i] - top * c
     while R and R[-1].is_zero():
         R.pop()
     return R
@@ -1114,7 +1137,13 @@ def linear_change(
 def _linear_form_coefficients(form: Polynomial):
     if form.is_zero():
         raise PolynomialError("zero linear form")
-    terms = form.terms
-    if not set(terms) <= {(1, 0), (0, 1)}:
-        raise PolynomialError("form is not homogeneous linear")
-    return terms.get((1, 0), ZERO), terms.get((0, 1), ZERO)
+    a = ZERO
+    b = ZERO
+    for exps, coeff in form.terms.items():
+        if exps == (1, 0):
+            a = coeff
+        elif exps == (0, 1):
+            b = coeff
+        else:
+            raise PolynomialError("form is not homogeneous linear")
+    return a, b

@@ -19,7 +19,7 @@ of heuristic radius (`_finalize_branch`).
 
 Local intersection multiplicities are computed exactly by the classical
 reduction on restrictions to {y = 0} (order bookkeeping plus row
-operations), on the polynomials' Gaussian-integer numerators.
+operations), which needs only field arithmetic.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO
 from .poly import (
     Polynomial,
-    _gmul,
-    _int_content_strip,
     divexact,
     poly_gcd,
     resultant,
@@ -691,7 +689,7 @@ def _squarefree_factors(f: Polynomial) -> tuple:
     reducedness gate and the branch structure both read."""
     _require_plane_germ(f)
     x_mult = min(e[0] for e in f.nums)
-    h = divexact(f, Polynomial(f.variables, {(x_mult, 0): ONE}))
+    h = f.shift((-x_mult, 0))
     return x_mult, squarefree_decomposition(h)
 
 
@@ -778,15 +776,13 @@ def _check_degree_accounting(f, x_mult, decomposition):
 # ---------------------------------------------------------------------------
 
 
-def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
-    """Local intersection number of the two curves at the origin, exact.
+def _restrict_y0(f: Polynomial) -> list:
+    """The exponents i of the terms x^i of f(x, 0) (empty when y divides f)."""
+    return [i for i, j in f.nums if j == 0]
 
-    The classical reduction, on the numerators alone: with F(x, 0) and
-    G(x, 0) of top degrees r <= s and top coefficients a and b, G becomes
-    a*G - b*x^(s-r)*F (`_cancel_top`), which spans the same ideal with F,
-    as a nonzero constant changes no ideal.  A curve that y divides is
-    divided by y, and the other's order on y = 0 counted.
-    """
+
+def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
+    """Local intersection number of the two curves at the origin, exact."""
     if f.is_zero() or g.is_zero():
         raise PuiseuxError("intersection with the zero curve")
     f._check_same(g)
@@ -798,38 +794,34 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial) -> int:
             "curves share a component through the origin (infinite multiplicity)"
         )
     total = 0
-    F, G = f.nums, g.nums
-    for _ in range(100000):
-        if (0, 0) in F or (0, 0) in G:
+    F, G = f, g
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 100000:
+            raise PuiseuxError("intersection reduction failed to terminate")
+        if not F.constant_term().is_zero() or not G.constant_term().is_zero():
             return total
-        f0 = {i: c for (i, j), c in F.items() if not j}
-        g0 = {i: c for (i, j), c in G.items() if not j}
+        f0 = _restrict_y0(F)
+        g0 = _restrict_y0(G)
         if not f0 and not g0:
             raise CommonComponentError("both curves contain the axis y = 0")
-        if not g0:
-            F, G, f0, g0 = G, F, g0, f0
         if not f0:
             total += min(g0)
-            F = {(i, j - 1): c for (i, j), c in F.items()}
+            F = F.shift((0, -1))
             continue
-        # the top x-degree of the larger restriction strictly decreases
+        if not g0:
+            total += min(f0)
+            G = G.shift((0, -1))
+            continue
+        # ideal-preserving reduction: cancel the top x-degree of the larger
+        # restriction; the degree strictly decreases, so this terminates
         r, s = max(f0), max(g0)
         if r > s:
-            F, G, f0, g0, r, s = G, F, g0, f0, s, r
-        G = _cancel_top(F, G, f0[r], g0[s], s - r)
-    raise PuiseuxError("intersection reduction failed to terminate")
-
-
-def _cancel_top(F: dict, G: dict, a: tuple, b: tuple, k: int) -> dict:
-    """a*G - b*x^k*F on numerator maps, zero entries dropped and the
-    integer content divided out."""
-    out = {e: _gmul(a, c) for e, c in G.items()}
-    for (i, j), c in F.items():
-        x, y = _gmul(b, c)
-        re, im = out.get((i + k, j), (0, 0))
-        out[i + k, j] = (re - x, im - y)
-    out = {e: c for e, c in out.items() if c != (0, 0)}
-    return dict(zip(out, _int_content_strip(list(out.values()))))
+            F, G = G, F
+            r, s = s, r
+        factor = G.coefficient((s, 0)) / F.coefficient((r, 0))
+        G = G - F.shift((s - r, 0)).scale(factor)
 
 
 def milnor_and_branches(f: Polynomial) -> tuple:

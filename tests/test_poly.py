@@ -501,8 +501,7 @@ _WIDTHS = (("x",), XY, ("x", "y", "z"))
 
 @st.composite
 def _stored_pairs(draw):
-    """Two polynomials over one variable tuple of width 1, 2 or 3 (the
-    plane case and the general exponent path of the product), at most
+    """Two polynomials over one variable tuple of width 1, 2 or 3, at most
     five terms of degree at most 3 in each variable."""
     variables = draw(st.sampled_from(_WIDTHS))
     exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(variables))
@@ -577,6 +576,22 @@ class TestStoredForm:
             ref = _ref_add(ref, term)
         assert _canonical(got)
         assert got.terms == ref
+
+    def test_shift_multiplies_and_divides_by_a_monomial(self):
+        p = P("x^2*y + 3/2*y^2 - i*y")
+        assert p.shift((1, 0)) == p * P("x")
+        assert p.shift((0, -1)) == divexact(p, P("y")) == P("x^2 + 3/2*y - i")
+        assert _canonical(p.shift((0, -1)))
+        with pytest.raises(PolynomialError, match="inexact"):
+            p.shift((-1, 0))
+
+    def test_substitute_refuses_images_over_different_variables(self):
+        # the terms x and y each see only one image, so no product meets both
+        p = P("x + y")
+        with pytest.raises(PolynomialError, match="variable mismatch"):
+            p.substitute({"x": P("u", ("u",)), "y": P("v", ("v",))})
+        with pytest.raises(PolynomialError, match="variable mismatch"):
+            p.substitute({"x": P("u", ("u", "v")), "y": P("v", ("v", "u"))})
 
     @seed(24)
     @settings(max_examples=150, deadline=None)
