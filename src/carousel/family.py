@@ -3,13 +3,14 @@
 For each parameter sample the critical points of f_t near the origin are
 located by exact elimination (resultants plus certified univariate
 solving); local Milnor numbers are read off the exact multiplicity
-structure of the eliminant.  Ball centers are dyadic, so f, its gradient
-and the fiber coefficients are exact Gaussian integers over one known
-denominator there (homogeneous Horner), rounded once where a ball is
-built; a y ball also carries the x radius to first order.  The
-conservation report compares the total against mu(f_0); the coalescing
-verdict restricts to the zero fiber and applies the uniqueness statement
-only when its hypothesis holds exactly.
+structure of the eliminant.  Balls are read and built in integers
+(`ComplexBall.mid` and `rad`), never in mpmath: at a dyadic center f,
+its gradient and the fiber coefficients are exact Gaussian integers over
+one known denominator (homogeneous Horner); a value center is rounded
+once to nearest, each radius up, and a y ball carries the x radius to
+first order.  The conservation report compares the total against
+mu(f_0); the coalescing verdict restricts to the zero fiber and applies
+the uniqueness statement only when its hypothesis holds exactly.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_add, mpf_shift, round_ceiling, round_nearest
-
 from .gaussian import GaussianRational
 from .poly import Polynomial, poly_gcd, resultant
 from .puiseux import PuiseuxError, milnor_number
-from .roots import (ComplexBall, PrecisionError, _dyadic_ints, _homogeneous_horner,
-                    aberth_roots, ordering_key, univariate_roots)
+from .roots import (ComplexBall, PrecisionError, _apart, _dyadic_sum, _homogeneous_horner,
+                    _round_up, _rounded_center, _sqrt_up, aberth_roots, ordering_key,
+                    univariate_roots)
 
 
 class FamilyError(ValueError):
@@ -107,37 +105,41 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
         raise FamilyError("use a nonzero parameter value")
     f = family.slice(t_value)
     fx, fy = f.partial_derivative("x"), f.partial_derivative("y")
-    with mp.workprec(precision + 32):
-        raw = _system_roots(f, fx, fy, precision)
-        rows = _xy_rows(f)
-        points = []
-        for bx, by, mu in raw:
-            x, y = _dyadic(bx.center), _dyadic(by.center)
-            value = _value_ball(rows, x, y, max(bx.radius, by.radius), precision)
-            on_zero = abs(value.center) <= max(value.radius, mpf(2) ** (-(precision // 2)))
-            points.append(CriticalPoint(
-                x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=on_zero,
-                inside=_inside(x, y, family.search_radius),
-            ))
-        points.sort(key=_point_key)
-        return CriticalRecord(
-            t=t_value, points=tuple(points),
-            total_mu=sum(p.local_mu for p in points if p.inside),
-            points_outside=sum(not p.inside for p in points),
-        )
+    raw = _system_roots(f, fx, fy, precision)
+    rows = _xy_rows(f)
+    points = []
+    for bx, by, mu in raw:
+        x, y = _dyadic(bx), _dyadic(by)
+        value = _value_ball(rows, x, y, (bx.rad, by.rad), precision)
+        points.append(CriticalPoint(
+            x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=_on_zero_fiber(value),
+            inside=_inside(x, y, family.search_radius),
+        ))
+    points.sort(key=_point_key)
+    return CriticalRecord(
+        t=t_value, points=tuple(points),
+        total_mu=sum(p.local_mu for p in points if p.inside),
+        points_outside=sum(not p.inside for p in points),
+    )
 
 
 def _point_key(point):
     # quantized coordinates first, so that rounding noise in the centers
     # never decides the order of points that agree to 2^-40
-    kx, ky = ordering_key(point.x.center), ordering_key(point.y.center)
+    kx, ky = ordering_key(point.x), ordering_key(point.y)
     return kx[:2] + ky[:2] + kx[2:] + ky[2:]
 
 
-def _dyadic(z):
-    """(a, b, s) with z == (a + bi)/2^s exactly and s >= 0."""
-    (a, b), e = _dyadic_ints(z._mpc_)
+def _dyadic(ball):
+    """(a, b, s) with the ball's center (a + bi)/2^s exactly and s >= 0."""
+    a, b, e = ball.mid
     return (a << e, b << e, 0) if e > 0 else (a, b, -e)
+
+
+def _on_zero_fiber(value):
+    # |center| <= max(radius, 2^-(precision/2)), on integers
+    floor = (1, -(value.precision // 2))
+    return not (_apart(value.mid, (0, 0, 0), value.rad) and _apart(value.mid, (0, 0, 0), floor))
 
 
 def _inside(x, y, radius):
@@ -180,28 +182,28 @@ def _at_y(values, ders, c, d, u):
     return (pr, pi), (xr, xi), (dr << u, di << u)
 
 
-def _rounded(re, im, unit, prec):
-    """(re + im i)/unit, each part rounded once to `prec` bits.
-
-    Powers of two go into the exponent, so only the odd part of unit, that
-    of the coefficient denominator, divides; mpmath is slow to strip the
-    long runs of trailing zero bits that the shifts leave."""
-    e = (unit & -unit).bit_length() - 1
-    parts = []
-    for v in (re, im):
-        z = (v & -v).bit_length() - 1 if v else 0
-        parts.append(mpf_shift(from_rational(v >> z, unit >> e, prec, round_nearest), z - e))
-    return mp.make_mpc(tuple(parts))
-
-
-def _value_ball(f, x, y, r, precision):
-    """f at the `_dyadic` centers x, y, rounded once from its exact value,
-    with a radius over balls of radius r; `f` is `_xy_rows` of f."""
+def _value_ball(f, x, y, radii, precision):
+    """f at the `_dyadic` centers x, y, each part rounded once from its exact
+    value, with a radius over balls of the largest of the (man, exp)
+    `radii`, rounded up; `f` is `_xy_rows` of f."""
     values, ders, unit = _at_x(f, *x)
     unit <<= y[2] * (len(values) - 1)
-    v, vx, vy = (_rounded(*g, unit, precision + 32) for g in _at_y(values, ders, *y))
-    slack = 2 * (abs(vx) + abs(vy) + 1) * r + (abs(v) + 1) * mpf(2) ** (-(precision - 8))
-    return ComplexBall(v, slack, precision)
+    v, vx, vy = _at_y(values, ders, *y)
+    # 2 (|f_x| + |f_y| + 1) r + (|f| + 1) 2^-(precision - 8), times unit
+    # 2^100, each modulus rounded up there
+    g = min(8 - precision, *(e for _, e in radii))
+    r = max(m << e - g for m, e in radii)
+    sx, sy, sv = (_sqrt_up(_norm(w) << 200) for w in (vx, vy, v))
+    one = unit << 100
+    num = 2 * (sx + sy + one) * r + (sv + one << 8 - precision - g)
+    return ComplexBall(_rounded_center(*v, unit, precision + 32),
+                       _quotient_up(num, unit, g - 100), precision)
+
+
+def _quotient_up(num, den, exp, bits=53):
+    """An upper bound (man, exp) of num*2^exp/den with `bits` bits or fewer."""
+    k = max(0, bits + den.bit_length() - num.bit_length())
+    return _round_up(-(-(num << k) // den), exp - k, bits)
 
 
 def _system_roots(f, p, q, precision):
@@ -221,9 +223,12 @@ def _system_roots(f, p, q, precision):
             )
             out = []
             for bx, by, mu in roots:
-                x_orig = bx.center + lam * by.center
-                r = bx.radius + abs(lam) * by.radius
-                out.append((ComplexBall(x_orig, r, precision), by, mu))
+                # x = x' + lam*y and its radius, exactly
+                (a, b, e), (c, d, h) = bx.mid, by.mid
+                g = min(e, h)
+                x = ((a << e - g) + lam * (c << h - g), (b << e - g) + lam * (d << h - g), g)
+                r = _dyadic_sum(bx.rad, (abs(lam) * by.rad[0], by.rad[1]))
+                out.append((ComplexBall(x, r, precision), by, mu))
             return out
         except _Ambiguous:
             continue
@@ -263,11 +268,9 @@ def _cross_product(p, q, precision):
 
 
 def _exact_univariate_roots(p, var, precision):
-    idx = 0 if var == "x" else 1
-    uni = Polynomial((var,), {(exps[idx],): c for exps, c in p.terms.items()})
-    if uni.degree(var) < 1:
+    if p.degree(var) < 1:
         return []
-    return univariate_roots(uni, precision)
+    return univariate_roots(p.in_variables((var,)), precision)
 
 
 def _points_from_eliminant(p, q, eliminant, precision):
@@ -290,8 +293,7 @@ def _fiber_point(p, q, xball, precision):
     q(x_c, y) itself; it is widened by |q_x/q_y| times the x radius, the
     first-order move of that root over the x ball.
     """
-    x = _dyadic(xball.center)
-    tol = mpf(2) ** (-(precision // 3))
+    x = _dyadic(xball)
     pc, qc = _at_x(p, *x), _at_x(q, *x)
     candidates = []
     for (coeffs, ders, unit), (other, _, other_unit) in ((qc, pc), (pc, qc)):
@@ -309,22 +311,25 @@ def _fiber_point(p, q, xball, precision):
             raise _Ambiguous
         scale = max(max(map(_norm, other)), other_unit * other_unit)
         for b in roots:
-            c, d, u = _dyadic(b.center)
+            c, d, u = _dyadic(b)
             # |other(y)| <= 2^-(precision/3) max(|other_j|, 1), likewise
             h = _norm(_homogeneous_horner(other, c, d, u))
             if h << 2 * (precision // 3) <= scale << 2 * u * (len(other) - 1):
                 _, qx, qy = _at_y(coeffs, ders, c, d, u)
                 if not _norm(qy):
                     raise _Ambiguous
-                # |q_x/q_y| r_x, rounded up by the factor 1 + 2^-20
-                widen = mpmath.sqrt(mpf(_norm(qx)) / _norm(qy)) * xball.radius
-                widen *= 1 + mpf(2) ** -20
-                radius = mpf_add(b.radius._mpf_, widen._mpf_, 53, round_ceiling)
-                candidates.append(ComplexBall(b.center, mp.make_mpf(radius), precision))
+                # |q_x/q_y| r_x (1 + 2^-20) = sqrt(|q_x|^2 |q_y|^2)/|q_y|^2 r_x (1 + 2^-20),
+                # rounded up to 100 bits
+                m, e = xball.rad
+                n = _sqrt_up(_norm(qx) * _norm(qy) << 200) * m * ((1 << 20) + 1)
+                widen = _quotient_up(n, _norm(qy), e - 120, 100)
+                candidates.append(ComplexBall(
+                    b.mid, _round_up(*_dyadic_sum(b.rad, widen)), precision))
         break
     merged = []
+    tol = (1, -(precision // 3))
     for b in candidates:
-        if all(abs(b.center - m.center) > tol for m in merged):
+        if all(_apart(b.mid, m.mid, tol) for m in merged):
             merged.append(b)
     return merged
 

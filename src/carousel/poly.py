@@ -298,19 +298,23 @@ class Polynomial:
         return _make(self.variables, nums, self.den)
 
     def in_variables(self, variables) -> "Polynomial":
-        """Re-embed into a (super)set of variables."""
+        """Re-embed into other variables: a variable left out must not occur."""
         variables = tuple(variables)
         pos = []
         for v in self.variables:
-            if v not in variables:
+            if v in variables:
+                pos.append(variables.index(v))
+            elif self.degree(v) > 0:
                 raise PolynomialError(f"target variables lack {v!r}")
-            pos.append(variables.index(v))
+            else:
+                # its exponent, 0, goes to a spare slot past the end
+                pos.append(len(variables))
         nums = {}
         for exps, c in self.nums.items():
-            new = [0] * len(variables)
+            new = [0] * (len(variables) + 1)
             for p, e in zip(pos, exps):
                 new[p] = e
-            nums[tuple(new)] = c
+            nums[tuple(new[:-1])] = c
         return _make(variables, nums, self.den)
 
     # -- univariate views ------------------------------------------------

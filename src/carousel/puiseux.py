@@ -653,8 +653,8 @@ def _finalize_branch(e, mu, shifted, prec, budget):
 def _branch_sort_key(branch: PuiseuxBranch):
     if branch.is_axis:
         return (branch.ramification_index, 0, (0, 0))
-    c0 = branch.coefficients[0].center
-    return (branch.ramification_index, branch.exponents[0], ordering_key(c0)[:2])
+    return (branch.ramification_index, branch.exponents[0],
+            ordering_key(branch.coefficients[0])[:2])
 
 
 def branch_structure(f: Polynomial) -> BranchDecomposition:

@@ -15,22 +15,26 @@ homogeneous Horner.  Newton steps on Gaussian integers refine each root,
 and the certificate is Newton's inclusion disk: some root lies within
 n*|p(z)/p'(z)| of any z (Henrici, Applied and Computational Complex
 Analysis I, 1974).  Its radius is rounded up with `math.isqrt`, and n
-pairwise disjoint disks, compared exactly, hold one root each.
+pairwise disjoint disks, compared exactly, hold one root each.  The
+balls stay in integers (`ComplexBall`): each center part is rounded to
+nearest with precision + 32 bits, each radius up, and every test on a
+ball reads the integers.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+from fractions import Fraction
 from math import isqrt, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_man_exp, from_rational, fzero, mpf_add, round_ceiling,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, fzero
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, PolynomialError, squarefree_decomposition
+from .poly import Polynomial, PolynomialError, _dense_in, squarefree_decomposition
 
 
 class PrecisionError(ArithmeticError):
@@ -47,39 +51,67 @@ _MAX_ITERATIONS = 400
 class ComplexBall:
     """A complex disk `|z - center| <= radius` at a known bit precision.
 
-    mpmath values are kept as given, never rounded to the working
-    precision, so a certified disk stays an enclosure.
+    Midpoint-radius form in integers (van der Hoeven, "Ball arithmetic",
+    2010; Arb): `mid` = (re, im, exp) is the center (re + i*im)*2^exp,
+    rounded to nearest, and `rad` = (man, exp) the radius man*2^exp,
+    rounded up over that rounding.  Such tuples and int, float, complex,
+    mpf or mpc values are read exactly; `center` and `radius` are exact views.
     """
 
-    __slots__ = ("center", "radius", "precision")
+    __slots__ = ("mid", "rad", "precision")
 
     def __init__(self, center, radius, precision: int):
         if precision < 53:
             raise ValueError("ball precision must be at least 53 bits")
-        self.center = center if isinstance(center, mpc) else mpc(center)
-        self.radius = radius if isinstance(radius, mpf) else mpf(radius)
-        if not mpmath.isfinite(self.radius) or self.radius < 0:
+        self.mid = center if type(center) is tuple else _exact_parts(center)
+        man, im, exp = (radius[0], 0, radius[1]) if type(radius) is tuple else _exact_parts(radius)
+        if im or man < 0:
             raise ValueError("ball radius must be finite and non-negative")
+        self.rad = man, exp
         self.precision = precision
+
+    @property
+    def center(self):
+        return _mpc(self.mid)
+
+    @property
+    def radius(self):
+        return mp.make_mpf(from_man_exp(*self.rad))
 
     def is_disjoint_from(self, other: "ComplexBall") -> bool:
         """|center - other.center| > radius + other.radius, decided exactly."""
-        (x, y, r, x2, y2, r2), _ = _dyadic_ints(
-            self.center._mpc_ + (self.radius._mpf_,)
-            + other.center._mpc_ + (other.radius._mpf_,)
-        )
-        dx, dy = x - x2, y - y2
-        return dx * dx + dy * dy > (r + r2) ** 2
+        return _apart(self.mid, other.mid, self.rad, other.rad)
 
     def __repr__(self):
         return f"ComplexBall({self.center}, r={mpmath.nstr(self.radius, 3)})"
 
 
-def _dyadic_ints(parts):
-    """Integers m_k and one exponent e with parts[k] == m_k * 2^e exactly.
+def _apart(mid, mid2, rad, rad2=(0, 0)):
+    """|mid - mid2| > rad + rad2 for centers and (man, exp) radii, on integers."""
+    (x, y, e), (x2, y2, e2), (r, f), (r2, f2) = mid, mid2, rad, rad2
+    g = min(e, e2, f, f2)
+    dx, dy = (x << e - g) - (x2 << e2 - g), (y << e - g) - (y2 << e2 - g)
+    r = (r << f - g) + (r2 << f2 - g)
+    return dx * dx + dy * dy > r * r
 
-    `parts` are raw mpf tuples (sign, mantissa, exponent, bitcount).
-    """
+
+def _exact_parts(z):
+    """(re, im, exp) with z == (re + i*im)*2^exp: an int, float, complex,
+    mpf or mpc read exactly, anything else through mpc."""
+    if isinstance(z, (int, float, complex)):
+        if not cmath.isfinite(z):
+            raise ValueError("not a finite number")
+        (a, p), (b, q) = (v.as_integer_ratio() for v in (z.real, z.imag))
+        d = max(p, q)
+        return a * (d // p), b * (d // q), 1 - d.bit_length()
+    parts = (z._mpf_, fzero) if isinstance(z, mpf) else (z if isinstance(z, mpc) else mpc(z))._mpc_
+    (re, im), exp = _dyadic_ints(parts)
+    return re, im, exp
+
+
+def _dyadic_ints(parts):
+    """Integers m_k and one exponent e with parts[k] == m_k * 2^e exactly,
+    for raw mpf tuples (sign, mantissa, exponent, bitcount)."""
     values = []
     for sign, man, exp, _ in parts:
         if not man and exp:
@@ -89,46 +121,107 @@ def _dyadic_ints(parts):
     return [man << (exp - e) if man else 0 for man, exp in values], e
 
 
-def gaussian_to_mpc(value: GaussianRational) -> mpc:
-    """Round an exact Q(i) value to the current working precision.
+def _quotient(num, den, prec):
+    """num/den, den > 0, rounded to nearest with `prec` bits, ties to even,
+    as (man, exp) with man odd or 0: mpmath's from_rational(num, den,
+    prec, round_nearest) in integers."""
+    if not num:
+        return 0, 0
+    a = abs(num)
+    # a quotient of prec + 2 or prec + 3 bits, and whether it was exact
+    shift = prec + 2 - a.bit_length() + den.bit_length()
+    if shift >= 0:
+        q, r = divmod(a << shift, den)
+    else:
+        q, r = divmod(a >> -shift, den)
+        r = r or a & ((1 << -shift) - 1)
+    drop = q.bit_length() - prec
+    q = _shift_nearest(q, drop, r)
+    zeros = (q & -q).bit_length() - 1
+    return (-q if num < 0 else q) >> zeros, drop - shift + zeros
 
-    Each component is rounded once, to nearest, however wide its
-    numerator and denominator are.
-    """
-    prec = mp.prec
-    return mp.make_mpc((
-        from_rational(value.a, value.d, prec, round_nearest),
-        from_rational(value.b, value.d, prec, round_nearest),
-    ))
+
+def _shift_nearest(n, k, inexact=0):
+    """n/2^k rounded to the nearest integer, ties to even, for n >= 0 and
+    k >= 1; `inexact` marks an n already truncated from below."""
+    q, low, half = n >> k, n & ((1 << k) - 1), 1 << (k - 1)
+    return q + (low > half or (low == half and bool(inexact or q & 1)))
+
+
+def _rounded_center(re, im, den, prec):
+    """The center (re + i*im)/den, each part rounded by `_quotient`."""
+    (a, e), (b, f) = _quotient(re, den, prec), _quotient(im, den, prec)
+    e, f = (e if a else f), (f if b else e)
+    g = min(e, f)
+    return a << e - g, b << f - g, g
+
+
+def _round_up(man, exp, bits=53):
+    """(man, exp), man >= 0, rounded up to at most `bits` bits."""
+    drop = man.bit_length() - bits
+    return (man, exp) if drop <= 0 else (-(-man >> drop), exp + drop)
+
+
+def _dyadic_sum(*terms):
+    """The exact sum of (man, exp) pairs."""
+    g = min(f for _, f in terms)
+    return sum(m << f - g for m, f in terms), g
+
+
+def _sqrt_up(n):
+    """ceil(sqrt(n)) for n < 2^200; above, an integer over sqrt(n) by at
+    most 2^-99 relative, from the leading 200 bits of n."""
+    k = max(0, n.bit_length() // 2 - 100)
+    m = n >> 2 * k
+    r = isqrt(m)
+    return r + (r * r != m or m << 2 * k != n) << k
+
+
+def _mpc(mid):
+    """The mpc (re + i*im)*2^exp of a center (re, im, exp), exactly."""
+    re, im, exp = mid
+    return mp.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
+
+
+def gaussian_to_mpc(value: GaussianRational) -> mpc:
+    """An exact Q(i) value with each part rounded once, to nearest, to the
+    working precision, however wide its numerator and denominator are."""
+    return _mpc(_rounded_center(value.a, value.b, value.d, mp.prec))
 
 
 def ordering_key(z) -> tuple:
-    """Sort key by (real, imaginary), quantized to a 2^-40 grid.
+    """Sort key by (real, imaginary), quantized to a 2^-40 grid, of a
+    ComplexBall's center or of a number, read exactly.
 
-    The coarse leading components make the ordering stable across
-    different working precisions (mathematically equal values quantize
-    identically instead of being ranked by rounding noise); the exact
-    values break remaining ties deterministically within a run.  An mpc
-    value is read exactly, whatever the working precision.
+    The coarse leading components make the ordering stable across working
+    precisions (equal values quantize identically instead of being ranked
+    by rounding noise); the exact values break the remaining ties.
     """
-    z = z if isinstance(z, mpc) else mpc(z)
-    re, im = z._mpc_
-    return (_grid_index(re), _grid_index(im), z.real, z.imag)
+    mid = z.mid if isinstance(z, ComplexBall) else _exact_parts(z)
+    return _grid_index(mid[0], mid[2]), _grid_index(mid[1], mid[2]), _ExactCenter(mid)
 
 
-def _grid_index(part):
-    """The integer nearest 2^40 times a raw mpf, ties to even, as mpmath.nint."""
-    sign, man, exp, _ = part
-    shift = exp + 40
-    if shift >= 0:
-        index = man << shift
-    else:
-        index = man >> -shift
-        rem = man - (index << -shift)
-        half = 1 << (-shift - 1)
-        if rem > half or (rem == half and index & 1):
-            index += 1
-    return -index if sign else index
+class _ExactCenter(tuple):
+    """A center (re, im, exp) compared by its exact value, real part first."""
+
+    __hash__ = None
+
+    def value(self):
+        re, im, exp = self
+        return Fraction(re) * Fraction(2) ** exp, Fraction(im) * Fraction(2) ** exp
+
+    def __eq__(self, other):
+        return self.value() == other.value()
+
+    def __lt__(self, other):
+        return self.value() < other.value()
+
+
+def _grid_index(man, exp):
+    """The integer nearest man*2^(exp + 40), ties to even, as mpmath.nint."""
+    m, shift = abs(man), exp + 40
+    index = m << shift if shift >= 0 else _shift_nearest(m, -shift)
+    return -index if man < 0 else index
 
 
 def _horner(coeffs, z):
@@ -153,45 +246,13 @@ def error_factor(ops: int, unit):
     return 2 * k / (1 - k)
 
 
-def horner_bound(coeffs, majorants, z, gamma):
-    """p(z), p'(z) and running bounds e, e' on their rounding errors.
-
-    `coeffs` are low first and `majorants[k]` >= |coeffs[k]|.  With
-    `gamma` = error_factor(ops, u) for the number of rounding steps ops
-    behind each value (coefficient conversion and evaluation included),
-    |computed p - p| <= e = gamma*M(|z|) and |computed p' - p'| <= e' =
-    gamma*M'(|z|), where M is the majorant polynomial (Higham, ch. 5).
-    Works unchanged on Python complex and on mpmath mpc values.
-    """
-    az = abs(z)
-    p = dp = m = dm = 0
-    for c, a in zip(reversed(coeffs), reversed(majorants)):
-        dp = dp * z + p
-        p = p * z + c
-        dm = dm * az + m
-        m = m * az + a
-    return p, dp, gamma * m, gamma * dm
-
-
-def newton_radius(n: int, p, dp, e, de):
-    """Radius of a disk around z holding a root of a degree-n polynomial.
-
-    n*(|p| + e)/(|p'| - e') bounds n*|p(z)/p'(z)| for the exact values;
-    None when |p'| <= e' and the derivative cannot be bounded away from 0.
-    """
-    denom = abs(dp) - de
-    if not denom > 0:
-        return None
-    return n * (abs(p) + e) / denom * (1 + 2.0 ** -20)
-
-
 def _aberth_iterate(monic, z, tol, nudge, gamma=None):
     """Gauss-Seidel Aberth-Ehrlich steps on z in place; True on convergence.
 
     Converged means that a sweep moved no point by more than `tol`
-    (relative).  With `gamma`, a point whose |p(z_i)| is within the
-    running rounding bound e_i of `horner_bound` sits at the rounding
-    floor and is not moved, and a sweep that moves no point converges.
+    (relative).  With `gamma`, a point whose |p(z_i)| is within gamma
+    times the majorant polynomial at |z_i| (Higham, ch. 5) sits at the
+    rounding floor and is not moved; a sweep that moves no point converges.
     """
     n = len(z)
     deriv = _derivative_coeffs(monic)
@@ -299,15 +360,13 @@ def aberth_roots(coeffs, precision: int):
     """All roots of a squarefree polynomial (dense list, low first).
 
     The coefficients are Q(i) values, Gaussian-integer pairs (re, im), or
-    mpc values, which are read exactly (other numbers are converted at
-    precision + 32 bits); the balls enclose the roots of that exact
-    polynomial.  Returns certified
-    ComplexBall list sorted by (re, im) of the centers.  Raises
-    PrecisionError when the integer certificate fails after the mpmath
-    start, and at once for a multiple root at 0; this is a single
-    attempt, solve_numeric is the one that escalates.
+    numbers, read exactly by `_exact_parts`; the balls enclose the roots
+    of that exact polynomial.  Returns certified ComplexBall list sorted
+    by `ordering_key`.  Raises PrecisionError when the integer certificate
+    fails after the mpmath start, and at once for a multiple root at 0;
+    this is a single attempt, solve_numeric is the one that escalates.
     """
-    c = _gaussian_integers(coeffs, precision)
+    c = _gaussian_integers(coeffs)
     while c and c[-1] == (0, 0):
         c.pop()
     n = len(c) - 1
@@ -323,11 +382,11 @@ def aberth_roots(coeffs, precision: int):
         balls = _newton_certificate(c, _mpmath_start(c, unit, precision), precision)
     if balls is None:
         raise PrecisionError("root disks overlap; raise precision")
-    balls.sort(key=lambda b: ordering_key(b.center))
+    balls.sort(key=ordering_key)
     return balls
 
 
-def _gaussian_integers(coeffs, precision):
+def _gaussian_integers(coeffs):
     """Gaussian integers (re, im) proportional to the exact coefficients:
     pairs as they are, Q(i) values times the lcm of their denominators."""
     if all(type(v) is tuple for v in coeffs):
@@ -335,46 +394,41 @@ def _gaussian_integers(coeffs, precision):
     if all(type(v) is GaussianRational for v in coeffs):
         den = lcm(*(c.d for c in coeffs))
         return [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
-    parts = ()
-    with mp.workprec(precision + 32):
-        for v in coeffs:
-            parts += (v if isinstance(v, mpc) else mpc(v))._mpc_
-    ints, _ = _dyadic_ints(parts)
-    return list(zip(ints[::2], ints[1::2]))
+    parts = [_exact_parts(v) for v in coeffs]
+    g = min(e for _, _, e in parts)
+    return [(a << e - g, b << e - g) for a, b, e in parts]
 
 
 def _newton_certificate(coeffs, start, precision):
     """Certified balls around the polished `start` points, or None.
 
     Each point is polished by `_newton_polish`; the ball around it has
-    the inclusion radius n*|p(z)/p'(z)| rounded up, plus the rounding of
-    its center to precision + 32 bits.  None unless the n balls are
-    pairwise disjoint, when they hold one root each.
+    its center rounded to nearest with precision + 32 bits per part, and
+    the inclusion radius n*|p(z)/p'(z)| plus the rounding of that center,
+    rounded up to 53 bits.  None unless the n balls are pairwise
+    disjoint, when they hold one root each.
     """
     n = len(coeffs) - 1
     wp = precision + 32
     balls = []
     for w in start:
-        (x, y), e = _dyadic_ints((w if isinstance(w, mpc) else mpc(w))._mpc_)
+        x, y, e = _exact_parts(w)
         if e > 0:
             x, y, e = x << e, y << e, 0
         polished = _newton_polish(coeffs, x, y, -e, precision)
         if polished is None:
             return None
         x, y, s, p2, d2 = polished
-        center = mp.make_mpc((
-            from_man_exp(x, -s, wp, round_nearest), from_man_exp(y, -s, wp, round_nearest)
-        ))
         # two units of the working precision in |Re| + |Im|: one covers
         # the rounding of the center, one any other rounding of the root
-        slack = from_man_exp(abs(x) + abs(y), -(s + wp - 1))
-        radius = mpf_add(_inclusion_radius(n, p2, d2, s), slack, 53, round_ceiling)
-        balls.append(ComplexBall(center, mp.make_mpf(radius), precision))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not balls[i].is_disjoint_from(balls[j]):
-                return None
-    return balls
+        slack = (abs(x) + abs(y), -(s + wp - 1))
+        radius = _round_up(*_dyadic_sum(_inclusion_radius(n, p2, d2, s), slack))
+        balls.append(ComplexBall(_rounded_center(x, y, 1 << s, wp), radius, precision))
+    return balls if _pairwise_disjoint(balls) else None
+
+
+def _pairwise_disjoint(balls):
+    return all(a.is_disjoint_from(b) for a, b in itertools.combinations(balls, 2))
 
 
 def _homogeneous_horner(coeffs, x, y, s):
@@ -425,17 +479,17 @@ def _newton_polish(coeffs, x, y, s, precision):
 
 
 def _inclusion_radius(n, p2, d2, s):
-    """A raw mpf upper bound of n*sqrt(p2/d2)/2^s with a 31-bit mantissa."""
+    """An upper bound (man, exp) of n*sqrt(p2/d2)/2^s, man of 31 bits."""
     num = n * n * p2
     if not num:
-        return fzero
+        return 0, 0
     t = 31 + s - (num.bit_length() - d2.bit_length()) // 2
     shift = 2 * (t - s)
     if shift >= 0:
         q = -(-(num << shift) // d2)
     else:
         q = -(-num // (d2 << -shift))
-    return from_man_exp(isqrt(q - 1) + 1, -t)
+    return isqrt(q - 1) + 1, -t
 
 
 def _inclusion_radii(monic, z):
@@ -500,34 +554,29 @@ def univariate_roots(p: Polynomial, precision: int) -> list:
         raise PolynomialError("cannot solve the zero polynomial")
     if len(p.variables) != 1:
         raise PolynomialError("univariate_roots expects one variable")
-    if p.degree(p.variables[0]) < 1:
+    var = p.variables[0]
+    if p.degree(var) < 1:
         raise PolynomialError("polynomial has no roots (degree 0)")
-    dense = p.dense_coefficients()
-    k = next(j for j, c in enumerate(dense) if not c.is_zero())
+    dense = _dense_in(p, var)
+    k = next(j for j, c in enumerate(dense) if c != (0, 0))
     rest = dense[k:]
     if len(rest) == 1:
         factors = []
-    elif all(c.is_zero() for c in rest[1:-1]):
+    elif all(c == (0, 0) for c in rest[1:-1]):
         factors = [(rest, 1)]
     else:
-        rest = Polynomial(p.variables, {(j,): c for j, c in enumerate(rest)})
-        factors = [(f.dense_coefficients(), m) for f, m in squarefree_decomposition(rest)]
+        factors = [(_dense_in(f, var), m) for f, m in squarefree_decomposition(p.shift((-k,)))]
 
     def solve(prec):
-        out = [(ComplexBall(0, 0, prec), k)] if k else []
+        out = [(ComplexBall((0, 0, 0), (0, 0), prec), k)] if k else []
         for coeffs, mult in factors:
             for ball in aberth_roots(coeffs, prec):
                 out.append((ball, mult))
-        _check_cross_factor(out)
+        if not _pairwise_disjoint([ball for ball, _ in out]):
+            raise PrecisionError("roots of distinct factors overlap")
         return out
 
     out = _escalate(solve, precision)
-    out.sort(key=lambda bm: ordering_key(bm[0].center))
+    out.sort(key=lambda bm: ordering_key(bm[0]))
     return out
 
-
-def _check_cross_factor(balls_with_mult):
-    for i in range(len(balls_with_mult)):
-        for j in range(i + 1, len(balls_with_mult)):
-            if not balls_with_mult[i][0].is_disjoint_from(balls_with_mult[j][0]):
-                raise PrecisionError("roots of distinct factors overlap")

@@ -35,8 +35,7 @@ from mpmath import mp, mpf
 
 from .polar import CerfDiagram
 from .poly import Polynomial, resultant
-from .roots import (ComplexBall, PrecisionError, error_factor, horner_bound,
-                    newton_radius, ordering_key, solve_numeric)
+from .roots import ComplexBall, PrecisionError, error_factor, ordering_key, solve_numeric
 
 
 # unit roundoff and the normal range of IEEE doubles
@@ -218,10 +217,7 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
                 roots = solve_numeric(exact.dense_coefficients(), precision)
             except PrecisionError:
                 continue
-            base = sorted(
-                (b for b in roots if abs(b.center) < rho_mp / 2),
-                key=lambda b: ordering_key(b.center),
-            )
+            base = sorted((b for b in roots if _center_below(b, 2 * k + 1)), key=ordering_key)
             centers = [b.center for b in base]
             seps = [
                 abs(a - b) / max(abs(a), abs(b), mpf(1e-30))
@@ -368,19 +364,39 @@ def _refine(fiber, here, there, points, rho):
             if not (_TINY <= e <= _HUGE and _TINY <= de <= _HUGE
                     and cmath.isfinite(p) and cmath.isfinite(dp)):
                 return None
-            if abs(p) <= e:
-                break
             if abs(dp) <= de:
                 return None
+            if abs(p) <= e:
+                break
             z = z - p / dp
         else:
             return None
-        radius = newton_radius(len(coeffs) - 1, p, dp, e, de)
-        if radius is None or abs(z) >= half:
+        if abs(z) >= half:
             return None
         new_pts.append(z)
-        new_radii.append(radius)
+        # Newton's inclusion disk: n*(|p| + e)/(|p'| - e') bounds n*|p/p'|
+        # for the exact values, so a root lies within it of z
+        new_radii.append((len(coeffs) - 1) * (abs(p) + e) / (abs(dp) - de) * (1 + 2.0 ** -20))
     return _checked_move(points, new_pts, new_radii)
+
+
+def horner_bound(coeffs, majorants, z, gamma):
+    """p(z), p'(z) and running bounds e, e' on their rounding errors.
+
+    `coeffs` are low first and `majorants[k]` >= |coeffs[k]|.  With
+    `gamma` = error_factor(ops, u) for the number of rounding steps ops
+    behind each value (coefficient conversion and evaluation included),
+    |computed p - p| <= e = gamma*M(|z|) and |computed p' - p'| <= e' =
+    gamma*M'(|z|), where M is the majorant polynomial (Higham, ch. 5).
+    """
+    az = abs(z)
+    p = dp = m = dm = 0
+    for c, a in zip(reversed(coeffs), reversed(majorants)):
+        dp = dp * z + p
+        p = p * z + c
+        dm = dm * az + m
+        m = m * az + a
+    return p, dp, gamma * m, gamma * dm
 
 
 def _checked_move(points, new_pts, new_radii):
@@ -482,6 +498,14 @@ def carousel_permutation(
         steps_used=used,
         precision_used=radii.precision,
     )
+
+
+def _center_below(ball, bits):
+    """|center| < 2^-bits, decided on the ball's integers."""
+    re, im, exp = ball.mid
+    shift = 2 * (exp + bits)
+    n2 = re * re + im * im
+    return n2 < 1 << -shift if shift < 0 else not n2
 
 
 def _match_to_base(points, radii, base):

@@ -276,9 +276,39 @@ class TestEnclosure:
             assert len(points) == len(fine)
             for point, ref in zip(points, fine):
                 assert point.local_mu == ref.local_mu
-                for ball, center in ((point.x, ref.x.center), (point.y, ref.y.center)):
-                    # |center - ball.center| <= ball.radius, decided exactly
-                    assert not ball.is_disjoint_from(ComplexBall(center, 0, 53))
+                _assert_holds(point, ref)
+
+    def test_sheared_x_ball_holds_the_512_bit_point(self, monkeypatch):
+        import carousel.family as family_mod
+
+        shears = []
+        real = family_mod._shear
+
+        def spy(f, lam):
+            shears.append(lam)
+            return real(f, lam)
+
+        monkeypatch.setattr(family_mod, "_shear", spy)
+        fam = F("x^2*y + y^4 + t*x*y")
+        t = GaussianRational(Fraction(-3, 64), Fraction(-2, 64))
+        points = critical_points(fam, t).points
+        # a clustered fiber, as in TestSingleAttemptSolves, goes to the shear
+        # x = x' + lam*y; here one sum of the centers misses the 512-bit
+        # point by about a tenth of its radius, so a radius without the
+        # radii of x' and y would fail
+        assert shears == [1]
+        fine = critical_points(fam, t, precision=512).points
+        assert len(points) == len(fine) == 5
+        for point, ref in zip(points, fine):
+            _assert_holds(point, ref)
+
+
+def _assert_holds(point, ref):
+    """The x, y and value balls of `point` hold the centers of `ref`,
+    decided exactly: |center - ball.center| <= ball.radius."""
+    for name in ("x", "y", "value"):
+        ball, center = getattr(point, name), getattr(ref, name).mid
+        assert not ball.is_disjoint_from(ComplexBall(center, (0, 0), 53)), name
 
 
 _PART = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
@@ -321,13 +351,14 @@ def _exact_at(g, x, y):
 def test_integer_evaluator_is_exact(case):
     f, (zx, x), (zy, y) = case
     rows = _xy_rows(f)
-    values, ders, unit = _at_x(rows, *_dyadic(zx))
-    c, d, u = _dyadic(zy)
+    bx, by = ComplexBall(zx, 0, 53), ComplexBall(zy, 0, 53)
+    values, ders, unit = _at_x(rows, *_dyadic(bx))
+    c, d, u = _dyadic(by)
     unit <<= u * (len(values) - 1)
     v, vx, vy = _at_y(values, ders, c, d, u)
     assert from_integers(*v, unit) == _exact_at(f, x, y)
     assert from_integers(*vx, unit) == _exact_at(f.partial_derivative("x"), x, y)
     assert from_integers(*vy, unit) == _exact_at(f.partial_derivative("y"), x, y)
+    ball = _value_ball(rows, _dyadic(bx), _dyadic(by), [(0, 0)], 128)
     with mp.workprec(160):
-        ball = _value_ball(rows, _dyadic(zx), _dyadic(zy), mpmath.mpf(0), 128)
         assert ball.center._mpc_ == gaussian_to_mpc(_exact_at(f, x, y))._mpc_

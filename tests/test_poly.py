@@ -585,6 +585,13 @@ class TestStoredForm:
         with pytest.raises(PolynomialError, match="inexact"):
             p.shift((-1, 0))
 
+    def test_in_variables_drops_only_variables_that_do_not_occur(self):
+        p = P("x^2 - 3/2*i", ("x", "y", "t"))
+        assert p.in_variables(("t", "x")) == P("x^2 - 3/2*i", ("t", "x"))
+        assert _canonical(p.in_variables(("x",)))
+        with pytest.raises(PolynomialError, match="lack 'x'"):
+            p.in_variables(("y", "t"))
+
     def test_substitute_refuses_images_over_different_variables(self):
         # the terms x and y each see only one image, so no product meets both
         p = P("x + y")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 import carousel.roots as roots_mod
 from carousel.gaussian import GaussianRational
@@ -229,7 +230,7 @@ def test_cluster_below_double_resolution_needs_the_mpmath_start(monkeypatch):
     for r in roots:
         p = p * (u - Polynomial.constant(("u",), r))
     coeffs = p.dense_coefficients()
-    ints = roots_mod._gaussian_integers(coeffs, 128)
+    ints = roots_mod._gaussian_integers(coeffs)
     n = len(ints) - 1
     for turn in (0, 0.1, 0.25, 0.4):
         unit = [cmath.exp(2j * cmath.pi * (k / n + turn) + 0.4j) for k in range(n)]
@@ -329,7 +330,7 @@ def test_certificate_refuses_two_approximations_of_one_root(monkeypatch):
     # the two disks overlap, and no further start is left
     coeffs = [GaussianRational(-1), GaussianRational(0), GaussianRational(1)]
     near_one = [1 + 2.0 ** -20, 1 - 2.0 ** -20]
-    integers = roots_mod._gaussian_integers(coeffs, 128)
+    integers = roots_mod._gaussian_integers(coeffs)
     assert roots_mod._newton_certificate(integers, near_one, 128) is None
     monkeypatch.setattr(roots_mod, "_double_start", lambda *args: near_one)
     monkeypatch.setattr(roots_mod, "_mpmath_start", lambda *args: near_one)
@@ -376,7 +377,8 @@ def test_power_of_the_variable_is_split_off_exactly(monkeypatch):
 
     monkeypatch.setattr(roots_mod, "aberth_roots", spy)
     roots = univariate_roots(U("u^3*(u^2 + 1/64)"), 128)
-    assert seen == [[GaussianRational(Fraction(1, 64)), GaussianRational(0), GaussianRational(1)]]
+    # the numerators of u^5 + u^3/64 over its denominator 64
+    assert seen == [[(1, 0), (0, 0), (64, 0)]]
     zero = [(b, m) for b, m in roots if b.center == 0]
     assert len(roots) == 3 and len(zero) == 1
     ball, mult = zero[0]
@@ -413,3 +415,64 @@ def test_multiple_root_at_zero_is_refused_at_once(monkeypatch):
     monkeypatch.setattr(roots_mod, "_mpmath_start", None)
     with pytest.raises(PrecisionError):
         aberth_roots([mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(4)], 128)
+
+
+# numerators of every sign and size, zero included
+_NUMERATOR = st.one_of(st.just(0), st.integers(-(2**200), 2**200))
+_DENOMINATOR = st.one_of(st.integers(1, 2**80), st.integers(0, 120).map(lambda k: 1 << k))
+_PREC = st.sampled_from([1, 2, 3, 53, 113, 160, 544])
+
+
+@st.composite
+def _rational(draw):
+    """(num, den, prec); in about a third of the draws num/den lies
+    exactly halfway between two prec-bit numbers."""
+    prec = draw(_PREC)
+    if not draw(st.integers(0, 2)):
+        odd = 1 << prec | draw(st.integers(0, (1 << prec) - 1)) << 1 | 1
+        d = draw(st.integers(1, 2**40))
+        return draw(st.sampled_from([1, -1])) * odd * d, d << draw(st.integers(0, 90)), prec
+    return draw(_NUMERATOR), draw(_DENOMINATOR), prec
+
+
+@seed(23)
+@settings(max_examples=500, deadline=None)
+@given(_rational())
+def test_integer_quotient_rounds_as_mpmath(case):
+    num, den, prec = case
+    man, exp = roots_mod._quotient(num, den, prec)
+    assert from_man_exp(man, exp) == from_rational(num, den, prec, round_nearest)
+
+
+_DYADIC_PART = st.builds(from_man_exp, st.one_of(st.just(0), st.integers(-(2**170), 2**170)),
+                         st.integers(-300, 40))
+_DYADIC_RADIUS = st.builds(from_man_exp, st.integers(0, 2**60), st.integers(-300, 10))
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC_PART, _DYADIC_PART, _DYADIC_RADIUS, st.integers(53, 600))
+def test_ball_views_are_exact(re, im, r, prec):
+    # the parts have up to 171 bits, more than the default working precision
+    c, radius = mpmath.mp.make_mpc((re, im)), mpmath.mp.make_mpf(r)
+    ball = ComplexBall(c, radius, prec)
+    assert ball.center._mpc_ == c._mpc_ and ball.radius._mpf_ == radius._mpf_
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC_PART, _DYADIC_PART, _DYADIC_RADIUS, _DYADIC_PART, _DYADIC_PART,
+       _DYADIC_RADIUS, st.booleans())
+def test_disjointness_agrees_with_fractions(a, b, r, c, d, s, touching):
+    first = ComplexBall(mpmath.mp.make_mpc((a, b)), mpmath.mp.make_mpf(r), 128)
+    if touching:
+        # the second center at distance r + s from the first: 2000 bits
+        # hold the sum of these parts exactly
+        with mpmath.mp.workprec(2000):
+            c, d = (mpmath.mp.make_mpf(a) + mpmath.mp.make_mpf(r) + mpmath.mp.make_mpf(s))._mpf_, b
+    second = ComplexBall(mpmath.mp.make_mpc((c, d)), mpmath.mp.make_mpf(s), 128)
+    dx = _fraction(second.center.real) - _fraction(first.center.real)
+    dy = _fraction(second.center.imag) - _fraction(first.center.imag)
+    apart = dx * dx + dy * dy > (_fraction(first.radius) + _fraction(second.radius)) ** 2
+    assert first.is_disjoint_from(second) == second.is_disjoint_from(first) == apart
+    assert not touching or not apart
