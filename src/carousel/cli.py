@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("family", help="conservation / coalescing analysis")
     pf.add_argument("--family", required=True, help="polynomial F(x, y, t)")
-    pf.add_argument("--samples", default="1/8,1/8*i,-1/8")
+    pf.add_argument("--samples", default="")
     pf.add_argument("--radius", default="1/2")
     pf.add_argument("--precision", type=int, default=128)
     pf.add_argument("--json-compact", action="store_true")

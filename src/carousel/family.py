@@ -2,15 +2,18 @@
 
 For each parameter sample the critical points of f_t near the origin are
 located by exact elimination (resultants plus certified univariate
-solving); local Milnor numbers are read off the exact multiplicity
-structure of the eliminant.  Balls are read and built in integers
-(`ComplexBall.mid` and `rad`), never in mpmath: at a dyadic center f,
-its gradient and the fiber coefficients are exact Gaussian integers over
-one known denominator (homogeneous Horner); a value center is rounded
-once to nearest, each radius up, and a y ball carries the x radius to
-first order.  The conservation report compares the total against
-mu(f_0); the coalescing verdict restricts to the zero fiber and applies
-the uniqueness statement only when its hypothesis holds exactly.
+solving).  A root of Res_y(f_x, f_y) carries one point, whose local
+Milnor number is the root's multiplicity: the eliminant is read only
+where the y-leading coefficients of f_x and f_y have no common root, and
+every other frame goes to the one fallback, a shear x = x' + lam*y.
+Balls are integers (`ComplexBall.mid` and `rad`), never mpmath: one
+exact evaluation of f's rows at a dyadic x center (homogeneous Horner)
+gives the fibers of f, f_x and f_y, from which the y ball, carrying the
+x radius to first order, and the value ball are built, each center
+rounded once to nearest and each radius up.  The conservation report
+compares the total against mu(f_0); the coalescing verdict restricts to
+the zero fiber and applies the uniqueness statement only when its
+hypothesis holds exactly.
 """
 
 from __future__ import annotations
@@ -97,24 +100,17 @@ def critical_points(family: FamilyGerm, t_value, precision: int = 128) -> Critic
     """All critical points of f_t with modulus below the search radius.
 
     local_mu comes from the exact multiplicity structure of the
-    eliminant; a shear change of coordinates disambiguates grid-aligned
-    configurations.
+    eliminant where it counts the finite points alone; a shear change of
+    coordinates disambiguates every other configuration.
     """
     t_value = GaussianRational.from_value(t_value)
     if t_value.is_zero():
         raise FamilyError("use a nonzero parameter value")
-    f = family.slice(t_value)
-    fx, fy = f.partial_derivative("x"), f.partial_derivative("y")
-    raw = _system_roots(f, fx, fy, precision)
-    rows = _xy_rows(f)
-    points = []
-    for bx, by, mu in raw:
-        x, y = _dyadic(bx), _dyadic(by)
-        value = _value_ball(rows, x, y, (bx.rad, by.rad), precision)
-        points.append(CriticalPoint(
-            x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=_on_zero_fiber(value),
-            inside=_inside(x, y, family.search_radius),
-        ))
+    points = [
+        CriticalPoint(x=bx, y=by, local_mu=mu, value=value, on_zero_fiber=_on_zero_fiber(value),
+                      inside=_inside(_dyadic(bx), _dyadic(by), family.search_radius))
+        for bx, by, mu, value in _system_roots(family.slice(t_value), precision)
+    ]
     points.sort(key=_point_key)
     return CriticalRecord(
         t=t_value, points=tuple(points),
@@ -182,11 +178,12 @@ def _at_y(values, ders, c, d, u):
     return (pr, pi), (xr, xi), (dr << u, di << u)
 
 
-def _value_ball(f, x, y, radii, precision):
-    """f at the `_dyadic` centers x, y, each part rounded once from its exact
-    value, with a radius over balls of the largest of the (man, exp)
-    `radii`, rounded up; `f` is `_xy_rows` of f."""
-    values, ders, unit = _at_x(f, *x)
+def _value_ball(at, y, radii, precision):
+    """f at the x center of `at`, which is `_at_x` of f's rows there, and
+    the `_dyadic` center y, each part rounded once from its exact value,
+    with a radius over balls of the largest of the (man, exp) `radii`,
+    rounded up."""
+    values, ders, unit = at
     unit <<= y[2] * (len(values) - 1)
     v, vx, vy = _at_y(values, ders, *y)
     # 2 (|f_x| + |f_y| + 1) r + (|f| + 1) 2^-(precision - 8), times unit
@@ -206,32 +203,30 @@ def _quotient_up(num, den, exp, bits=53):
     return _round_up(-(-(num << k) // den), exp - k, bits)
 
 
-def _system_roots(f, p, q, precision):
-    """Common roots of (p, q) = (df/dx, df/dy) with exact multiplicities."""
+def _system_roots(f, precision):
+    """(x, y, multiplicity, value) balls of the common roots of f_x and f_y."""
+    p, q = f.partial_derivative("x"), f.partial_derivative("y")
     if p.is_zero() or q.is_zero():
         raise FamilyError("degenerate slice: a partial derivative vanishes identically")
-    g = poly_gcd(p, q)
-    if not g.is_constant():
+    if not poly_gcd(p, q).is_constant():
         raise FamilyError("non-isolated critical locus at this parameter")
     for lam in (0, 1, -1, 2, 3):
         try:
-            if lam == 0:
-                return _system_roots_plain(p, q, precision)
-            sheared = _shear(f, lam)
-            roots = _system_roots_plain(
-                sheared.partial_derivative("x"), sheared.partial_derivative("y"), precision
-            )
-            out = []
-            for bx, by, mu in roots:
-                # x = x' + lam*y and its radius, exactly
-                (a, b, e), (c, d, h) = bx.mid, by.mid
-                g = min(e, h)
-                x = ((a << e - g) + lam * (c << h - g), (b << e - g) + lam * (d << h - g), g)
-                r = _dyadic_sum(bx.rad, (abs(lam) * by.rad[0], by.rad[1]))
-                out.append((ComplexBall(x, r, precision), by, mu))
-            return out
+            roots = _system_roots_plain(_shear(f, lam) if lam else f, precision)
         except _Ambiguous:
             continue
+        if not lam:
+            return roots
+        out = []
+        for bx, by, mu, value in roots:
+            # x = x' + lam*y and its radius, exactly; f has the same value
+            # at (x, y) as the sheared f at (x', y)
+            (a, b, e), (c, d, h) = bx.mid, by.mid
+            g = min(e, h)
+            x = ((a << e - g) + lam * (c << h - g), (b << e - g) + lam * (d << h - g), g)
+            r = _dyadic_sum(bx.rad, (abs(lam) * by.rad[0], by.rad[1]))
+            out.append((ComplexBall(x, r, precision), by, mu, value))
+        return out
     raise FamilyError("could not disambiguate the critical configuration")
 
 
@@ -245,26 +240,46 @@ def _shear(f, lam):
     return f.substitute({"x": xs + ys.scale(GaussianRational(lam)), "y": ys})
 
 
-def _system_roots_plain(p, q, precision):
-    px, py = p.degree("x"), p.degree("y")
-    qx, qy = q.degree("x"), q.degree("y")
-    # pure separated system: exact cross product
-    if py == 0 and qx == 0:
-        return _cross_product(p, q, precision)
-    if px == 0 and qy == 0:
-        return _cross_product(q, p, precision)
-    if py >= 1 and qy >= 1:
-        eliminant = resultant(p, q, "y")
-        if eliminant.is_zero():
-            raise FamilyError("elimination collapsed: common factor in the gradient")
-        return _points_from_eliminant(p, q, eliminant, precision)
-    raise _Ambiguous  # mixed degenerate shapes: shear and retry
+def _system_roots_plain(f, precision):
+    """The critical points of f in this frame, or _Ambiguous.
+
+    A separated gradient is a cross product.  Otherwise a root of
+    Res_y(f_x, f_y) of multiplicity mu carries one point of Milnor number
+    mu where the y-leading coefficients of f_x and f_y have no common
+    root (Fulton, Algebraic Curves, 1969); anything else is ambiguous.
+    """
+    p, q = f.partial_derivative("x"), f.partial_derivative("y")
+    rows = _xy_rows(f)
+    out = []
+    for in_x, in_y in ((p, q), (q, p)):
+        if in_x.degree("y") == 0 and in_y.degree("x") == 0:
+            ys = _exact_univariate_roots(in_y, "y", precision)
+            for bx, mx in _exact_univariate_roots(in_x, "x", precision):
+                at = _at_x(rows, *_dyadic(bx))
+                out += [(bx, by, mx * my, _value_ball(at, _dyadic(by), (bx.rad, by.rad), precision))
+                        for by, my in ys]
+            return out
+    # the resultant needs both partials of positive degree in y
+    if min(p.degree("y"), q.degree("y")) < 1 or not _leads_coprime(p, q):
+        raise _Ambiguous
+    for bx, mu in _exact_univariate_roots(resultant(p, q, "y"), "x", precision):
+        at = _at_x(rows, *_dyadic(bx))
+        by = _fiber_point(at, bx, precision)
+        out.append((bx, by, mu, _value_ball(at, _dyadic(by), (bx.rad, by.rad), precision)))
+    return out
 
 
-def _cross_product(p, q, precision):
-    xroots = _exact_univariate_roots(p, "x", precision)
-    yroots = _exact_univariate_roots(q, "y", precision)
-    return [(bx, by, mx * my) for bx, mx in xroots for by, my in yroots]
+def _leads_coprime(p, q):
+    """Whether the y-leading coefficients of p and q, polynomials in x,
+    have no common root: one is a nonzero constant, or their gcd is."""
+    leads = []
+    for g in (p, q):
+        d = g.degree("y")
+        lead = {(i, 0): GaussianRational(*c) for (i, j), c in g.nums.items() if j == d}
+        if list(lead) == [(0, 0)]:
+            return True
+        leads.append(Polynomial(g.variables, lead))
+    return poly_gcd(*leads).is_constant()
 
 
 def _exact_univariate_roots(p, var, precision):
@@ -273,65 +288,51 @@ def _exact_univariate_roots(p, var, precision):
     return univariate_roots(p.in_variables((var,)), precision)
 
 
-def _points_from_eliminant(p, q, eliminant, precision):
-    out = []
-    rows = _xy_rows(p), _xy_rows(q)
-    for ball, mult in _exact_univariate_roots(eliminant, "x", precision):
-        ys = _fiber_point(*rows, ball, precision)
-        if len(ys) > 1:
-            raise _Ambiguous  # several points share this x: shear separates
-        # no y: a spurious eliminant root (leading-coefficient artifact)
-        out.extend((ball, y, mult) for y in ys)
-    return out
+def _fiber_point(at, xball, precision):
+    """The one common root y above the x center, a certified ball, or _Ambiguous.
 
-
-def _fiber_point(p, q, xball, precision):
-    """Common y-roots above the x center, as certified balls.
-
-    `p` and `q` are `_xy_rows` triples.  The fiber coefficients at the
-    center are exact Gaussian integers, so each ball encloses a root of
-    q(x_c, y) itself; it is widened by |q_x/q_y| times the x radius, the
-    first-order move of that root over the x ball.
+    `at` is `_at_x` of f's rows at x_c; their y-derivatives are the
+    fibers of f_y and f_xy.  Of the roots of f_y(x_c, y), exactly one
+    must pass the filter on f_x.  Its ball is widened by |f_xy/f_yy| times
+    the x radius, the first-order move of that root over the x ball.
     """
-    x = _dyadic(xball)
-    pc, qc = _at_x(p, *x), _at_x(q, *x)
-    candidates = []
-    for (coeffs, ders, unit), (other, _, other_unit) in ((qc, pc), (pc, qc)):
-        # |c| <= scale 2^-(precision/2), scale = max(|c_j|, 1), on squared integers
-        scale = max(max(map(_norm, coeffs)), unit * unit)
-        trimmed = list(coeffs)
-        while len(trimmed) > 1 and _norm(trimmed[-1]) << 2 * (precision // 2) <= scale:
-            trimmed.pop()
-        if len(trimmed) <= 1:
-            continue
-        try:
-            roots = aberth_roots(trimmed, precision)
-        except PrecisionError:
-            # a cluster is left to the shear retry, not to more bits
-            raise _Ambiguous
-        scale = max(max(map(_norm, other)), other_unit * other_unit)
-        for b in roots:
-            c, d, u = _dyadic(b)
-            # |other(y)| <= 2^-(precision/3) max(|other_j|, 1), likewise
-            h = _norm(_homogeneous_horner(other, c, d, u))
-            if h << 2 * (precision // 3) <= scale << 2 * u * (len(other) - 1):
-                _, qx, qy = _at_y(coeffs, ders, c, d, u)
-                if not _norm(qy):
-                    raise _Ambiguous
-                # |q_x/q_y| r_x (1 + 2^-20) = sqrt(|q_x|^2 |q_y|^2)/|q_y|^2 r_x (1 + 2^-20),
-                # rounded up to 100 bits
-                m, e = xball.rad
-                n = _sqrt_up(_norm(qx) * _norm(qy) << 200) * m * ((1 << 20) + 1)
-                widen = _quotient_up(n, _norm(qy), e - 120, 100)
-                candidates.append(ComplexBall(
-                    b.mid, _round_up(*_dyadic_sum(b.rad, widen)), precision))
-        break
-    merged = []
-    tol = (1, -(precision // 3))
-    for b in candidates:
-        if all(_apart(b.mid, m.mid, tol) for m in merged):
-            merged.append(b)
-    return merged
+    values, ders, unit = at
+    fy = [(k * a, k * b) for k, (a, b) in enumerate(values)][1:]
+    fxy = [(k * a, k * b) for k, (a, b) in enumerate(ders)][1:]
+    # |c| <= scale 2^-(precision/2), scale = max(|c_j|, 1), on squared integers
+    scale = max(max(map(_norm, fy)), unit * unit)
+    trimmed = list(fy)
+    while len(trimmed) > 1 and _norm(trimmed[-1]) << 2 * (precision // 2) <= scale:
+        trimmed.pop()
+    if len(trimmed) <= 1:
+        raise _Ambiguous
+    # the power of two common to the coefficients moves no root
+    v = min(((a | b) & -(a | b)).bit_length() for a, b in trimmed if a or b) - 1
+    try:
+        roots = aberth_roots([(a >> v, b >> v) for a, b in trimmed], precision)
+    except PrecisionError:
+        # a cluster is left to the shear retry, not to more bits
+        raise _Ambiguous
+    scale = max(max(map(_norm, ders)), unit * unit)
+    points = []
+    for b in roots:
+        c, d, u = _dyadic(b)
+        # |f_x(y)| <= 2^-(precision/3) max(|f_x,j|, 1), likewise
+        h = _norm(_homogeneous_horner(ders, c, d, u))
+        if h << 2 * (precision // 3) <= scale << 2 * u * (len(ders) - 1):
+            points.append((b, c, d, u))
+    if len(points) != 1:
+        raise _Ambiguous
+    b, c, d, u = points[0]
+    _, vx, vy = _at_y(fy, fxy, c, d, u)
+    if not _norm(vy):
+        raise _Ambiguous
+    # |f_xy/f_yy| r_x (1 + 2^-20) = sqrt(|f_xy|^2 |f_yy|^2)/|f_yy|^2 r_x (1 + 2^-20),
+    # rounded up to 100 bits
+    m, e = xball.rad
+    n = _sqrt_up(_norm(vx) * _norm(vy) << 200) * m * ((1 << 20) + 1)
+    widen = _quotient_up(n, _norm(vy), e - 120, 100)
+    return ComplexBall(b.mid, _round_up(*_dyadic_sum(b.rad, widen)), precision)
 
 
 def _norm(c):

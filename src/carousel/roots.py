@@ -5,20 +5,21 @@ read for its exact structure first: the power z^k of the variable is
 split off, 0 is a root of multiplicity k with a ball of radius 0, and
 the rest is split into squarefree factors exactly (a rest a*z^n + b is
 squarefree as it stands).  Each factor is then solved by
-Aberth-Ehrlich simultaneous iteration in machine doubles; only when the
-doubles cannot isolate the roots does the same iteration run in mpmath
-from a circle of start points.  The approximations are then polished
-and certified in Python integer arithmetic.  A numeric (mpc) coefficient
-is an exact dyadic number and a Q(i) coefficient clears to a Gaussian
-integer, so p and p' are evaluated exactly at dyadic points by
-homogeneous Horner.  Newton steps on Gaussian integers refine each root,
-and the certificate is Newton's inclusion disk: some root lies within
-n*|p(z)/p'(z)| of any z (Henrici, Applied and Computational Complex
-Analysis I, 1974).  Its radius is rounded up with `math.isqrt`, and n
-pairwise disjoint disks, compared exactly, hold one root each.  The
-balls stay in integers (`ComplexBall`): each center part is rounded to
-nearest with precision + 32 bits, each radius up, and every test on a
-ball reads the integers.
+Aberth-Ehrlich simultaneous iteration in machine doubles.  Those
+approximations are only a start: they are polished and certified in
+Python integer arithmetic, and only where that one certificate refuses
+them does the same iteration run in mpmath from a circle of start
+points.  A numeric (mpc) coefficient is an exact dyadic number and a
+Q(i) coefficient clears to a Gaussian integer, so p and p' are
+evaluated exactly at dyadic points by homogeneous Horner.  Newton
+steps on Gaussian integers refine each root, and the certificate is
+Newton's inclusion disk: some root lies within n*|p(z)/p'(z)| of any z
+(Henrici, Applied and Computational Complex Analysis I, 1974).  Its
+radius is rounded up with `math.isqrt`, and n pairwise disjoint disks,
+compared exactly, hold one root each.  The balls stay in integers
+(`ComplexBall`): each center part is rounded to nearest with
+precision + 32 bits, each radius up, and every test on a ball reads
+the integers.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def _double_start(coeffs, unit):
 
     `coeffs` are Gaussian integers (re, im), low first.  None unless every
     monic coefficient converts to a finite double without underflow and
-    the pass converges to finite approximations that the Weierstrass
-    radii, rounding error included, already isolate.  A cluster that
-    doubles cannot resolve is left to the mpmath start.
+    the pass converges to finite approximations.  These are only a start:
+    the integer Newton certificate alone decides, and a cluster that the
+    doubles cannot resolve, where it refuses, is left to the mpmath start.
     """
     lr, li = coeffs[-1]
     norm = lr * lr + li * li
@@ -319,11 +320,7 @@ def _double_start(coeffs, unit):
     z = [radius * w for w in unit]
     if not _aberth_iterate(monic, z, _DOUBLE_TOL, 1e-6):
         return None
-    if not all(cmath.isfinite(w) for w in z):
-        return None
-    if _inclusion_radii(monic, z) is None:
-        return None
-    return z
+    return z if all(cmath.isfinite(w) for w in z) else None
 
 
 def _mpmath_start(coeffs, unit, precision):
@@ -490,33 +487,6 @@ def _inclusion_radius(n, p2, d2, s):
     else:
         q = -(-num // (d2 << -shift))
     return isqrt(q - 1) + 1, -t
-
-
-def _inclusion_radii(monic, z):
-    """Weierstrass radii n*(|p(z_i)| + e_i)/|prod_j (z_i - z_j)| in doubles, or None.
-
-    e_i bounds the rounding error of p(z_i) in doubles, so the disks
-    cover the roots; None unless they are pairwise disjoint.
-    """
-    n = len(z)
-    # rounding of the monic coefficients and of Horner
-    gamma = error_factor(4 * (n + 1), 2.0 ** -53)
-    majorants = [abs(c) for c in monic]
-    radii = []
-    for i in range(n):
-        prod = 1
-        for j in range(n):
-            if j != i:
-                prod *= z[i] - z[j]
-        if prod == 0:
-            return None
-        bound = gamma * _horner(majorants, abs(z[i]))
-        radii.append(n * (abs(_horner(monic, z[i])) + bound) / abs(prod) * (1 + 2.0 ** -20))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not abs(z[i] - z[j]) > radii[i] + radii[j]:
-                return None
-    return radii
 
 
 def _escalate(solve, precision: int):

@@ -250,6 +250,55 @@ class TestSingleAttemptSolves:
         assert record.total_mu == 5
 
 
+class TestLocalMilnorNumber:
+    # at x = 0 the y-leading coefficients of f_x and f_y both vanish, so
+    # Res_y(f_x, f_y) also counts a point at infinity there: its
+    # multiplicity is not the local Milnor number of the one Morse point
+    # at (0, -t), which f_0's mu = 1 says is conserved
+    @pytest.mark.parametrize("text", (
+        "x*y + x^2*y^2 + x^3 + t*x",
+        "x^2*y^3 + (y + t)^2 + x*(y + t) + x^2",
+    ))
+    def test_morse_point_over_the_common_root_of_the_leading_coefficients(self, text):
+        fam = F(text)
+        report = conservation_check(fam)
+        assert report.mu_origin == 1 and report.all_conserved
+        assert coalescing_verdict(fam, report).status == "CONSISTENT"
+        xs, ys = (Polynomial.variable(("x", "y"), v) for v in ("x", "y"))
+        for t, record in zip(fam.t_samples, report.records):
+            [point] = [p for p in record.points if abs(p.x.center) < 1e-30]
+            assert abs(point.y.center + gaussian_to_mpc(t)) < 1e-30
+            # the gradient translated to (0, -t), with no eliminant
+            f = fam.slice(t).substitute({"x": xs, "y": ys - Polynomial.constant(("x", "y"), t)})
+            oracle = puiseux_mod.intersection_multiplicity(
+                f.partial_derivative("x"), f.partial_derivative("y"))
+            assert point.local_mu == oracle == 1
+
+
+class TestShear:
+    # each way into the shear x = x' + lam*y, and mu conserved after it
+    @pytest.mark.parametrize("text, mu", (
+        ("x*y + x^3 + t*y", 1),  # mixed shapes: f_y has no y
+        ("x^2 + y^4 - 2*t*y^2 + x*y^2", 3),  # two Morse points over x = -2t/3
+        ("x*y + x^2*y^2 + x^3 + t*x", 1),  # both y-leading coefficients vanish at 0
+        ("x*y + x*y^2 + x^3 + t*x", 1),  # the f_y fiber vanishes at x = 0
+    ))
+    def test_shear_conserves_mu(self, text, mu, monkeypatch):
+        import carousel.family as family_mod
+
+        shears = []
+        real = family_mod._shear
+
+        def spy(f, lam):
+            shears.append(lam)
+            return real(f, lam)
+
+        monkeypatch.setattr(family_mod, "_shear", spy)
+        report = conservation_check(F(text))
+        assert shears
+        assert report.mu_origin == mu and report.all_conserved
+
+
 # the six families of the benchmark and of the CI family grid
 BENCH_FAMILIES = (
     "x^3 - y^2 + t*x",
@@ -359,6 +408,6 @@ def test_integer_evaluator_is_exact(case):
     assert from_integers(*v, unit) == _exact_at(f, x, y)
     assert from_integers(*vx, unit) == _exact_at(f.partial_derivative("x"), x, y)
     assert from_integers(*vy, unit) == _exact_at(f.partial_derivative("y"), x, y)
-    ball = _value_ball(rows, _dyadic(bx), _dyadic(by), [(0, 0)], 128)
+    ball = _value_ball(_at_x(rows, *_dyadic(bx)), _dyadic(by), [(0, 0)], 128)
     with mp.workprec(160):
         assert ball.center._mpc_ == gaussian_to_mpc(_exact_at(f, x, y))._mpc_

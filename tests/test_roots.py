@@ -222,8 +222,9 @@ def test_clustered_solve_stops_at_the_rounding_floor(monkeypatch):
 
 def test_cluster_below_double_resolution_needs_the_mpmath_start(monkeypatch):
     # roots 1 and 1 + 2^-70: the monic coefficients rounded to doubles
-    # have a double root at 1, so no start circle lets doubles isolate
-    # the pair, and only the mpmath pass can
+    # have a double root at 1, so from no start circle do the doubles
+    # isolate the pair: the integer certificate refuses each double
+    # start, and only the mpmath pass can
     roots = [Fraction(1), Fraction(1) + Fraction(1, 2**70), Fraction(-2)]
     u = Polynomial.variable(("u",), "u")
     p = U("u^2 + 1")
@@ -234,7 +235,8 @@ def test_cluster_below_double_resolution_needs_the_mpmath_start(monkeypatch):
     n = len(ints) - 1
     for turn in (0, 0.1, 0.25, 0.4):
         unit = [cmath.exp(2j * cmath.pi * (k / n + turn) + 0.4j) for k in range(n)]
-        assert roots_mod._double_start(ints, unit) is None
+        start = roots_mod._double_start(ints, unit)
+        assert roots_mod._newton_certificate(ints, start, 128) is None
     passes = []
     real = roots_mod._aberth_iterate
 
