@@ -56,6 +56,14 @@ def _parse_line_flag(text: str):
     return (_parse_constant(pieces[0]), _parse_constant(pieces[1]))
 
 
+def _precision(text: str) -> int:
+    """`--precision` in bits, refused below a double's 53 when parsed."""
+    bits = int(text)
+    if bits < 53:
+        raise argparse.ArgumentTypeError(f"precision must be at least 53 bits, got {bits}")
+    return bits
+
+
 def _parse_pairs(text: str):
     found = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
     if not found:
@@ -98,9 +106,10 @@ def cmd_analyze(args) -> int:
                 path = args.svg if len(germs) == 1 else _indexed_path(args.svg, index)
                 try:
                     emit_svg(result, path)
-                except (PuiseuxError, PrecisionError) as exc:
+                except (PuiseuxError, PrecisionError, OSError) as exc:
                     # the figure solves the series of Delta, the one
-                    # numeric step the analysis itself does not take
+                    # numeric step the analysis itself does not take, and
+                    # writes a file that may not open
                     raise StageError("svg", exc) from exc
                 print(f"  .. wrote {path}", file=sys.stderr)
         except StageError as exc:
@@ -225,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--germ-file", help="file with one germ per line")
     pa.add_argument("--vars", default="x,y", help="comma-separated symbols (default x,y)")
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--precision", type=int, default=128, help="bits (default 128)")
+    pa.add_argument("--precision", type=_precision, default=128, help="bits >= 53 (default 128)")
     pa.add_argument("--line", default=None, help="force l = a*x + b*y as 'a,b'")
     pa.add_argument(
         "--svg",
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--family", required=True, help="polynomial F(x, y, t)")
     pf.add_argument("--samples", default="")
     pf.add_argument("--radius", default="1/2")
-    pf.add_argument("--precision", type=int, default=128)
+    pf.add_argument("--precision", type=_precision, default=128)
     pf.add_argument("--json-compact", action="store_true")
     pf.set_defaults(func=cmd_family)
     return parser
@@ -257,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PolynomialError, ValueError) as exc:
+    except (ParseError, PolynomialError, ValueError, OSError) as exc:
         print(f"error [cli]: {exc}", file=sys.stderr)
         return 1
 

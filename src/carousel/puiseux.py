@@ -265,61 +265,6 @@ def _transform(terms: dict, q: int, p: int, L: int, u: int, v: int, xi, psi=None
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-# truncated power series on Gaussian integers at one binary scale 2^S:
-# a series is a pair (real parts, imaginary parts) of int lists, index =
-# exponent, and an int n stands for n / 2^S
-
-
-def _mul_into(acc, a, b, n):
-    """acc += a * b mod x^n at full width (scale 2^2S), in place."""
-    accr, acci = acc
-    ar, ai = a
-    nz = [(j, br, bi) for j, (br, bi) in enumerate(zip(*b)) if j < n and (br or bi)]
-    for i in range(min(n, len(ar))):
-        xr, xi = ar[i], ai[i]
-        if xr or xi:
-            for j, br, bi in nz:
-                if i + j >= n:
-                    break
-                accr[i + j] += xr * br - xi * bi
-                acci[i + j] += xr * bi + xi * br
-    return acc
-
-
-def _shift_back(acc, S):
-    """A full-width series rounded back to scale 2^S: one shift per coefficient."""
-    half = 1 << (S - 1)
-    return tuple([(v + half) >> S for v in part] for part in acc)
-
-
-def _zeros(n):
-    return [0] * n, [0] * n
-
-
-def _recip(a, n, S):
-    """1/a mod x^n; the constant term is 2^2S conj(a_0)/|a_0|^2, rounded."""
-    ar, ai = a
-    norm = ar[0] * ar[0] + ai[0] * ai[0]
-    if not norm:
-        raise PrecisionError("series reciprocal of a zero constant term")
-    r0r = ((ar[0] << (2 * S + 1)) + norm) // (2 * norm)
-    r0i = ((-ai[0] << (2 * S + 1)) + norm) // (2 * norm)
-    rr, ri = _zeros(n)
-    rr[0], ri[0] = r0r, r0i
-    half = 1 << (2 * S - 1)
-    for k in range(1, n):
-        sr = si = 0
-        for m in range(1, k + 1):
-            xr, xi = ar[m], ai[m]
-            if xr or xi:
-                sr += xr * rr[k - m] - xi * ri[k - m]
-                si += xr * ri[k - m] + xi * rr[k - m]
-        # r_k = -s * r_0 with s at scale 2^2S: one shift by 2S
-        rr[k] = -((sr * r0r - si * r0i + half) >> 2 * S)
-        ri[k] = -((sr * r0i + si * r0r + half) >> 2 * S)
-    return rr, ri
-
-
 def _fixed(n, k, d):
     """The integer nearest n * 2^k / d, for d > 0."""
     if d == 1:
@@ -332,22 +277,26 @@ def _fixed(n, k, d):
 
 
 def _tail_series(terms: dict, budget: int, thresh) -> dict:
-    """Solve h(x, y(x)) = 0 with dh/dy(0,0) != 0 by series Newton iteration.
+    """Solve h(x, y(x)) = 0 with dh/dy(0,0) != 0 by undetermined coefficients.
 
-    The window doubles each round (y correct mod x^m gives y' correct mod
-    x^2m), so the quadratic series cost concentrates in the final pass.
-    The series are Gaussian integers at one binary scale 2^S.  h is first
+    With c = h_y(0,0) and y = sum_(k>=1) y_k x^k, the coefficient of x^k
+    in h(x, y) is c y_k plus a sum s_k of the other terms of h, which
+    reads y_1 ... y_(k-1) alone, so y_k = -s_k / c fixes one order at a
+    time: the x^k coefficients of the powers y^j (j >= 2) first, from
+    lower ones, then s_k and y_k.  The series are Gaussian integers at
+    one binary scale 2^S, an int n standing for n / 2^S.  h is first
     multiplied by a power of two so that its largest coefficient has
-    magnitude about 1, which is exact and leaves y(x) unchanged.  S is the
-    working precision plus 32 guard bits, widened by -log2|h_y(0,0)| when
-    that is small, so a tiny h_y(0,0) keeps its relative accuracy and
-    never rounds to 0.  Each coefficient of a product (and of h and h_y)
-    is summed at full width and shifted back once, so it carries one
-    rounding of 2^-S however many terms it sums.  A coefficient y_k is
-    kept when |y_k| > thresh * max(1, |y_j| for j < k): rounding noise
-    at order k scales with the coefficients seen so far, not with the
-    global maximum (the series may grow geometrically).  Only the kept
-    ones become mpc values, rounded once to the working precision.
+    magnitude about 1, which is exact and leaves y(x) unchanged.  S is
+    the working precision plus 32 guard bits, widened by -log2|c| when
+    that is small, so a tiny c keeps its relative accuracy and never
+    rounds to 0.  Each coefficient of a power and each s_k is summed at
+    full width (scale 2^2S); the power's is shifted back once, and y_k
+    = -s_k conj(c) / |c|^2 is rounded once, so each carries one rounding
+    of 2^-S however many terms it sums.  A coefficient y_k is kept when
+    |y_k| > thresh * max(1, |y_j| for j < k): rounding noise at order k
+    scales with the coefficients seen so far, not with the global
+    maximum (the series may grow geometrically).  Only the kept ones
+    become mpc values, rounded once to the working precision.
     """
     if all(j for _, j in terms):
         return {}  # h(x, 0) has no term, so y = 0 exactly
@@ -365,47 +314,47 @@ def _tail_series(terms: dict, budget: int, thresh) -> dict:
     sigma = -max(log2(*v) for v in exact.values())
     S = mp.prec + 32 + max(0, -sigma - log2(*exact.get((0, 1), (0, 0, 0, 1))))
     T = budget
-    # h_j(x) with h = sum_j h_j(x) y^j, and (j + 1) h_(j+1)(x) for h_y
-    cols: dict = {}
-    for (i, j), (re, im, e, d) in exact.items():
-        if i <= T:
-            col = cols.setdefault(j, _zeros(T + 1))
-            col[0][i], col[1][i] = _fixed(re, S + sigma + e, d), _fixed(im, S + sigma + e, d)
-    dcols = {j - 1: ([j * v for v in re], [j * v for v in im])
-             for j, (re, im) in cols.items() if j}
-    maxj = max(cols)
-    y = _zeros(T + 1)
-    correct = 1  # y agrees with the true series mod x^correct
-    while correct <= T:
-        window = min(2 * correct, T)
-        n = window + 1
-        pow_y = _zeros(n)
-        pow_y[0][0] = 1 << S
-        h_val, h_der = _zeros(n), _zeros(n)
-        for j in range(maxj + 1):
-            if j in cols:
-                _mul_into(h_val, cols[j], pow_y, n)
-            if j in dcols:
-                _mul_into(h_der, dcols[j], pow_y, n)
-            if j < maxj:
-                pow_y = _shift_back(_mul_into(_zeros(n), pow_y, y, n), S)
-        h_val, h_der = _shift_back(h_val, S), _shift_back(h_der, S)
-        delta = _shift_back(_mul_into(_zeros(n), h_val, _recip(h_der, n, S), n), S)
-        for part, step in zip(y, delta):
-            for k in range(n):
-                part[k] -= step[k]
-        correct = min(2 * correct, n)
+    h = [(i, j, _fixed(re, S + sigma + e, d), _fixed(im, S + sigma + e, d))
+         for (i, j), (re, im, e, d) in exact.items() if i <= T]
+    cr, ci = next(((re, im) for i, j, re, im in h if (i, j) == (0, 1)), (0, 0))
+    norm = cr * cr + ci * ci
+    if not norm:
+        raise PrecisionError("tail series with h_y(0, 0) = 0")
+    # pows[j] = (real parts, imaginary parts) of y^j, index = exponent;
+    # pows[1] is y, and its x^k coefficient is 0 until y_k is set, so the
+    # term c y in the sum s_k adds nothing
+    pows = [([1 << S] + [0] * T, [0] * (T + 1))]
+    pows += [([0] * (T + 1), [0] * (T + 1)) for _ in range(max(j for _, j, _, _ in h))]
+    yr, yi = pows[1]
+    half = 1 << (S - 1)
     (t,), e = _dyadic_ints((thresh._mpf_,))
     # |y_k|^2 > thresh^2 running^2, all squares at scale 2^2S
     t2 = t * t << max(0, 2 * e)
-    out = {}
     running2 = 1 << 2 * S
+    seen = []  # (m, re, im) of each nonzero y_m so far
+    out = {}
     for k in range(1, T + 1):
-        yr, yi = y[0][k], y[1][k]
-        n2 = yr * yr + yi * yi
+        for j in range(2, min(k, len(pows) - 1) + 1):
+            lr, li = pows[j - 1]
+            sr = si = 0
+            for m, ar, ai in seen:
+                sr += ar * lr[k - m] - ai * li[k - m]
+                si += ar * li[k - m] + ai * lr[k - m]
+            pows[j][0][k], pows[j][1][k] = (sr + half) >> S, (si + half) >> S
+        sr = si = 0
+        for i, j, ar, ai in h:
+            if i <= k:
+                br, bi = pows[j][0][k - i], pows[j][1][k - i]
+                sr += ar * br - ai * bi
+                si += ar * bi + ai * br
+        yr[k] = _fixed(-(sr * cr + si * ci), 0, norm)
+        yi[k] = _fixed(sr * ci - si * cr, 0, norm)
+        n2 = yr[k] * yr[k] + yi[k] * yi[k]
+        if n2:
+            seen.append((k, yr[k], yi[k]))
         if n2 << max(0, -2 * e) > t2 * running2:
-            out[k] = mp.make_mpc((from_man_exp(yr, -S, mp.prec, round_nearest),
-                                  from_man_exp(yi, -S, mp.prec, round_nearest)))
+            out[k] = mp.make_mpc((from_man_exp(yr[k], -S, mp.prec, round_nearest),
+                                  from_man_exp(yi[k], -S, mp.prec, round_nearest)))
         running2 = max(running2, n2)
     return out
 

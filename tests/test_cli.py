@@ -191,6 +191,44 @@ class TestAnalyze:
         assert (tmp_path / "fig-1.svg").read_bytes().startswith(b"<svg")
         assert "[svg]" in err
 
+    def test_unwritable_figure_is_an_svg_error_record(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^5 - y^2\nx^3 - y^2\n")
+        figure = tmp_path / "missing" / "f.svg"
+        code, out, err = run_cli(
+            ["analyze", "--germ-file", str(listing), "--svg", str(figure), "--json-compact"],
+            capsys,
+        )
+        assert code == 1
+        reports = json.loads(out)
+        assert [r["germ"] for r in reports] == ["x^5 - y^2", "x^3 - y^2"]
+        for k, report in enumerate(reports):
+            assert set(report) == {"germ", "error"}
+            assert report["error"]["stage"] == "svg"
+            assert f"f-{k}.svg" in report["error"]["message"]
+        assert err.count("error [svg]") == 2
+
+    def test_unreadable_germ_file_is_a_cli_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run_cli(["analyze", "--germ-file", str(missing)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error [cli]: ") and "absent.txt" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--germ", "x^2 + y^3"],
+        ["family", "--family", "x^3 - y^2 + t*x"],
+    ], ids=["analyze", "family"])
+    def test_precision_below_53_bits_is_an_argparse_error(self, argv, capsys):
+        # refused when parsed, before any stage runs
+        for bits in ("52", "20"):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--precision", bits])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at least 53" in captured.err and "parsing germ" not in captured.err
+
 
 class TestReport:
     def test_base_points_print_noise_as_zero(self):

@@ -411,7 +411,8 @@ def _smooth_tails(draw):
 
 
 class TestTailSeries:
-    """`_tail_series`, the series Newton step under every smooth branch tail."""
+    """`_tail_series`, the undetermined-coefficient pass under every smooth
+    branch tail."""
 
     @seed(11)
     @settings(max_examples=40, deadline=None)
@@ -435,6 +436,18 @@ class TestTailSeries:
         terms = {key: c * scale for key, c in terms.items()}
         with mp.workprec(128 + 64):
             got = puiseux_mod._tail_series(terms, 16, mpf(2) ** -64)
+        _assert_tail_matches(got, want, 128)
+
+    def test_dense_tail_past_truncation_16(self):
+        # every y_k nonzero and terms up to y^3: the powers of y carry
+        # each order, and the first 48 must all match the exact series
+        terms = {(0, 1): ONE, (1, 0): -ONE, (2, 0): GaussianRational(Fraction(1, 2), 1),
+                 (0, 2): GaussianRational(1, -1), (1, 1): GaussianRational(Fraction(2, 3)),
+                 (0, 3): GaussianRational(Fraction(-1, 3), 2)}
+        want = _exact_tail(terms, 48)
+        assert sorted(want) == list(range(1, 49))
+        with mp.workprec(128 + 64):
+            got = puiseux_mod._tail_series(terms, 48, mpf(2) ** -64)
         _assert_tail_matches(got, want, 128)
 
     def test_exact_zero_derivative_raises(self):
