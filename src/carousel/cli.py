@@ -50,10 +50,15 @@ def _parse_constant(text: str) -> GaussianRational:
 
 
 def _parse_line_flag(text: str):
+    """`--line 'a,b'` as (a, b), refused before any stage runs when it is
+    not a pair of constants or both are 0."""
     pieces = text.split(",")
     if len(pieces) != 2:
         raise ValueError("expected --line 'a,b'")
-    return (_parse_constant(pieces[0]), _parse_constant(pieces[1]))
+    a, b = _parse_constant(pieces[0]), _parse_constant(pieces[1])
+    if a.is_zero() and b.is_zero():
+        raise ValueError("degenerate linear form (0, 0)")
+    return a, b
 
 
 def _precision(text: str) -> int:
@@ -74,6 +79,9 @@ def _parse_pairs(text: str):
 def cmd_analyze(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     forced = _parse_line_flag(args.line) if args.line else None
+    if args.germ is None and args.germ_file is None:
+        print("error [cli]: provide --germ or --germ-file", file=sys.stderr)
+        return 1
     germs = []
     if args.germ is not None:
         germs.append(args.germ)
@@ -83,9 +91,6 @@ def cmd_analyze(args) -> int:
                 stripped = raw.strip()
                 if stripped and not stripped.startswith("#"):
                     germs.append(stripped)
-    if not germs:
-        print("error [cli]: provide --germ or --germ-file", file=sys.stderr)
-        return 1
     # with --germ-file a failing germ becomes an error record and the
     # batch goes on; the exit code is the worst one seen
     batch = args.germ_file is not None

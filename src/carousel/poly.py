@@ -767,8 +767,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     it divides both images; coprime images exclude it.  The same test in
     `other` at a sample of `main` excludes a common factor in `other`
     alone, and both passing leave only units.  A failed test proves
-    nothing, and Brown's evaluation/interpolation gcd decides
-    (`_bivariate_modular_gcd`).
+    nothing.  Then the gcd is the gcd of the contents in `main` times the
+    primitive part of the last nonzero remainder of the subresultant
+    sequence of the primitive parts (`_subresultants`; von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6), or the contents' gcd alone
+    when the sequence ends in degree 0.
     """
     p._check_same(q)
     if p.is_zero():
@@ -792,7 +795,17 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     other = next(v for v in active if v != main)
     if _coprime_images(p, q, main, other):
         return Polynomial.constant(p.variables, 1)
-    return _bivariate_modular_gcd(p, q, main, other)
+    cp, pp = content_primitive(p, main)
+    cq, pq = content_primitive(q, main)
+    cont = poly_gcd(cp, cq)
+    A, B = sorted((pp.as_univariate(main), pq.as_univariate(main)), key=len, reverse=True)
+    last, rem, _, _ = _subresultants(A, B)
+    if rem:  # the sequence ends in degree 0
+        return cont.monic()
+    x = Polynomial.variable(p.variables, main)
+    g = sum((c.in_variables(p.variables) * x**k for k, c in enumerate(last)),
+            Polynomial.zero(p.variables))
+    return (cont * content_primitive(g, main)[1]).monic()
 
 
 def _coprime_images(p, q, main, other) -> bool:
@@ -830,52 +843,6 @@ def _image_gcd(rows_p, rows_q, r):
     return _int_gcd(*images)
 
 
-def _bivariate_modular_gcd(p, q, main, other):
-    """Brown's gcd: univariate gcds at the points 1, -1, 2, -2, ...,
-    interpolated in `other` and verified by exact division.
-
-    The loop ends: only finitely many points make a leading coefficient
-    vanish or give an image of too high degree, and `dv_bound` consecutive
-    images of the true degree interpolate to a candidate that divides both.
-    Each monic image is scaled by gamma(r), gamma the gcd of the leading
-    coefficients up to a constant that the candidate's normalisation drops.
-    """
-    cp, pp = content_primitive(p, main)
-    cq, pq = content_primitive(q, main)
-    cont = poly_gcd(cp, cq)
-    lc_p = pp.as_univariate(main)[-1]
-    lc_q = pq.as_univariate(main)[-1]
-    gamma = _dense_in(poly_gcd(lc_p, lc_q), other)
-    dv_bound = len(gamma) + min(pp.degree(other), pq.degree(other))
-    rows_p, rows_q = _int_rows(pp, main, other), _int_rows(pq, main, other)
-    best_degree = None
-    samples = []  # (point, scaled monic image in main)
-    for r in _sample_points():
-        g = _image_gcd(rows_p, rows_q, r)
-        if g is None:
-            continue
-        d = len(g) - 1
-        if d == 0:
-            return cont.monic()
-        if best_degree is None or d < best_degree:
-            best_degree = d
-            samples = []
-        if d > best_degree:
-            continue
-        scale = from_integers(sum(a * r**j for j, (a, _) in enumerate(gamma)),
-                              sum(b * r**j for j, (_, b) in enumerate(gamma)))
-        samples.append((r, _univariate(p.variables, p._index(main), g).scale(scale)))
-        if len(samples) >= dv_bound:
-            candidate = _interpolate_bivariate(samples, other)
-            _, candidate = content_primitive(candidate, main)
-            candidate = candidate.monic()
-            try:
-                divexact(pp, candidate), divexact(pq, candidate)
-                return (cont * candidate).monic()
-            except PolynomialError:
-                samples.pop(0)  # unlucky mixture: drop the oldest sample
-
-
 def _sample_points():
     """The integers 1, -1, 2, -2, ...  Inputs derived from a germ vanish
     at the origin, so their images at 0 share a factor and 0 is skipped."""
@@ -884,19 +851,6 @@ def _sample_points():
         yield k
         yield -k
         k += 1
-
-
-def _interpolate_bivariate(samples, var):
-    """The polynomial C of degree < len(samples) in `var` with C = G at
-    var = r for each (r, G), the G free of var, in Newton's form."""
-    variables = samples[0][1].variables
-    x = Polynomial.variable(variables, var)
-    result, basis = Polynomial.zero(variables), Polynomial.constant(variables, 1)
-    for r, G in samples:
-        gap = G - result.eliminate_variable(var, r).in_variables(variables)
-        result = result + basis * gap.scale(basis.eliminate_variable(var, r).constant_value().inverse())
-        basis = basis * (x - r)
-    return result
 
 
 def content_primitive(p: Polynomial, var: str):
@@ -1068,8 +1022,7 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     lists the deg(p) shifted rows of q first.
 
     Runs the subresultant pseudo-remainder sequence of Collins and of Brown
-    and Traub (Cohen, Alg. 3.3.7) on (q, p).  By the subresultant theorem
-    every division is exact in Q(i)[rest], and `divexact` raises otherwise.
+    and Traub (Cohen, Alg. 3.3.7) on (q, p), `_subresultants`.
     """
     p._check_same(q)
     m, n = p.degree(var), q.degree(var)
@@ -1079,20 +1032,38 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     sign = 1
     if n < m:  # Res(q, p) = (-1)^(mn) Res(p, q)
         A, B, sign = B, A, (-1) ** (m * n)
+    A, B, h, steps_sign = _subresultants(A, B)
+    if not B:
+        return Polynomial.zero(h.variables)
+    d = len(A) - 1
+    return divexact(B[0] ** d, h ** (d - 1)).scale(sign * steps_sign)
+
+
+def _subresultants(A: list, B: list):
+    """The subresultant pseudo-remainder sequence of coefficient lists A, B
+    (low to high, nonzero last entries, len(A) >= len(B) >= 2), run until
+    the remainder has degree 0 or vanishes.
+
+    Returns (A, B, h, sign): the last pair, B = [] when the remainder
+    vanished, so that A is the last nonzero remainder; h the last
+    subresultant scale; and sign the product of (-1)^(deg A * deg B) over
+    the steps.  By the subresultant theorem every division is exact in
+    Q(i)[rest], and `divexact` raises otherwise.
+    """
+    sign = 1
     g = h = Polynomial.constant(A[0].variables, 1)
     while len(B) > 1:
         delta = len(A) - len(B)
         sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
         R = _prem(A, B)
         if not R:
-            return Polynomial.zero(g.variables)
+            return B, [], h, sign
         den = g * h**delta
         A, B = B, [divexact(c, den) for c in R]
         g = A[-1]
         if delta:
             h = divexact(g**delta, h ** (delta - 1))
-    d = len(A) - 1
-    return divexact(B[0] ** d, h ** (d - 1)).scale(sign)
+    return A, B, h, sign
 
 
 def _prem(A: list, B: list) -> list:

@@ -17,6 +17,7 @@ from mpmath import mpf
 
 from .puiseux import puiseux_branches
 from .report import AnalysisResult
+from .tracking import _cycles
 
 _COLORS = (
     "#1f77b4",
@@ -94,22 +95,6 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _cycle_index_map(sigma):
-    seen = [False] * len(sigma)
-    index = {}
-    c = 0
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            index[j] = c
-            j = sigma[j]
-        c += 1
-    return index
-
-
 def render_svg(result: AnalysisResult) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -175,7 +160,7 @@ def render_svg(result: AnalysisResult) -> str:
         ang = 2 * math.pi * k / 96
         circle_pts.append((rho / 2 * math.cos(ang), rho / 2 * math.sin(ang)))
     parts.append(right.polyline(circle_pts, "#cccccc", "0.8", dash="2,3"))
-    cycle_of = _cycle_index_map(perm.sigma)
+    cycle_of = {i: c for c, cycle in enumerate(_cycles(perm.sigma)) for i in cycle}
     for i, trace in enumerate(perm.orbit_traces):
         stride = max(1, len(trace) // 192)
         pts = list(trace[::stride])

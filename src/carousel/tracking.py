@@ -110,13 +110,12 @@ class _FiberPolynomial:
     corrector over v and the predictor from v.
     """
 
-    def __init__(self, delta: Polynomial, precision: int):
+    def __init__(self, delta: Polynomial):
         self.coeffs_d = [
             [complex(c.a / c.d, c.b / c.d) for c in cp.dense_coefficients()] or [0j]
             for cp in delta.as_univariate("u")
         ]
         self.majorants_d = [[abs(c) for c in row] for row in self.coeffs_d]
-        self.trim_d = math.ldexp(1.0, -(precision // 2))
         # rounding steps behind p and p' and the Taylor coefficients:
         # conversion, Horner in v, then at most 2(n + 1) steps in u
         ops = 4 * (2 * len(self.coeffs_d) + max(map(len, self.coeffs_d)))
@@ -124,9 +123,8 @@ class _FiberPolynomial:
 
     def at_value(self, v: complex) -> "_FiberValue":
         """Delta over v in complex doubles, by one Horner pass in v: the
-        coefficients in u and their majorants, trimmed, for the corrector
-        over v, and every coefficient (`rows`) with its v-derivative
-        (`drows`) for the predictor from v."""
+        coefficients in u (`rows`) and their majorants for the corrector
+        over v, and their v-derivatives (`drows`) for the predictor from v."""
         av = abs(v)
         values = []
         for row, mrow in zip(self.coeffs_d, self.majorants_d):
@@ -137,14 +135,11 @@ class _FiberPolynomial:
                 m = m * av + b
             values.append((c, dc, m))
         rows, drows, majorants = map(list, zip(*values))
-        # drop a numerically vanished leading coefficient (root at infinity)
-        tol = max([abs(c) for c in rows] + [1]) * self.trim_d
-        n = next((k for k in range(len(rows), 1, -1) if not abs(rows[k - 1]) <= tol), 1)
-        return _FiberValue(v, rows[:n], majorants[:n], rows, drows)
+        return _FiberValue(v, rows, majorants, drows)
 
 
-_FiberValue = NamedTuple("_FiberValue", [("v", complex), ("coeffs", list),
-                                         ("majorants", list), ("rows", list), ("drows", list)])
+_FiberValue = NamedTuple("_FiberValue", [("v", complex), ("rows", list),
+                                         ("majorants", list), ("drows", list)])
 
 
 def _predict(here, points, v_to):
@@ -238,7 +233,7 @@ def choose_radii(diagram: CerfDiagram, precision: int = 128) -> CarouselRadii:
                 validation=validation,
                 precision=precision,
                 base_points=tuple(base),
-                fiber=_FiberPolynomial(diagram.defining, precision),
+                fiber=_FiberPolynomial(diagram.defining),
             )
     raise RadiiError(
         "could not validate a value-circle radius (degenerate diagram "
@@ -352,7 +347,7 @@ def _refine(fiber, here, there, points, rho):
     there within 40 iterations with |p'| > e', finite values and normal
     bounds (no underflow).
     """
-    coeffs, majorants = there.coeffs, there.majorants
+    coeffs, majorants = there.rows, there.majorants
     gamma, half = fiber.gamma_d, float(rho) / 2
     predicted = _predict(here, points, there.v)
     if not _alpha_certified(coeffs, majorants, predicted, gamma):
@@ -492,7 +487,7 @@ def carousel_permutation(
         m=m,
         base_points=tuple(base),
         sigma=tuple(sigma),
-        cycle_type=_cycle_type(sigma),
+        cycle_type=tuple(sorted(map(len, _cycles(sigma)))),
         fixed_points=tuple(i for i, j in enumerate(sigma) if i == j),
         orbit_traces=tuple(tuple(t) for t in traces),
         steps_used=used,
@@ -539,20 +534,21 @@ def _match_to_base(points, radii, base):
     return sigma
 
 
-def _cycle_type(sigma):
+def _cycles(sigma):
+    """The cycles of the permutation sigma, each a list from its least
+    element, listed by that element."""
     seen = [False] * len(sigma)
-    lengths = []
+    out = []
     for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
+        cycle = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = sigma[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+        if cycle:
+            out.append(cycle)
+    return out
 
 
 def predicted_cycle_type(diagram: CerfDiagram) -> tuple:

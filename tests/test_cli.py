@@ -215,6 +215,25 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error [cli]: ") and "absent.txt" in err
 
+    def test_comment_only_germ_file_is_an_empty_batch(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("# only a comment\n\n")
+        code, out, err = run_cli(["analyze", "--germ-file", str(listing), "--json-compact"], capsys)
+        assert (code, out, err) == (0, "[]\n", "")
+
+    def test_no_germ_source_is_a_cli_error(self, capsys):
+        code, out, err = run_cli(["analyze"], capsys)
+        assert (code, out, err) == (1, "", "error [cli]: provide --germ or --germ-file\n")
+
+    def test_zero_line_is_refused_before_any_stage(self, tmp_path, capsys):
+        listing = tmp_path / "germs.txt"
+        listing.write_text("x^2 + y^3\nx^3 - y^2\n")
+        for source in (["--germ", "x^2 + y^3"], ["--germ-file", str(listing)]):
+            for line in ("0,0", "0, 0*i"):
+                code, out, err = run_cli(["analyze", *source, "--line", line], capsys)
+                assert (code, out) == (1, "")
+                assert err == "error [cli]: degenerate linear form (0, 0)\n"
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--germ", "x^2 + y^3"],
         ["family", "--family", "x^3 - y^2 + t*x"],

@@ -348,7 +348,8 @@ class TestGcd:
 
     def test_unlucky_image_at_one(self, monkeypatch):
         # both vanish at the origin, and at y = 1 their images x^2 and x^3
-        # share x^2, so the certificate fails and Brown's loop decides
+        # share x^2, so the certificate fails and the subresultant
+        # sequence of the primitive parts decides
         p = P("x^2 + y^2 - y")
         q = P("x^3 + y^2 - y")
         calls = []
@@ -361,6 +362,22 @@ class TestGcd:
         g = P("x + 2*y")
         assert poly_gcd(g * p, g * q) == g.monic()
 
+    def test_sequence_step_with_a_degree_gap(self, monkeypatch):
+        # the first remainder has degree 3 in x, two below the 5 before
+        # it, so the second step has delta = 2 and divides by h^(delta - 1)
+        # a scale h that is a polynomial in y, as no leading coefficient in
+        # x is constant
+        steps = []
+        real = poly_mod._prem
+        monkeypatch.setattr(
+            poly_mod, "_prem", lambda A, B: steps.append((len(A) - 1, len(B) - 1)) or real(A, B)
+        )
+        g = P("x + y")
+        p = g * P("(y^2 + 2)*x^4 + 3*y^2")
+        q = g * P("(y - 1)*x^5 + 2*x^4*y + 3*x^2*y^2 + x*y^2")
+        assert poly_gcd(p, q) == g.monic()
+        assert any(a - b >= 2 for a, b in steps[1:])
+
     def test_leading_coefficient_vanishing_at_the_first_sample(self):
         # both leading coefficients in x are multiples of y - 1, and at
         # y = 1 the common factor drops to the constant 1 in both images
@@ -369,11 +386,12 @@ class TestGcd:
         assert poly_gcd(h * P("x*y + 2"), h * P("x*y - 2")) == h.monic()
 
     def test_coprime_germ_and_derivative_skip_brown(self, monkeypatch):
+        # coprime pairs never get past the image test to the sequence
         def refuse(*args):
-            raise AssertionError("Brown's gcd ran on a coprime pair")
+            raise AssertionError("the subresultant gcd ran on a coprime pair")
 
         monkeypatch.setattr(poly_mod, "content_primitive", refuse)
-        monkeypatch.setattr(poly_mod, "_interpolate_bivariate", refuse)
+        monkeypatch.setattr(poly_mod, "_subresultants", refuse)
         for germ in ("y^2 - x^3 - x^4", "x^4 + x^2*y^2 + y^4", "(y - x^2)^2 - x^5"):
             f = P(germ)
             assert poly_gcd(f, f.partial_derivative("x")) == P("1")

@@ -265,6 +265,15 @@ class TestCarouselPermutation:
         assert result.permutation.steps_used == steps
         assert len(values) == passes == len(set(values)) + 1
 
+    def test_vanishing_leading_coefficient_is_tracked_whole(self):
+        # over |v| = eta the leading u-coefficient v^30 is far below the
+        # others, yet the corrector keeps it, so its rounding bound and
+        # the alpha-test are for Delta itself
+        d = D("u^3 - v + v^30*u^5")
+        perm = carousel_permutation(d, choose_radii(d, 128))
+        assert perm.cycle_type == predicted_cycle_type(d) == (3,)
+        assert perm.steps_used == 18
+
     def test_loop_inverse(self):
         d = D("v - u^5")
         radii = choose_radii(d, 128)
@@ -363,7 +372,7 @@ class TestAlphaTest:
         # v - u^2: one step straight from u = 1/4 to the next fiber over a
         # quarter turn is refused, the tangent prediction over 1/64 passes
         d = D("v - u^2")
-        fiber = tracking_mod._FiberPolynomial(d.defining, 128)
+        fiber = tracking_mod._FiberPolynomial(d.defining)
         eta = 1.0 / 16
         start = [0.25, -0.25]
         here = fiber.at_value(eta)
@@ -371,7 +380,7 @@ class TestAlphaTest:
             there = fiber.at_value(eta * cmath.exp(2j * math.pi * turn))
             predicted = tracking_mod._predict(here, [complex(z) for z in start], there.v)
             assert tracking_mod._alpha_certified(
-                there.coeffs, there.majorants, predicted, fiber.gamma_d
+                there.rows, there.majorants, predicted, fiber.gamma_d
             ) is accepted
 
 
@@ -403,7 +412,7 @@ class TestDoubleKernel:
             }
             terms[(degree, 0)] = GaussianRational(rng.randint(1, 4))
             delta = Polynomial(("u", "v"), terms)
-            fiber = tracking_mod._FiberPolynomial(delta, 256)
+            fiber = tracking_mod._FiberPolynomial(delta)
             with mp.workprec(288):
                 v = mpmath.expjpi(mpf(rng.randint(0, 63)) / 32) / 16
                 roots = aberth_roots(_fiber_at(delta, v), 256)
