@@ -2,15 +2,16 @@
 
 For each parameter sample the critical points of f_t near the origin are
 located by exact elimination (resultants plus certified univariate
-solving).  A root of Res_y(f_x, f_y) carries one point, whose local
-Milnor number is the root's multiplicity: the eliminant is read only
-where the y-leading coefficients of f_x and f_y have no common root, and
-every other frame goes to the one fallback, a shear x = x' + lam*y.
-Balls are integers (`ComplexBall.mid` and `rad`), never mpmath: one
-exact evaluation of f's rows at a dyadic x center (homogeneous Horner)
-gives the fibers of f, f_x and f_y, from which the y ball, carrying the
-x radius to first order, and the value ball are built, each center
-rounded once to nearest and each radius up.  The conservation report
+solving).  A root of R = Res_y(f_x, f_y) carries one point, whose local
+Milnor number is the root's multiplicity, where the y-leading
+coefficients of f_x and f_y have no common root and the subresultant
+sequence of R ends in a1(x) y + a0(x) with gcd(a1, R) = 1: the point is
+y = -a0/a1 above the root.  Every other frame goes to the one fallback,
+a shear x = x' + lam*y.  Balls are integers (`ComplexBall.mid` and
+`rad`), never mpmath: -a0/a1 at a dyadic x center gives the y ball,
+carrying the x radius to first order, and f's rows there (homogeneous
+Horner) the value ball, each center rounded once to nearest from its
+exact value and each radius up.  The conservation report
 compares the total against mu(f_0); the coalescing verdict restricts to
 the zero fiber and applies the uniqueness statement only when its
 hypothesis holds exactly.
@@ -22,11 +23,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .gaussian import GaussianRational
-from .poly import Polynomial, poly_gcd, resultant
+from .poly import Polynomial, _dense_in, _eliminant, poly_gcd
 from .puiseux import PuiseuxError, milnor_number
-from .roots import (ComplexBall, PrecisionError, _apart, _dyadic_sum, _homogeneous_horner,
-                    _round_up, _rounded_center, _sqrt_up, aberth_roots, ordering_key,
-                    univariate_roots)
+from .roots import (ComplexBall, _apart, _dyadic_sum, _homogeneous_horner, _round_up,
+                    _rounded_center, _sqrt_up, ordering_key, univariate_roots)
 
 
 class FamilyError(ValueError):
@@ -205,14 +205,15 @@ def _quotient_up(num, den, exp, bits=53):
 
 def _system_roots(f, precision):
     """(x, y, multiplicity, value) balls of the common roots of f_x and f_y."""
-    p, q = f.partial_derivative("x"), f.partial_derivative("y")
+    p, q = _gradient(f)
     if p.is_zero() or q.is_zero():
         raise FamilyError("degenerate slice: a partial derivative vanishes identically")
     if not poly_gcd(p, q).is_constant():
         raise FamilyError("non-isolated critical locus at this parameter")
     for lam in (0, 1, -1, 2, 3):
+        frame = _shear(f, lam) if lam else f
         try:
-            roots = _system_roots_plain(_shear(f, lam) if lam else f, precision)
+            roots = _system_roots_plain(frame, *(_gradient(frame) if lam else (p, q)), precision)
         except _Ambiguous:
             continue
         if not lam:
@@ -234,21 +235,29 @@ class _Ambiguous(Exception):
     pass
 
 
+def _gradient(f):
+    return f.partial_derivative("x"), f.partial_derivative("y")
+
+
 def _shear(f, lam):
     xs = Polynomial.variable(f.variables, "x")
     ys = Polynomial.variable(f.variables, "y")
     return f.substitute({"x": xs + ys.scale(GaussianRational(lam)), "y": ys})
 
 
-def _system_roots_plain(f, precision):
-    """The critical points of f in this frame, or _Ambiguous.
+def _system_roots_plain(f, p, q, precision):
+    """The critical points of f, whose gradient is (p, q), in this frame,
+    or _Ambiguous.
 
     A separated gradient is a cross product.  Otherwise a root of
-    Res_y(f_x, f_y) of multiplicity mu carries one point of Milnor number
-    mu where the y-leading coefficients of f_x and f_y have no common
-    root (Fulton, Algebraic Curves, 1969); anything else is ambiguous.
+    R = Res_y(f_x, f_y) of multiplicity mu carries one point of Milnor
+    number mu where the y-leading coefficients of f_x and f_y have no
+    common root (Fulton, Algebraic Curves, 1969) and the sequence that
+    gives R ends in a1 y + a0 = U f_x + V f_y with gcd(a1, R) = 1: by the
+    specialization property of subresultants (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 8) the one point above a
+    root x0 is y0 = -a0(x0)/a1(x0).  Anything else is ambiguous.
     """
-    p, q = f.partial_derivative("x"), f.partial_derivative("y")
     rows = _xy_rows(f)
     out = []
     for in_x, in_y in ((p, q), (q, p)):
@@ -262,9 +271,12 @@ def _system_roots_plain(f, precision):
     # the resultant needs both partials of positive degree in y
     if min(p.degree("y"), q.degree("y")) < 1 or not _leads_coprime(p, q):
         raise _Ambiguous
-    for bx, mu in _exact_univariate_roots(resultant(p, q, "y"), "x", precision):
+    R, last = _eliminant(p, q, "y")
+    if len(last) != 2 or not poly_gcd(last[1], R).is_constant():
+        raise _Ambiguous
+    for bx, mu in _exact_univariate_roots(R, "x", precision):
+        by = _lift(*last, bx, precision)
         at = _at_x(rows, *_dyadic(bx))
-        by = _fiber_point(at, bx, precision)
         out.append((bx, by, mu, _value_ball(at, _dyadic(by), (bx.rad, by.rad), precision)))
     return out
 
@@ -288,51 +300,35 @@ def _exact_univariate_roots(p, var, precision):
     return univariate_roots(p.in_variables((var,)), precision)
 
 
-def _fiber_point(at, xball, precision):
-    """The one common root y above the x center, a certified ball, or _Ambiguous.
-
-    `at` is `_at_x` of f's rows at x_c; their y-derivatives are the
-    fibers of f_y and f_xy.  Of the roots of f_y(x_c, y), exactly one
-    must pass the filter on f_x.  Its ball is widened by |f_xy/f_yy| times
-    the x radius, the first-order move of that root over the x ball.
-    """
-    values, ders, unit = at
-    fy = [(k * a, k * b) for k, (a, b) in enumerate(values)][1:]
-    fxy = [(k * a, k * b) for k, (a, b) in enumerate(ders)][1:]
-    # |c| <= scale 2^-(precision/2), scale = max(|c_j|, 1), on squared integers
-    scale = max(max(map(_norm, fy)), unit * unit)
-    trimmed = list(fy)
-    while len(trimmed) > 1 and _norm(trimmed[-1]) << 2 * (precision // 2) <= scale:
-        trimmed.pop()
-    if len(trimmed) <= 1:
+def _lift(a0, a1, xball, precision):
+    """The y ball of y = -a0/a1 over the x ball, or _Ambiguous where a1
+    vanishes at the x center x_c: Y = -a0/a1 is evaluated exactly at x_c,
+    each part rounded once to nearest with precision + 32 bits, and the
+    radius covers that rounding and |Y'(x_c)| r_x (1 + 2^-20), the
+    first-order move of Y over the x ball, rounded up."""
+    a, b, s = _dyadic(xball)
+    rows = [_dense_in(c, "x") for c in (a0, a1)]
+    n = max(map(len, rows))
+    # 2^(s(n-1)) times a_k(x_c) and 2^(s(n-2)) times a_k'(x_c)
+    (p0r, p0i, d0r, d0i), (p1r, p1i, d1r, d1i) = (
+        _homogeneous_horner(r + [(0, 0)] * (n - len(r)), a, b, s) for r in rows)
+    n1 = p1r * p1r + p1i * p1i
+    if not n1:
         raise _Ambiguous
-    # the power of two common to the coefficients moves no root
-    v = min(((a | b) & -(a | b)).bit_length() for a, b in trimmed if a or b) - 1
-    try:
-        roots = aberth_roots([(a >> v, b >> v) for a, b in trimmed], precision)
-    except PrecisionError:
-        # a cluster is left to the shear retry, not to more bits
-        raise _Ambiguous
-    scale = max(max(map(_norm, ders)), unit * unit)
-    points = []
-    for b in roots:
-        c, d, u = _dyadic(b)
-        # |f_x(y)| <= 2^-(precision/3) max(|f_x,j|, 1), likewise
-        h = _norm(_homogeneous_horner(ders, c, d, u))
-        if h << 2 * (precision // 3) <= scale << 2 * u * (len(ders) - 1):
-            points.append((b, c, d, u))
-    if len(points) != 1:
-        raise _Ambiguous
-    b, c, d, u = points[0]
-    _, vx, vy = _at_y(fy, fxy, c, d, u)
-    if not _norm(vy):
-        raise _Ambiguous
-    # |f_xy/f_yy| r_x (1 + 2^-20) = sqrt(|f_xy|^2 |f_yy|^2)/|f_yy|^2 r_x (1 + 2^-20),
+    # Y = -(P0/den0)/(P1/den1) = -den1 P0 conj(P1)/(den0 |P1|^2)
+    den = a0.den * n1
+    mid = _rounded_center(-a1.den * (p0r * p1r + p0i * p1i),
+                          -a1.den * (p0i * p1r - p0r * p1i), den, precision + 32)
+    # two units of precision + 32 bits in |Re| + |Im| cover the rounding
+    slack = (abs(mid[0]) + abs(mid[1]), mid[2] - precision - 31)
+    # |Y'| = 2^s den1 |D0 P1 - P0 D1|/(den0 |P1|^2), times r_x (1 + 2^-20),
     # rounded up to 100 bits
+    w = _norm((d0r * p1r - d0i * p1i - p0r * d1r + p0i * d1i,
+               d0r * p1i + d0i * p1r - p0r * d1i - p0i * d1r))
     m, e = xball.rad
-    n = _sqrt_up(_norm(vx) * _norm(vy) << 200) * m * ((1 << 20) + 1)
-    widen = _quotient_up(n, _norm(vy), e - 120, 100)
-    return ComplexBall(b.mid, _round_up(*_dyadic_sum(b.rad, widen)), precision)
+    num = _sqrt_up(w << 200) * a1.den * m * ((1 << 20) + 1)
+    widen = _quotient_up(num, den, e + s - 120, 100)
+    return ComplexBall(mid, _round_up(*_dyadic_sum(slack, widen)), precision)
 
 
 def _norm(c):

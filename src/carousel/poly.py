@@ -1019,11 +1019,15 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     """Resultant eliminating `var`, exact, with no sign left over:
     resultant(p, q) = lc(q)^deg(p) * prod of p(beta) over the roots beta
     of q with multiplicity, the determinant of the Sylvester matrix that
-    lists the deg(p) shifted rows of q first.
+    lists the deg(p) shifted rows of q first (`_eliminant`)."""
+    return _eliminant(p, q, var)[0]
 
-    Runs the subresultant pseudo-remainder sequence of Collins and of Brown
-    and Traub (Cohen, Alg. 3.3.7) on (q, p), `_subresultants`.
-    """
+
+def _eliminant(p: Polynomial, q: Polynomial, var: str):
+    """(resultant(p, q, var), A) from one run of the subresultant
+    pseudo-remainder sequence of Collins and of Brown and Traub (Cohen,
+    Alg. 3.3.7) on (q, p), `_subresultants`: A lists the coefficients of
+    its last nonzero remainder of positive degree, U*p + V*q in var."""
     p._check_same(q)
     m, n = p.degree(var), q.degree(var)
     if m < 1 or n < 1:
@@ -1034,9 +1038,9 @@ def resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
         A, B, sign = B, A, (-1) ** (m * n)
     A, B, h, steps_sign = _subresultants(A, B)
     if not B:
-        return Polynomial.zero(h.variables)
+        return Polynomial.zero(h.variables), A
     d = len(A) - 1
-    return divexact(B[0] ** d, h ** (d - 1)).scale(sign * steps_sign)
+    return divexact(B[0] ** d, h ** (d - 1)).scale(sign * steps_sign), A
 
 
 def _subresultants(A: list, B: list):

@@ -421,11 +421,8 @@ def _newton_certificate(coeffs, start, precision):
         slack = (abs(x) + abs(y), -(s + wp - 1))
         radius = _round_up(*_dyadic_sum(_inclusion_radius(n, p2, d2, s), slack))
         balls.append(ComplexBall(_rounded_center(x, y, 1 << s, wp), radius, precision))
-    return balls if _pairwise_disjoint(balls) else None
-
-
-def _pairwise_disjoint(balls):
-    return all(a.is_disjoint_from(b) for a, b in itertools.combinations(balls, 2))
+    disjoint = all(a.is_disjoint_from(b) for a, b in itertools.combinations(balls, 2))
+    return balls if disjoint else None
 
 
 def _homogeneous_horner(coeffs, x, y, s):
@@ -538,13 +535,14 @@ def univariate_roots(p: Polynomial, precision: int) -> list:
         factors = [(_dense_in(f, var), m) for f, m in squarefree_decomposition(p.shift((-k,)))]
 
     def solve(prec):
-        out = [(ComplexBall((0, 0, 0), (0, 0), prec), k)] if k else []
-        for coeffs, mult in factors:
-            for ball in aberth_roots(coeffs, prec):
-                out.append((ball, mult))
-        if not _pairwise_disjoint([ball for ball, _ in out]):
-            raise PrecisionError("roots of distinct factors overlap")
-        return out
+        # aberth_roots certifies each factor's balls pairwise disjoint, so
+        # only balls of distinct factors, and the root 0, are compared here
+        groups = [([ComplexBall((0, 0, 0), (0, 0), prec)], k)] if k else []
+        groups += [(aberth_roots(coeffs, prec), mult) for coeffs, mult in factors]
+        for (g, _), (h, _) in itertools.combinations(groups, 2):
+            if not all(a.is_disjoint_from(b) for a, b in itertools.product(g, h)):
+                raise PrecisionError("roots of distinct factors overlap")
+        return [(ball, mult) for balls, mult in groups for ball in balls]
 
     out = _escalate(solve, precision)
     out.sort(key=lambda bm: ordering_key(bm[0]))

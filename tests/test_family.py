@@ -18,6 +18,7 @@ from carousel.family import (
     _at_x,
     _at_y,
     _dyadic,
+    _leads_coprime,
     _value_ball,
     _xy_rows,
     coalescing_verdict,
@@ -25,7 +26,8 @@ from carousel.family import (
     critical_points,
 )
 from carousel.gaussian import GaussianRational, from_integers
-from carousel.poly import Polynomial, parse_polynomial
+from carousel.poly import (Polynomial, _dense_in, _eliminant, divexact, parse_polynomial,
+                           poly_gcd, resultant, squarefree_decomposition)
 from carousel.roots import ComplexBall, gaussian_to_mpc
 
 XYT = ("x", "y", "t")
@@ -232,7 +234,8 @@ class TestSeparatedGradient:
 
 class TestSingleAttemptSolves:
     def test_clustered_fiber_goes_to_the_shear_without_more_bits(self, monkeypatch):
-        import carousel.family as family_mod
+        # three points over one eliminant root: the gcd(a1, R) gate (see
+        # TestLift) sends the frame to the shear, and no solve doubles bits
         import carousel.roots as roots_mod
 
         tried = []
@@ -243,11 +246,63 @@ class TestSingleAttemptSolves:
             return real(coeffs, precision)
 
         monkeypatch.setattr(roots_mod, "aberth_roots", spy)
-        monkeypatch.setattr(family_mod, "aberth_roots", spy)
         fam = F("x^2*y + y^4 + t*x*y")
         record = critical_points(fam, GaussianRational(Fraction(-1, 64), Fraction(1, 64)))
         assert tried and set(tried) == {128}
         assert record.total_mu == 5
+
+
+class TestLift:
+    def test_only_the_eliminant_is_solved(self, monkeypatch):
+        # above each root of R = Res_y(f_x, f_y) the one common root is
+        # -a0/a1, from the last remainder a1*y + a0 of the sequence that
+        # gives R: aberth_roots sees the squarefree factors of R and no
+        # fiber above its roots
+        import carousel.family as family_mod
+        import carousel.roots as roots_mod
+
+        seen = []
+        real = roots_mod.aberth_roots
+
+        def spy(coeffs, precision):
+            seen.append(list(coeffs))
+            return real(coeffs, precision)
+
+        monkeypatch.setattr(roots_mod, "aberth_roots", spy)
+        # and any solver reference that family holds of its own
+        monkeypatch.setattr(family_mod, "aberth_roots", spy, raising=False)
+        fam = F("x^5 - x*y^3 + t*(x^2 + y^2)")
+        record = critical_points(fam, GRID[0])
+        assert [p.local_mu for p in record.points] == [1] * 11
+        f = fam.slice(GRID[0])
+        R = resultant(f.partial_derivative("x"), f.partial_derivative("y"), "y")
+        # the root 0 of R is split off exactly, with no solve
+        rest = divexact(R, Polynomial.variable(("x",), "x"))
+        assert seen == [_dense_in(g, "x") for g, _ in squarefree_decomposition(rest)]
+
+    def test_a1_sharing_a_root_with_the_eliminant_goes_to_the_shear(self, monkeypatch):
+        # f_x = y*(2x + t) ends the sequence: a1 = 2x + t vanishes at the
+        # eliminant root -t/2, above which three points lie.  The leading
+        # coefficients 2x + t and 4 are coprime, so only the gcd gate
+        # refuses this frame
+        import carousel.family as family_mod
+
+        shears = []
+        real = family_mod._shear
+
+        def spy(f, lam):
+            shears.append(lam)
+            return real(f, lam)
+
+        monkeypatch.setattr(family_mod, "_shear", spy)
+        fam = F("x^2*y + y^4 + t*x*y")
+        f = fam.slice(GRID[0])
+        p, q = f.partial_derivative("x"), f.partial_derivative("y")
+        R, (a0, a1) = _eliminant(p, q, "y")
+        assert _leads_coprime(p, q) and a0.is_zero() and a1.degree("x") == 1
+        assert not poly_gcd(a1, R).is_constant()
+        assert critical_points(fam, GRID[0]).total_mu == 5
+        assert shears == [1]
 
 
 class TestLocalMilnorNumber:
@@ -281,7 +336,7 @@ class TestShear:
         ("x*y + x^3 + t*y", 1),  # mixed shapes: f_y has no y
         ("x^2 + y^4 - 2*t*y^2 + x*y^2", 3),  # two Morse points over x = -2t/3
         ("x*y + x^2*y^2 + x^3 + t*x", 1),  # both y-leading coefficients vanish at 0
-        ("x*y + x*y^2 + x^3 + t*x", 1),  # the f_y fiber vanishes at x = 0
+        ("x*y + x*y^2 + x^3 + t*x", 1),  # f_y = x*(1 + 2y): a1 = 2x, R(0) = 0
     ))
     def test_shear_conserves_mu(self, text, mu, monkeypatch):
         import carousel.family as family_mod
@@ -341,7 +396,8 @@ class TestEnclosure:
         fam = F("x^2*y + y^4 + t*x*y")
         t = GaussianRational(Fraction(-3, 64), Fraction(-2, 64))
         points = critical_points(fam, t).points
-        # a clustered fiber, as in TestSingleAttemptSolves, goes to the shear
+        # three points over one eliminant root, as in TestSingleAttemptSolves,
+        # send the frame through the gcd(a1, R) gate to the shear
         # x = x' + lam*y; here one sum of the centers misses the 512-bit
         # point by about a tenth of its radius, so a radius without the
         # radii of x' and y would fail

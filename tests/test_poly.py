@@ -225,6 +225,16 @@ class TestResultant:
             sign = (-1) ** (p.degree("y") * q.degree("y"))
             assert lhs == rhs.scale(sign)
 
+    def test_degree_gap_after_the_first_step(self):
+        # an abnormal pair in y: degrees 6 and 5, then a remainder of degree
+        # 3, a gap of 2.  The first step leaves h = x + 1, so the gap step's
+        # h = g^2/h differs from g^2, and the next step divides by it
+        b = P("(x + 1)*y^5 + x*y + 1")
+        a = b * P("y") + P("(x - 2)*y^3 + y^2 + x")
+        assert len(poly_mod._prem(a.as_univariate("y"), b.as_univariate("y"))) == 4
+        for p, q in ((a, b), (b, a)):
+            assert resultant(p, q, "y") == _sylvester(p, q, "y")
+
     @seed(12)
     @settings(max_examples=200, deadline=None)
     @given(_resultant_pairs())

@@ -59,6 +59,19 @@ def test_multiplicities_from_exact_decomposition():
     assert [(round(float(b.center.real)), m) for b, m in roots] == [(-2, 1), (1, 3)]
 
 
+def test_only_balls_of_distinct_factors_are_compared(monkeypatch):
+    # two balls of radius 1 at 1 and 2 for every factor: they overlap, but
+    # aberth_roots is trusted to have certified one factor's balls apart
+    def wide(coeffs, precision):
+        return [ComplexBall(c, 1, precision) for c in (1, 2)][: len(coeffs) - 1]
+
+    monkeypatch.setattr(roots_mod, "aberth_roots", wide)
+    assert [m for _, m in univariate_roots(U("u^2 - 3*u + 2"), 128)] == [1, 1]
+    # the root 0 is a factor of its own, and its ball touches the one at 1
+    with pytest.raises(PrecisionError, match="roots of distinct factors overlap"):
+        univariate_roots(U("u^3 - 3*u^2 + 2*u"), 128)
+
+
 def test_root_sum_matches_trace():
     from carousel.roots import gaussian_to_mpc
     from mpmath import mp
